@@ -21,9 +21,10 @@ import sys
 
 from .errors import B3RepError, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
-from .factory import SemisimpleSpec, assemble
+from .factory import SemisimpleSpec, derived_seed
 from .geometry import (
     analyze,
+    assemble_and_measure,
     component_dim,
     enumerate_component_signatures,
     tangent_dim_numeric,
@@ -120,12 +121,15 @@ def cmd_analyze(args) -> int:
     verification = None
     if args.verify:
         try:
-            rep = assemble(spec, seed=args.seed, tol=tol)
-            measured = tangent_dim_numeric(rep, tol)
+            # the first assembly uses --seed itself, retries derived seeds
+            seed, _, measured = assemble_and_measure(
+                spec,
+                lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed,
+                tangent_dim_numeric, tol)
         except ToleranceAmbiguity as exc:
             return _fail(f"numeric verification inconclusive: {exc}")
         verification = {
-            "seed": args.seed,
+            "seed": seed,
             "tangent_dim_numeric": measured,
             "matches_formula": measured == report.tangent_dim,
             "matches_smooth_criterion":

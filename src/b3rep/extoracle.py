@@ -55,21 +55,37 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _rank_flagged(M: np.ndarray, tol: ToleranceConfig) -> tuple[int, bool]:
-    """(numerical rank, ambiguity flag).  Ambiguous means some singular
-    value lies within a factor 10 of the threshold, so the rank would
-    move under a modest change of tolerance."""
-    rows, cols = M.shape
-    if rows == 0 or cols == 0:
-        return 0, False
-    sing = np.linalg.svd(M, compute_uv=False)
-    smax = float(sing[0])
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of M, largest first; none for an empty matrix."""
+    if 0 in M.shape:
+        return np.zeros(0)
+    return np.linalg.svd(M, compute_uv=False)
+
+
+def _rank_decision(weighted, tol: ToleranceConfig) -> tuple[int, bool]:
+    """(numerical rank, ambiguity flag) of a matrix whose singular values
+    are the given arrays, each repeated ``weight`` times, as for a
+    block-diagonal matrix with repeated blocks.
+
+    One threshold, rel_tol times the largest singular value of all, holds
+    for every array.  Ambiguous means some singular value lies within a
+    factor 10 of the threshold, so the rank would move under a modest
+    change of tolerance.
+    """
+    smax = max((float(sing[0]) for sing, _ in weighted if sing.size), default=0.0)
     if smax < tol.abs_floor:
         return 0, False
     threshold = tol.rel_tol * smax
-    rank = int(np.sum(sing > threshold))
-    ambiguous = bool(np.any((sing > threshold / 10.0) & (sing < threshold * 10.0)))
+    rank, ambiguous = 0, False
+    for sing, weight in weighted:
+        rank += weight * int(np.sum(sing > threshold))
+        ambiguous |= bool(np.any((sing > threshold / 10.0) & (sing < threshold * 10.0)))
     return rank, ambiguous
+
+
+def _rank_flagged(M: np.ndarray, tol: ToleranceConfig) -> tuple[int, bool]:
+    """(numerical rank, ambiguity flag) of one matrix."""
+    return _rank_decision([(_singular_values(M), 1)], tol)
 
 
 def numeric_rank(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -86,14 +102,27 @@ def numeric_kernel_dim(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int
     return M.shape[1] - rank
 
 
-def _kernel_dim_checked(M: np.ndarray, tol: ToleranceConfig) -> int:
-    rank, ambiguous = _rank_flagged(M, tol)
+def _checked_rank(weighted, tol: ToleranceConfig) -> int:
+    """``_rank_decision``'s rank; raises ToleranceAmbiguity when flagged."""
+    rank, ambiguous = _rank_decision(weighted, tol)
     if ambiguous:
         raise ToleranceAmbiguity(
             "singular value within a factor 10 of the rank threshold; "
             "re-randomize the instances"
         )
-    return M.shape[1] - rank
+    return rank
+
+
+def _kernel_dim_checked(M: np.ndarray, tol: ToleranceConfig) -> int:
+    return M.shape[1] - _checked_rank([(_singular_values(M), 1)], tol)
+
+
+def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """np.kron(P, Q) for matrices, equal to it bit for bit (one product
+    per entry) without its per-call overhead, which dominates the many
+    small systems of the block-wise tangent oracle and the ext suite."""
+    (p0, p1), (q0, q1) = P.shape, Q.shape
+    return (P[:, None, :, None] * Q[None, :, None, :]).reshape(p0 * q0, p1 * q1)
 
 
 def commutant_matrix(V, W) -> np.ndarray:
@@ -102,8 +131,8 @@ def commutant_matrix(V, W) -> np.ndarray:
     iv = np.eye(V.n)
     iw = np.eye(W.n)
     rows = [
-        np.kron(iw, V.A.T) - np.kron(W.A, iv),
-        np.kron(iw, V.B.T) - np.kron(W.B, iv),
+        _kron(iw, V.A.T) - _kron(W.A, iv),
+        _kron(iw, V.B.T) - _kron(W.B, iv),
     ]
     return np.vstack(rows)
 
@@ -127,8 +156,8 @@ def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:
     iw = np.eye(W.n)
     bv2 = V.B @ V.B
     bw2 = W.B @ W.B
-    block_x = np.kron(iw, V.A.T) + np.kron(W.A, iv)
-    block_y = np.kron(iw, bv2.T) + np.kron(W.B, V.B.T) + np.kron(bw2, iv)
+    block_x = _kron(iw, V.A.T) + _kron(W.A, iv)
+    block_y = _kron(iw, bv2.T) + _kron(W.B, V.B.T) + _kron(bw2, iv)
     if group_kind == B3:
         return np.hstack([block_x, -block_y])
     if group_kind == GAMMA:
@@ -151,8 +180,8 @@ def boundary_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     iv = np.eye(V.n)
     iw = np.eye(W.n)
     rows = [
-        np.kron(W.A, iv) - np.kron(iw, V.A.T),
-        np.kron(W.B, iv) - np.kron(iw, V.B.T),
+        _kron(W.A, iv) - _kron(iw, V.A.T),
+        _kron(W.B, iv) - _kron(iw, V.B.T),
     ]
     return numeric_rank(np.vstack(rows), tol)
 

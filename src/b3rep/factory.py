@@ -25,7 +25,7 @@ import numpy as np
 from .constants import B3, GAMMA, OMEGA
 from .errors import GenerationFailed, InvalidSpec, IsomorphicDistinctEntries, NotSimpleDimension
 from .extoracle import DEFAULT_TOL, ToleranceConfig
-from .lattice import GammaDimVector, is_simple_gamma, twist_gamma
+from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
 #: (rho, tau) scalar pairs of the six characters, in hexagon vertex order.
@@ -280,12 +280,39 @@ class SpecEntry:
 
     @classmethod
     def from_json(cls, data: dict, default_id: str = "s0") -> "SpecEntry":
-        return cls(
-            alpha=GammaDimVector.from_json(data["alpha"]),
-            lam=ExactScalar.from_json(data["lambda"]),
-            mult=int(data.get("mult", 1)),
-            instance_id=str(data.get("instance", default_id)),
-        )
+        """Parse one entry.  Every shape or type error, and every value
+        the fields reject, raises InvalidSpec."""
+        if not isinstance(data, dict):
+            raise InvalidSpec(f"an entry must be a JSON object, got {data!r}")
+        for key in ("alpha", "lambda"):
+            if key not in data:
+                raise InvalidSpec(f"entry has no {key!r}")
+        lam = data["lambda"]
+        if not (isinstance(lam, dict)
+                and all(_is_scalar_part(lam.get(key)) for key in ("r", "q"))):
+            raise InvalidSpec(
+                f"'lambda' must be an object with numbers or number strings "
+                f"'r' and 'q', got {lam!r}"
+            )
+        mult = data.get("mult", 1)
+        if not _is_json_int(mult):
+            raise InvalidSpec(f"'mult' must be an integer, got {mult!r}")
+        instance_id = data.get("instance", default_id)
+        if not isinstance(instance_id, str):
+            raise InvalidSpec(f"'instance' must be a string, got {instance_id!r}")
+        try:
+            alpha = GammaDimVector.from_json(data["alpha"])
+        except ValueError as exc:
+            raise InvalidSpec(f"invalid 'alpha': {exc}") from exc
+        try:
+            scalar = ExactScalar.from_json(lam)
+        except (ArithmeticError, ValueError) as exc:
+            raise InvalidSpec(f"invalid 'lambda' {lam!r}: {exc}") from exc
+        return cls(alpha, scalar, mult, instance_id)
+
+
+def _is_scalar_part(value) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
 
 
 def entries_isomorphic(e1: SpecEntry, e2: SpecEntry) -> bool:
@@ -340,12 +367,16 @@ class SemisimpleSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "SemisimpleSpec":
-        raw = data.get("entries")
+        raw = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(raw, list) or not raw:
-            raise InvalidSpec("spec JSON needs a nonempty 'entries' list")
-        return cls(tuple(
-            SpecEntry.from_json(item, default_id=f"s{i}") for i, item in enumerate(raw)
-        ))
+            raise InvalidSpec("spec JSON must be an object with a nonempty 'entries' list")
+        entries = []
+        for i, item in enumerate(raw):
+            try:
+                entries.append(SpecEntry.from_json(item, default_id=f"s{i}"))
+            except InvalidSpec as exc:
+                raise InvalidSpec(f"entry {i + 1}: {exc}") from exc
+        return cls(tuple(entries))
 
 
 def _block_diag(mats: list[np.ndarray]) -> np.ndarray:

@@ -27,9 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import B3RepError, IsomorphicDistinctEntries, WitnessUnavailable
-from .extoracle import DEFAULT_TOL, ToleranceConfig, _kernel_dim_checked
-from .factory import RepPair, SemisimpleSpec, SpecEntry, entries_isomorphic
+from .errors import (
+    B3RepError,
+    IsomorphicDistinctEntries,
+    ToleranceAmbiguity,
+    WitnessUnavailable,
+)
+from .extoracle import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _checked_rank,
+    _singular_values,
+    cocycle_matrix,
+)
+from .factory import RepPair, SemisimpleSpec, SpecEntry, assemble, entries_isomorphic
 from .constants import B3
 from .lattice import (
     GammaDimVector,
@@ -176,17 +187,80 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Tangent-space dimension measured from the matrices: 2 n^2 minus
     the rank of the linearized relation
 
-        (dA, dB) -> dA A + A dA - (dB B^2 + B dB B + B^2 dB).
+        (dA, dB) -> dA A + A dA - (dB B^2 + B dB B + B^2 dB),
+
+    whose kernel is the cocycle space Z^1(V, V) of the braid relation.
+
+    The rank is taken block by block.  When A and B share a block-diagonal
+    zero pattern, the linearized relation is block diagonal up to a
+    permutation of rows and columns, and its block (i, j) is the cocycle
+    system from the j-th diagonal block of V to the i-th.  Exactly equal
+    diagonal blocks (repeated summands) form one class, whose systems are
+    solved once and counted by multiplicity.  The rank rule is that of a
+    single matrix: one threshold relative to the largest singular value
+    over all blocks.  Dense input, such as a unitary conjugate of an
+    assembled pair, is one block, so its rank comes from one SVD of the
+    full n^2 x 2n^2 system.
 
     Raises ToleranceAmbiguity when the rank threshold is not clean.
     """
+    classes = _block_classes(V)
+    weighted = [
+        (_singular_values(cocycle_matrix(dom, cod, B3)), c_dom * c_cod)
+        for cod, c_cod in classes
+        for dom, c_dom in classes
+    ]
+    return 2 * V.n ** 2 - _checked_rank(weighted, tol)
+
+
+def _diagonal_blocks(V: RepPair) -> list[slice]:
+    """The finest partition of the indices into contiguous intervals such
+    that every nonzero entry of A and of B lies in a diagonal block.
+    Read off the exact zero pattern, so it does not rely on the spec."""
     n = V.n
-    eye = np.eye(n)
-    b2 = V.B @ V.B
-    block_a = np.kron(eye, V.A.T) + np.kron(V.A, eye)
-    block_b = np.kron(eye, b2.T) + np.kron(V.B, V.B.T) + np.kron(b2, eye)
-    jac = np.hstack([block_a, -block_b])
-    return _kernel_dim_checked(jac, tol)
+    rows, cols = np.nonzero((V.A != 0) | (V.B != 0))
+    reach = np.arange(n)
+    np.maximum.at(reach, rows, cols)
+    np.maximum.at(reach, cols, rows)
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1
+    return [slice(int(start), int(end)) for start, end in zip([0, *ends[:-1]], ends)]
+
+
+def _block_classes(V: RepPair) -> list[list]:
+    """Diagonal blocks of V as [pair, count] classes, exactly equal blocks
+    merged into one class, in order of first appearance."""
+    classes: list[list] = []
+    for blk in _diagonal_blocks(V):
+        a, b = V.A[blk, blk], V.B[blk, blk]
+        for cls in classes:
+            if np.array_equal(cls[0].A, a) and np.array_equal(cls[0].B, b):
+                cls[1] += 1
+                break
+        else:
+            classes.append([RepPair(a, b, V.relation_kind), 1])
+    return classes
+
+
+#: Assemblies tried before a measurement that keeps hitting an ambiguous
+#: rank threshold is given up.
+REMEASURE_ATTEMPTS = 3
+
+
+def assemble_and_measure(spec: SemisimpleSpec, seed_of, measure,
+                         tol: ToleranceConfig = DEFAULT_TOL):
+    """Assemble the spec and apply ``measure(rep, tol)`` to the pair,
+    re-assembling on ToleranceAmbiguity: attempt k uses the seed
+    ``seed_of(k)``, for k below REMEASURE_ATTEMPTS.  Returns
+    (seed, rep, measured value) of the first clean attempt, and re-raises
+    the last ambiguity when no attempt was clean."""
+    for attempt in range(REMEASURE_ATTEMPTS):
+        seed = seed_of(attempt)
+        rep = assemble(spec, seed=seed, tol=tol)
+        try:
+            return seed, rep, measure(rep, tol)
+        except ToleranceAmbiguity as exc:
+            last = exc
+    raise last
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,20 @@ EULER_MATRIX_HEX = (
 )
 
 
+def _is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer.  Booleans and floats,
+    integral ones such as 2.0 included, are not: a count written as a
+    float is rejected rather than truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_ints(data, length: int, form: str) -> list[int]:
+    if not (isinstance(data, (list, tuple)) and len(data) == length
+            and all(_is_json_int(v) for v in data)):
+        raise ValueError(f"expected {form} of integers, got {data!r}")
+    return list(data)
+
+
 @dataclass(frozen=True, order=True)
 class GammaDimVector:
     """Eigenvalue multiplicities (a, b; x, y, z) with a + b = x + y + z.
@@ -98,9 +112,7 @@ class GammaDimVector:
 
     @classmethod
     def from_json(cls, data) -> "GammaDimVector":
-        if len(data) != 5:
-            raise ValueError(f"expected [a, b, x, y, z], got {data!r}")
-        return cls(*(int(v) for v in data))
+        return cls(*_json_ints(data, 5, "[a, b, x, y, z]"))
 
     def __str__(self) -> str:
         return f"({self.a},{self.b};{self.x},{self.y},{self.z})"
@@ -143,9 +155,7 @@ class HexDimVector:
 
     @classmethod
     def from_json(cls, data) -> "HexDimVector":
-        if len(data) != 6:
-            raise ValueError(f"expected [h0, ..., h5], got {data!r}")
-        return cls(*(int(v) for v in data))
+        return cls(*_json_ints(data, 6, "[h0, ..., h5]"))
 
 
 def hex_to_gamma(h: HexDimVector) -> GammaDimVector:

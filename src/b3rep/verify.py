@@ -27,7 +27,6 @@ from .factory import (
     SemisimpleSpec,
     SpecEntry,
     _random_unitary,
-    assemble,
     derived_seed,
     entries_isomorphic,
     random_simple_gamma,
@@ -36,6 +35,7 @@ from .factory import (
 )
 from .geometry import (
     analyze,
+    assemble_and_measure,
     component_dim,
     ext_b3_spec,
     gln_embed,
@@ -360,16 +360,11 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
         rng = np.random.default_rng(derived_seed("tangent-size", seed, trial))
         n = int(rng.integers(1, max_n + 1))
         spec = random_spec(n, derived_seed("tangent", seed, trial))
-        measured = None
-        for bump in range(3):  # re-randomize on an ambiguous threshold
-            rep = assemble(spec, seed=derived_seed("tangent-rep", seed, trial, bump),
-                           tol=tol)
-            try:
-                measured = tangent_dim_numeric(rep, tol)
-                break
-            except ToleranceAmbiguity:
-                continue
-        if measured is None:
+        try:
+            _, rep, measured = assemble_and_measure(
+                spec, lambda bump: derived_seed("tangent-rep", seed, trial, bump),
+                tangent_dim_numeric, tol)
+        except ToleranceAmbiguity:
             result.record(False, 0, f"persistent tolerance ambiguity for {spec.to_json()}")
             continue
         valid = validate_rep(rep, B3, tol)

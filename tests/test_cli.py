@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from b3rep.cli import main
+from b3rep.errors import ToleranceAmbiguity
 
 SINGULAR_SPEC = {
     "entries": [
@@ -119,6 +122,85 @@ def test_analyze_invalid_spec_content(tmp_path, capsys):
     ]}))
     code, _, err = run(capsys, "analyze", "--spec", str(path))
     assert code == 2 and "simple" in err
+
+
+def test_analyze_spec_that_is_a_list_exits_two(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([SMOOTH_SPEC]))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_entry_without_lambda_exits_two(tmp_path, capsys):
+    path = tmp_path / "nolambda.json"
+    path.write_text(json.dumps({"entries": [{"alpha": [1, 0, 1, 0, 0]}]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: entry 1: entry has no 'lambda'\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", [1.7, 0, 1, 0, 0]),
+    ("alpha", [1.0, 0, 1, 0, 0]),
+    ("alpha", [True, 0, 1, 0, 0]),
+    ("alpha", 5),
+    ("mult", True),
+    ("mult", 2.9),
+    ("mult", 2.0),
+    ("mult", "2"),
+    ("lambda", {"r": "1"}),
+    ("lambda", {"r": "1/0", "q": "0"}),
+    ("lambda", {"r": True, "q": "0"}),
+    ("instance", 3),
+])
+def test_analyze_rejects_wrongly_typed_fields(tmp_path, capsys, field, value):
+    entry = {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": "1", "q": "0"},
+             "mult": 1, "instance": "s1", field: value}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"entries": [entry]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: entry 1: ") and err.count("\n") == 1
+
+
+def test_analyze_verify_redraws_after_an_ambiguous_measurement(tmp_path, capsys,
+                                                                monkeypatch):
+    import b3rep.cli as cli_mod
+    measured = []
+    real = cli_mod.tangent_dim_numeric
+
+    def ambiguous_once(rep, tol):
+        measured.append(rep)
+        if len(measured) == 1:
+            raise ToleranceAmbiguity("forced")
+        return real(rep, tol)
+
+    monkeypatch.setattr(cli_mod, "tangent_dim_numeric", ambiguous_once)
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(SMOOTH_SPEC))
+    code, out, _ = run(capsys, "analyze", "--spec", str(path), "--verify", "--seed", "5")
+    assert code == 0 and len(measured) == 2
+    verification = json.loads(out)["verification"]
+    assert verification["tangent_dim_numeric"] == 4
+    assert verification["matches_formula"] and verification["seed"] != 5
+
+
+def test_analyze_verify_gives_up_after_three_ambiguous_assemblies(tmp_path, capsys,
+                                                                   monkeypatch):
+    import b3rep.cli as cli_mod
+    measured = []
+
+    def always_ambiguous(rep, tol):
+        measured.append(rep)
+        raise ToleranceAmbiguity("forced")
+
+    monkeypatch.setattr(cli_mod, "tangent_dim_numeric", always_ambiguous)
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(SMOOTH_SPEC))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
+    assert code == 2 and out == "" and "inconclusive" in err
+    assert len(measured) == 3
 
 
 def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):

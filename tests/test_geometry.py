@@ -1,22 +1,28 @@
 """Smoothness verdicts, local quivers, dimensions, witnesses, GL_n maps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from b3rep import (
     B3,
+    DEFAULT_TOL,
     ComponentSignature,
     ExactScalar,
     GammaDimVector,
     IsomorphicDistinctEntries,
+    RepPair,
     SemisimpleSpec,
     SpecEntry,
+    ToleranceAmbiguity,
     WitnessUnavailable,
     analyze,
     assemble,
     component_dim,
     component_signature,
     enumerate_component_signatures,
+    enumerate_simple_gamma,
     ext_b3_spec,
     ext_gamma_self,
     gln_embed,
@@ -25,10 +31,13 @@ from b3rep import (
     iso_spec,
     local_quiver,
     orbit_class,
+    random_spec,
     tangent_dim_formula,
     tangent_dim_numeric,
     validate_rep,
 )
+from b3rep.extoracle import _rank_decision, _rank_flagged
+from b3rep.geometry import _block_classes, _diagonal_blocks, assemble_and_measure
 
 ONE = ExactScalar.one()
 TWO = ExactScalar.from_rational(2)
@@ -193,6 +202,131 @@ def test_tangent_defect_decomposes_over_failures():
         assert tangent_dim_formula(spec) - component_dim(spec) == defect
         assert defect >= 0
         assert (defect == 0) == analyze(spec).smooth
+
+
+# ---------------------------------------------------------------------------
+# block-wise tangent oracle
+# ---------------------------------------------------------------------------
+
+def _unitary_conjugate(V, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((V.n, V.n)) + 1j * rng.standard_normal((V.n, V.n))
+    u, _ = np.linalg.qr(z)
+    return RepPair(u @ V.A @ u.conj().T, u @ V.B @ u.conj().T, B3)
+
+
+def test_block_path_matches_dense_path_on_unitary_conjugates():
+    # a unitary conjugate has no zero pattern, so it is one block and its
+    # rank comes from the full n^2 x 2n^2 system: block additivity end to end
+    for seed in range(5):
+        for n in range(1, 9):
+            spec = random_spec(n, seed)
+            rep = assemble(spec, seed=seed)
+            conj = _unitary_conjugate(rep, seed)
+            assert len(_diagonal_blocks(conj)) == 1
+            assert tangent_dim_numeric(rep) == tangent_dim_numeric(conj) \
+                == tangent_dim_formula(spec), spec.to_json()
+
+
+def test_block_detection_and_classes_on_hand_built_pair():
+    xa = np.array([[1.0, 2.0], [0.0, 3.0]])
+    xb = np.array([[4.0, 0.0], [5.0, 6.0]])
+
+    def pair(a_blocks, b_blocks):
+        n = sum(len(b) for b in a_blocks)
+        A, B = np.zeros((n, n)), np.zeros((n, n))
+        pos = 0
+        for a, b in zip(a_blocks, b_blocks):
+            k = len(a)
+            A[pos:pos + k, pos:pos + k] = a
+            B[pos:pos + k, pos:pos + k] = b
+            pos += k
+        return A, B
+
+    # blocks c, X, d, X, c: X and c repeat, d differs from c only in A
+    A, B = pair([[[7.0]], xa, [[8.0]], xa, [[7.0]]],
+                [[[9.0]], xb, [[9.0]], xb, [[9.0]]])
+    V = RepPair(A, B, B3)
+    assert [(s.start, s.stop) for s in _diagonal_blocks(V)] == \
+        [(0, 1), (1, 3), (3, 4), (4, 6), (6, 7)]
+    classes = _block_classes(V)
+    assert [(rep.n, count) for rep, count in classes] == [(1, 2), (2, 2), (1, 1)]
+    assert np.array_equal(classes[1][0].A, xa) and np.array_equal(classes[1][0].B, xb)
+    # one entry of B below the diagonal joins every block it spans
+    B_low = B.copy()
+    B_low[5, 2] = 1.0
+    assert [(s.start, s.stop) for s in _diagonal_blocks(RepPair(A, B_low, B3))] == \
+        [(0, 1), (1, 6), (6, 7)]
+    # one entry of A above the diagonal does the same
+    A_up = A.copy()
+    A_up[0, 6] = 1.0
+    assert len(_diagonal_blocks(RepPair(A_up, B, B3))) == 1
+
+
+def test_rank_rule_on_weighted_singular_values():
+    tol = DEFAULT_TOL  # rel_tol 1e-8, abs_floor 1e-12
+    # clean gap: 1e-12 is far below the threshold 1e-8
+    assert _rank_decision([(np.array([1.0, 1e-3, 1e-12]), 1)], tol) == (2, False)
+    # one threshold for all systems, set by the largest singular value of all:
+    # 1e-6 counts on its own but not next to 1e4 (threshold 1e-4)
+    assert _rank_decision([(np.array([1e-6]), 1)], tol) == (1, False)
+    assert _rank_decision([(np.array([1e4]), 1), (np.array([1e-6]), 1)], tol) == (1, False)
+    # within a factor 10 of the threshold, on either side, is ambiguous
+    assert _rank_decision([(np.array([1.0, 5e-8]), 1)], tol) == (2, True)
+    assert _rank_decision([(np.array([1.0, 2e-9]), 1)], tol) == (1, True)
+    assert _rank_decision([(np.array([10.0]), 1), (np.array([5e-7]), 1)], tol) == (2, True)
+    # below abs_floor everything is the zero map
+    assert _rank_decision([(np.array([1e-13, 1e-14]), 3)], tol) == (0, False)
+    assert _rank_decision([(np.zeros(0), 1)], tol) == (0, False)
+    # each system's rank counts weight times
+    weighted = [(np.array([2.0, 1.0, 0.0]), 1), (np.array([1.0, 0.0]), 6),
+                (np.array([3.0, 1e-15]), 4)]
+    assert _rank_decision(weighted, tol) == (2 + 6 + 4, False)
+    # the one-matrix rule is the same rule on one unweighted list
+    M = np.diag([3.0, 1.0, 1e-13])
+    assert _rank_flagged(M, tol) == _rank_decision(
+        [(np.linalg.svd(M, compute_uv=False), 1)], tol) == (2, False)
+
+
+def test_tangent_numeric_on_a_large_point_of_small_summands():
+    # n = 48 from summands of dimension 1-3, some of them repeated and some
+    # linked through sixth roots of unity; far beyond the dense system's reach
+    entries = []
+    shape = ((3, 2), (2, 3), (1, 4), (2, 1), (3, 1), (1, 2), (3, 3), (2, 4),
+             (1, 1), (2, 2), (3, 1))
+    for i, (d, mult) in enumerate(shape):
+        simples = enumerate_simple_gamma(d)
+        linked = d > 1 and i % 2 == 0
+        lam = ExactScalar.zeta6(i) if linked else ExactScalar(Fraction(17 + i, 16), 0)
+        entries.append(SpecEntry(simples[i % len(simples)], lam, mult, f"s{i}"))
+    spec = SemisimpleSpec(tuple(entries))
+    assert spec.n == 48
+    rep = assemble(spec, seed=3)
+    assert tangent_dim_numeric(rep) == tangent_dim_formula(spec)
+    assert tangent_dim_formula(spec) > component_dim(spec)
+
+
+def test_assemble_and_measure_redraws_on_ambiguity():
+    spec = spec_of(entry(A0, iid="p"), entry(A1, iid="q"))
+    calls = []
+
+    def measure(rep, tol):
+        calls.append(rep)
+        if len(calls) < 3:
+            raise ToleranceAmbiguity("forced")
+        return tangent_dim_numeric(rep, tol)
+
+    seed, rep, measured = assemble_and_measure(spec, lambda k: 100 + k, measure)
+    assert (seed, measured, len(calls)) == (102, 6, 3) and rep is calls[-1]
+    calls.clear()
+
+    def always_ambiguous(rep, tol):
+        calls.append(rep)
+        raise ToleranceAmbiguity("forced")
+
+    with pytest.raises(ToleranceAmbiguity):
+        assemble_and_measure(spec, lambda k: k, always_ambiguous)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,17 @@ def test_json_round_trips():
     assert HexDimVector.from_json(w.to_json()) == w
 
 
+@pytest.mark.parametrize("data", [
+    [1.7, 0, 1, 0, 0], [1.0, 0, 1, 0, 0], [1, False, 1, 0, 0], ["1", 0, 1, 0, 0],
+    [1, 0, 1, 0], 5, None,
+])
+def test_gamma_from_json_rejects_anything_but_five_integers(data):
+    with pytest.raises(ValueError):
+        GammaDimVector.from_json(data)
+    with pytest.raises(ValueError):
+        HexDimVector.from_json(data if not isinstance(data, list) else data + [0])
+
+
 # ---------------------------------------------------------------------------
 # multiplicity transfer hexagon -> bipartite
 # ---------------------------------------------------------------------------
