@@ -60,7 +60,6 @@ from .geometry import (
     gln_embed,
     gln_retract,
     intersection_witnesses,
-    iso_spec,
     local_quiver,
     tangent_dim_formula,
     tangent_dim_numeric,
@@ -103,7 +102,7 @@ __all__ = [
     "enumerate_simple_gamma", "euler_gamma", "euler_hex", "ext_b3_spec",
     "ext_dim_numeric", "ext_gamma_pair", "ext_gamma_self", "gln_embed",
     "gln_retract", "hex_to_gamma", "hom_dim_numeric",
-    "intersection_witnesses", "is_simple_gamma", "is_simple_hex", "iso_spec",
+    "intersection_witnesses", "is_simple_gamma", "is_simple_hex",
     "local_quiver", "mu6_exponent", "numeric_kernel_dim", "numeric_rank",
     "one_dim_rep", "orbit_class", "orbit_gamma", "random_simple_gamma",
     "random_spec", "ratio_in_mu6", "run_suite", "scale_rep",

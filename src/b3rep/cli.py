@@ -33,6 +33,11 @@ from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class
 from .verify import SUITE_NAMES, run_suite
 
 _COMPONENT_CAP = 10
+#: Largest summand dimension d that ``analyze --verify`` takes without
+#: --force.  Its memory grows as d^4: the Burnside basis holds 16 d^4
+#: bytes and the tangent system of the summand 32 d^4 (34 MB at d = 32,
+#: 0.5 GB at d = 64).
+_VERIFY_CAP = 32
 
 EXIT_OK = 0
 EXIT_SINGULAR = 1
@@ -120,6 +125,12 @@ def cmd_analyze(args) -> int:
     payload = report.to_json()
     verification = None
     if args.verify:
+        largest = max(e.dim for e in spec.entries)
+        if largest > _VERIFY_CAP and not args.force:
+            return _fail(
+                f"--verify on a summand of dimension {largest} needs memory "
+                f"growing as d^4; summands above {_VERIFY_CAP} need --force"
+            )
         try:
             # the first assembly uses --seed itself, retries derived seeds
             seed, _, measured = assemble_and_measure(
@@ -215,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--spec", required=True, help="path to a spec JSON file")
     p_an.add_argument("--verify", action="store_true",
                       help="assemble matrices and check the tangent dimension")
+    p_an.add_argument("--force", action="store_true",
+                      help=f"allow --verify on summands above dimension {_VERIFY_CAP}")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--tol", type=float, default=1e-8)
     add_format(p_an)

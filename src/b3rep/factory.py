@@ -7,7 +7,8 @@ dimension vector is built by conjugating the exact eigenvalue diagonals
 by independent random unitaries (orthonormalized Gaussian matrices), so
 conditioning stays near 1 and numerical ranks are unambiguous;
 simplicity is then certified by the Burnside span test, which grows the
-word span of {A, B} and asks for the full matrix algebra.
+word span of {A, B} one word length at a time, by left multiplication
+only, and asks for the full matrix algebra.
 
 A ``SemisimpleSpec`` is the symbolic side of a semisimple module: an
 ordered list of (dimension vector, exact scalar, multiplicity, instance
@@ -156,37 +157,56 @@ def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def word_span_dim(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the linear span of all words in {A, B}, grown by
-    left/right multiplication until stable (at most n^2)."""
+    """Dimension of the linear span of all words in {A, B} (at most n^2),
+    grown one word length at a time by left multiplication.
+
+    Every word of length k + 1 is A w or B w for a word w of length k.
+    The words accepted up to length k span all words of length <= k, so
+    the left multiples of the words accepted at length k, with the
+    shorter ones, span all words of length <= k + 1.  A level's
+    candidates come from one product with A and B stacked, and are
+    projected against the basis of shorter words in two BLAS passes.
+    They are then accepted in order against the vectors this level has
+    accepted so far: a candidate counts when its norm is at least
+    abs_floor and its residual above rel_tol times its norm.  The
+    accepted words are the next frontier; the span is complete when a
+    level accepts none.
+    """
     n = V.n
     target = n * n
-    basis = np.zeros((target, target), dtype=complex)
-    count = 0
-
-    def try_add(M) -> bool:
-        nonlocal count
-        v = M.reshape(-1)
-        norm_v = np.linalg.norm(v)
-        if norm_v < tol.abs_floor:
-            return False
-        w = v - basis[:count].T @ (basis[:count].conj() @ v)
-        w = w - basis[:count].T @ (basis[:count].conj() @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w <= tol.rel_tol * norm_v:
-            return False
-        basis[count] = w / norm_w
-        count += 1
-        return True
-
-    frontier = [np.eye(n, dtype=complex)]
-    try_add(frontier[0])
-    while frontier and count < target:
-        grown = []
-        for word in frontier:
-            for cand in (V.A @ word, V.B @ word, word @ V.A, word @ V.B):
-                if try_add(cand):
-                    grown.append(cand)
-        frontier = grown
+    generators = np.concatenate([V.A, V.B])
+    basis = np.empty((target, target), dtype=complex)
+    basis[0] = np.eye(n).reshape(-1) / np.sqrt(n)
+    count = 1
+    frontier = np.eye(n, dtype=complex)[None]
+    while len(frontier) and count < target:
+        # rows A w_0, B w_0, A w_1, B w_1, ... of the frontier words w_i
+        cand = (generators @ frontier).reshape(-1, target)
+        old = basis[:count]
+        resid = cand - (cand.conj() @ old.T).conj() @ old
+        resid -= (resid.conj() @ old.T).conj() @ old
+        norms = np.linalg.norm(cand, axis=1)
+        floor = tol.rel_tol * norms
+        # projecting out this level's vectors can only shrink a residual,
+        # so a candidate already under its threshold is rejected here
+        live = (norms >= tol.abs_floor) & (np.linalg.norm(resid, axis=1) > floor)
+        start = count
+        kept = []
+        for i in np.flatnonzero(live):
+            w = resid[i]
+            if count > start:
+                new = basis[start:count]
+                w = w - (new @ w.conj()).conj() @ new
+                w = w - (new @ w.conj()).conj() @ new
+            norm_w = np.linalg.norm(w)
+            if norm_w <= floor[i]:
+                continue
+            basis[count] = w / norm_w
+            count += 1
+            kept.append(i)
+            if count == target:
+                break
+        frontier = cand[kept].reshape(-1, n, n)
     return count
 
 

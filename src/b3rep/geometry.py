@@ -54,12 +54,6 @@ from .lattice import (
 from .scalars import mu6_exponent
 
 
-def iso_spec(e1: SpecEntry, e2: SpecEntry) -> bool:
-    """Whether two spec entries denote isomorphic modules (declared data
-    plus twist matching for one-dimensional types)."""
-    return entries_isomorphic(e1, e2)
-
-
 def ext_b3_spec(e1: SpecEntry, e2: SpecEntry) -> int:
     """Extension dimension between the modules of two spec entries.
 
@@ -71,7 +65,7 @@ def ext_b3_spec(e1: SpecEntry, e2: SpecEntry) -> int:
     """
     if e1 == e2:
         return ext_gamma_self(e1.alpha) + 1
-    if iso_spec(e1, e2):
+    if entries_isomorphic(e1, e2):
         raise IsomorphicDistinctEntries(
             "distinct entries denote isomorphic modules; merge multiplicities"
         )
@@ -147,13 +141,13 @@ class LocalQuiver:
 def local_quiver(spec: SemisimpleSpec) -> LocalQuiver:
     """Local quiver of the spec: loops count self-extensions plus one,
     cross arrows the pairwise extension dimensions.  The arrow matrix is
-    symmetric."""
-    k = spec.k
-    arrows = [[0] * k for _ in range(k)]
-    for i, ei in enumerate(spec.entries):
-        for j, ej in enumerate(spec.entries):
-            arrows[i][j] = ext_b3_spec(ei, ej)
-    return LocalQuiver(spec.entries, tuple(tuple(row) for row in arrows))
+    symmetric, so each pair is computed once and mirrored."""
+    entries = spec.entries
+    arrows = [[0] * len(entries) for _ in entries]
+    for i, ei in enumerate(entries):
+        for j in range(i, len(entries)):
+            arrows[i][j] = arrows[j][i] = ext_b3_spec(ei, entries[j])
+    return LocalQuiver(entries, tuple(tuple(row) for row in arrows))
 
 
 def component_signature(spec: SemisimpleSpec) -> ComponentSignature:
@@ -174,13 +168,19 @@ def component_dim(spec: SemisimpleSpec) -> int:
 def tangent_dim_formula(spec: SemisimpleSpec) -> int:
     """Tangent-space dimension at the point:
     n^2 + sum_i e_i^2 selfext(alpha_i) + sum_{i<j} 2 e_i e_j ext(S_i, S_j)."""
-    total = spec.n ** 2
-    entries = spec.entries
-    for i, e in enumerate(entries):
-        total += e.mult ** 2 * ext_gamma_self(e.alpha)
-        for j in range(i + 1, len(entries)):
-            total += 2 * e.mult * entries[j].mult * ext_b3_spec(e, entries[j])
-    return total
+    return _tangent_dim(local_quiver(spec))
+
+
+def _tangent_dim(quiver: LocalQuiver) -> int:
+    """The tangent formula read off the local quiver, whose loops count
+    selfext + 1: n^2 + sum_{i,j} e_i e_j (arrows_ij - [i = j])."""
+    mults = quiver.multiplicities
+    n = sum(e.mult * e.dim for e in quiver.entries)
+    return n ** 2 + sum(
+        mi * mj * (quiver.arrows[i][j] - (i == j))
+        for i, mi in enumerate(mults)
+        for j, mj in enumerate(mults)
+    )
 
 
 def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -291,15 +291,15 @@ class AnalysisReport:
         }
 
 
-def _failed_conditions(spec: SemisimpleSpec) -> list[dict]:
+def _failed_conditions(quiver: LocalQuiver) -> list[dict]:
     """Smoothness failures: cross pairs with nonzero extensions, and
     higher-dimensional summands with multiplicity >= 2.  Entry indices
     are 1-based."""
     failures = []
-    entries = spec.entries
+    entries = quiver.entries
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            ext = ext_b3_spec(entries[i], entries[j])
+            ext = quiver.arrows[i][j]
             if ext:
                 failures.append(
                     {"kind": "cross_ext", "entries": [i + 1, j + 1], "ext": ext}
@@ -324,7 +324,11 @@ def intersection_witnesses(spec: SemisimpleSpec) -> list[ComponentSignature]:
     multiplicity >= 2 (no witness exists in general there), and
     ValueError on a smooth spec.
     """
-    failures = _failed_conditions(spec)
+    return _witnesses(spec, _failed_conditions(local_quiver(spec)))
+
+
+def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSignature]:
+    """intersection_witnesses for the given failed conditions of spec."""
     if not failures:
         raise ValueError("point is smooth; no intersection witnesses")
     entries = spec.entries
@@ -379,13 +383,14 @@ def intersection_witnesses(spec: SemisimpleSpec) -> list[ComponentSignature]:
 
 def analyze(spec: SemisimpleSpec) -> AnalysisReport:
     """Full smoothness report for one semisimple point."""
-    failures = tuple(_failed_conditions(spec))
+    quiver = local_quiver(spec)
+    failures = _failed_conditions(quiver)
     smooth = not failures
     witnesses: tuple[ComponentSignature, ...] = ()
     notes: list[str] = []
     if not smooth:
         try:
-            witnesses = tuple(intersection_witnesses(spec))
+            witnesses = tuple(_witnesses(spec, failures))
         except WitnessUnavailable as exc:
             notes.append(str(exc))
         for f in failures:
@@ -404,11 +409,11 @@ def analyze(spec: SemisimpleSpec) -> AnalysisReport:
         n=spec.n,
         signature=component_signature(spec),
         component_dim=component_dim(spec),
-        tangent_dim=tangent_dim_formula(spec),
+        tangent_dim=_tangent_dim(quiver),
         smooth=smooth,
-        failed_conditions=failures,
+        failed_conditions=tuple(failures),
         witnesses=witnesses,
-        local_quiver=local_quiver(spec),
+        local_quiver=quiver,
         notes=tuple(notes),
     )
 

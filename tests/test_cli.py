@@ -213,6 +213,47 @@ def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     assert code == 3 and "mismatch" in err
 
 
+def big_summand_spec(alpha):
+    return {"entries": [{"alpha": alpha, "lambda": {"r": "1", "q": "0"}}]}
+
+
+class Assembled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("alpha, force", [
+    ([17, 16, 11, 11, 11], ()),
+    ([17, 16, 11, 11, 11], ("--force",)),
+    ([16, 16, 11, 11, 10], ()),
+])
+def test_analyze_verify_size_guard(tmp_path, capsys, monkeypatch, alpha, force):
+    # a summand of dimension d costs memory growing as d^4; above the cap
+    # the guard refuses before anything is assembled
+    import b3rep.geometry as geometry_mod
+
+    def no_assembly(*args, **kwargs):
+        raise Assembled
+
+    monkeypatch.setattr(geometry_mod, "assemble", no_assembly)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big_summand_spec(alpha)))
+    argv = ("analyze", "--spec", str(path), "--verify", *force)
+    if sum(alpha[:2]) > 32 and not force:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--force" in err
+    else:
+        with pytest.raises(Assembled):
+            main(list(argv))
+
+
+def test_analyze_without_verify_ignores_the_size_guard(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big_summand_spec([17, 16, 11, 11, 11])))
+    code, out, _ = run(capsys, "analyze", "--spec", str(path))
+    assert code == 0 and json.loads(out)["n"] == 33
+
+
 def test_analyze_table_output(tmp_path, capsys):
     path = tmp_path / "sing.json"
     path.write_text(json.dumps(SINGULAR_SPEC))

@@ -28,7 +28,6 @@ from b3rep import (
     gln_embed,
     gln_retract,
     intersection_witnesses,
-    iso_spec,
     local_quiver,
     orbit_class,
     random_spec,
@@ -88,13 +87,6 @@ def test_ext_follows_the_scalar_twist():
             assert ext_b3_spec(e1, e2) == expected, k
 
 
-def test_iso_spec_matches_entry_rules():
-    assert iso_spec(entry(A0, iid="p"), entry(A0, iid="q"))
-    assert iso_spec(entry(A0, iid="p"), entry(A1, ExactScalar.zeta6(5), iid="q"))
-    assert not iso_spec(entry(A0, iid="p"), entry(A1, ExactScalar.zeta6(1), iid="q"))
-    assert not iso_spec(entry(DIM2, iid="p"), entry(DIM2, iid="q"))
-
-
 # ---------------------------------------------------------------------------
 # local quiver
 # ---------------------------------------------------------------------------
@@ -130,6 +122,40 @@ def test_local_quiver_is_symmetric_on_samples():
     quiver = local_quiver(spec)
     arrows = np.array(quiver.arrows)
     assert np.array_equal(arrows, arrows.T)
+
+
+def test_ext_b3_spec_is_symmetric():
+    # local_quiver mirrors its upper triangle, which relies on this
+    simples = [v for n in range(1, 4) for v in enumerate_simple_gamma(n)]
+    scalars = [ExactScalar.zeta6(k) for k in range(6)] + [TWO]
+    entries = [entry(v, lam, iid=f"{v}") for v in simples for lam in scalars]
+    for e1 in entries:
+        for e2 in entries:
+            try:
+                forward = ext_b3_spec(e1, e2)
+            except IsomorphicDistinctEntries:
+                with pytest.raises(IsomorphicDistinctEntries):
+                    ext_b3_spec(e2, e1)
+                continue
+            assert forward == ext_b3_spec(e2, e1), (e1, e2)
+
+
+def test_analyze_computes_each_entry_pair_once(monkeypatch):
+    import b3rep.geometry as geometry_mod
+    spec = spec_of(entry(A0, iid="p"), entry(A1, iid="q"), entry(DIM2, iid="r"),
+                   entry(DIM3, ExactScalar.zeta6(1), mult=2, iid="s"))
+    expected = analyze(spec).to_json()
+    calls = []
+    real = geometry_mod.ext_b3_spec
+
+    def counted(e1, e2):
+        calls.append((e1, e2))
+        return real(e1, e2)
+
+    monkeypatch.setattr(geometry_mod, "ext_b3_spec", counted)
+    assert analyze(spec).to_json() == expected
+    assert len(calls) == spec.k * (spec.k + 1) // 2
+    assert len(set(map(frozenset, calls))) == len(calls)
 
 
 # ---------------------------------------------------------------------------
