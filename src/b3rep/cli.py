@@ -18,26 +18,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
-from .errors import B3RepError, ToleranceAmbiguity
+from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
 from .factory import SemisimpleSpec, derived_seed
 from .geometry import (
     analyze,
     assemble_and_measure,
-    component_dim,
     enumerate_component_signatures,
     tangent_dim_numeric,
 )
-from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class
+from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
 from .verify import SUITE_NAMES, run_suite
 
-_COMPONENT_CAP = 10
-#: Largest summand dimension d that ``analyze --verify`` takes without
-#: --force.  Its memory grows as d^4: the Burnside basis holds 16 d^4
-#: bytes and the tangent system of the summand 32 d^4 (34 MB at d = 32,
-#: 0.5 GB at d = 64).
-_VERIFY_CAP = 32
+# n = 20 takes about 1 s; the count of signatures grows fast beyond it.
+_COMPONENT_CAP = 20
+# analyze --verify takes scalar moduli in [1/M, M] only.  Its rank rule
+# has one threshold relative to the largest singular value over all
+# blocks, and the block systems scale with the moduli, so distant moduli
+# push true singular values under it (moduli 1 and 200 give a wrong
+# rank).  Moduli in [1/4, 4] were clean on a sweep of random specs.
+_MODULUS_BAND = 4
+# Memory of analyze --verify in bytes, 32 d^4 + 64 n^2: the tangent
+# system of the largest summand (dimension d) and the dense assembled
+# n x n pair with its copy.  Without --force it may use what one summand
+# of dimension 32 needs.
+_VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
 
 EXIT_OK = 0
 EXIT_SINGULAR = 1
@@ -61,25 +68,16 @@ def _fail(message: str) -> int:
 def cmd_simples(args) -> int:
     if args.n < 1:
         return _fail(f"--n must be >= 1, got {args.n}")
-    vectors = enumerate_simple_gamma(args.n)
-    classes = sorted({orbit_class(v) for v in vectors})
+    simples = [(v, orbit_class(v), ext_gamma_self(v)) for v in enumerate_simple_gamma(args.n)]
+    classes = simple_orbit_classes(args.n)
     payload = {
         "n": args.n,
-        "simples": [
-            {
-                "alpha": v.to_json(),
-                "orbit_class": orbit_class(v).to_json(),
-                "self_ext": ext_gamma_self(v),
-            }
-            for v in vectors
-        ],
+        "simples": [{"alpha": v.to_json(), "orbit_class": c.to_json(), "self_ext": e}
+                    for v, c, e in simples],
         "orbit_classes": [c.to_json() for c in classes],
     }
-    lines = [f"simple dimension vectors with n = {args.n}: {len(vectors)}"]
-    lines += [
-        f"  {v}  orbit {orbit_class(v)}  self-ext {ext_gamma_self(v)}"
-        for v in vectors
-    ]
+    lines = [f"simple dimension vectors with n = {args.n}: {len(simples)}"]
+    lines += [f"  {v}  orbit {c}  self-ext {e}" for v, c, e in simples]
     lines.append(f"orbit classes: {len(classes)}")
     lines += [f"  {c}" for c in classes]
     _emit(payload, args.format, lines)
@@ -107,6 +105,25 @@ def cmd_components(args) -> int:
     return EXIT_OK
 
 
+def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
+    """Raise InvalidSpec when ``analyze --verify`` should not assemble the
+    spec: a scalar modulus outside the band, or, without --force, a
+    memory estimate above the budget."""
+    if not all(Fraction(1, _MODULUS_BAND) <= e.lam.r <= _MODULUS_BAND
+               for e in spec.entries):
+        raise InvalidSpec(
+            f"--verify takes scalar moduli in [1/{_MODULUS_BAND}, {_MODULUS_BAND}] "
+            "only; beyond it the numeric rank is unreliable"
+        )
+    need = 32 * max(e.dim for e in spec.entries) ** 4 + 64 * spec.n ** 2
+    if need > _VERIFY_BUDGET and not force:
+        raise InvalidSpec(
+            f"--verify on this spec needs about {need / 1e6:.0f} MB "
+            f"(32 d^4 + 64 n^2 bytes); above {_VERIFY_BUDGET / 1e6:.0f} MB "
+            "it needs --force"
+        )
+
+
 def cmd_analyze(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
@@ -118,6 +135,8 @@ def cmd_analyze(args) -> int:
     try:
         spec = SemisimpleSpec.from_json(data)
         tol = ToleranceConfig(rel_tol=args.tol)
+        if args.verify:
+            _check_verifiable(spec, args.force)
         report = analyze(spec)
     except (B3RepError, ValueError) as exc:
         return _fail(str(exc))
@@ -125,12 +144,6 @@ def cmd_analyze(args) -> int:
     payload = report.to_json()
     verification = None
     if args.verify:
-        largest = max(e.dim for e in spec.entries)
-        if largest > _VERIFY_CAP and not args.force:
-            return _fail(
-                f"--verify on a summand of dimension {largest} needs memory "
-                f"growing as d^4; summands above {_VERIFY_CAP} need --force"
-            )
         try:
             # the first assembly uses --seed itself, retries derived seeds
             seed, _, measured = assemble_and_measure(
@@ -144,7 +157,7 @@ def cmd_analyze(args) -> int:
             "tangent_dim_numeric": measured,
             "matches_formula": measured == report.tangent_dim,
             "matches_smooth_criterion":
-                (measured == component_dim(spec)) == report.smooth,
+                (measured == report.component_dim) == report.smooth,
         }
         payload["verification"] = verification
 
@@ -227,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--verify", action="store_true",
                       help="assemble matrices and check the tangent dimension")
     p_an.add_argument("--force", action="store_true",
-                      help=f"allow --verify on summands above dimension {_VERIFY_CAP}")
+                      help=f"allow --verify above {_VERIFY_BUDGET / 1e6:.0f} MB "
+                           "of estimated memory")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--tol", type=float, default=1e-8)
     add_format(p_an)

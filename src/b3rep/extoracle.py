@@ -21,8 +21,13 @@ kernel is exactly the space of intertwiners, so
 
     dim Ext^1 = dim(cocycles) - (n_V n_W - dim Hom).
 
-All systems are expressed through Kronecker products acting on row-major
-flattened unknowns: vec(P F Q) = kron(P, Q^T) vec(F).
+Every system comes from one builder, ``_system``, which turns a list of
+pairs (P, Q), and optionally a list to subtract, into the matrix of
+F -> sum P F Q on F flattened row-major: vec(P F Q) = kron(P, Q^T) vec(F).
+The commutant stacks (I_W, A_V) minus (A_W, I_V) over the same with B;
+the boundary map is its negation.  The cocycle blocks are
+(I_W, A_V) + (A_W, I_V) on D_X and (I_W, B_V^2) + (B_W, B_V) + (B_W^2, I_V)
+on D_Y, side by side with D_Y negated (braid) or diagonal (quotient).
 """
 
 from __future__ import annotations
@@ -83,23 +88,16 @@ def _rank_decision(weighted, tol: ToleranceConfig) -> tuple[int, bool]:
     return rank, ambiguous
 
 
-def _rank_flagged(M: np.ndarray, tol: ToleranceConfig) -> tuple[int, bool]:
-    """(numerical rank, ambiguity flag) of one matrix."""
-    return _rank_decision([(_singular_values(M), 1)], tol)
-
-
 def numeric_rank(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank by singular values."""
-    rank, _ = _rank_flagged(np.asarray(M, dtype=complex), tol)
+    rank, _ = _rank_decision([(_singular_values(np.asarray(M, dtype=complex)), 1)], tol)
     return rank
 
 
 def numeric_kernel_dim(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Kernel dimension: #columns minus numerical rank.  An empty
     constraint block (0 rows) leaves everything free."""
-    M = np.asarray(M, dtype=complex)
-    rank, _ = _rank_flagged(M, tol)
-    return M.shape[1] - rank
+    return np.shape(M)[1] - numeric_rank(M, tol)
 
 
 def _checked_rank(weighted, tol: ToleranceConfig) -> int:
@@ -113,10 +111,6 @@ def _checked_rank(weighted, tol: ToleranceConfig) -> int:
     return rank
 
 
-def _kernel_dim_checked(M: np.ndarray, tol: ToleranceConfig) -> int:
-    return M.shape[1] - _checked_rank([(_singular_values(M), 1)], tol)
-
-
 def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """np.kron(P, Q) for matrices, equal to it bit for bit (one product
     per entry) without its per-call overhead, which dominates the many
@@ -125,16 +119,25 @@ def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return (P[:, None, :, None] * Q[None, :, None, :]).reshape(p0 * q0, p1 * q1)
 
 
+def _system(terms, minus=()) -> np.ndarray:
+    """Matrix of F -> sum P F Q - sum P' F Q' over the pairs (P, Q) of
+    ``terms`` and (P', Q') of ``minus``, on F flattened row-major: the
+    Kronecker products kron(P, Q^T), added and subtracted in order."""
+    (P, Q), *rest = terms
+    total = _kron(P, Q.T)
+    for P, Q in rest:
+        total = total + _kron(P, Q.T)
+    for P, Q in minus:
+        total = total - _kron(P, Q.T)
+    return total
+
+
 def commutant_matrix(V, W) -> np.ndarray:
     """System whose kernel is {F : F A_V = A_W F, F B_V = B_W F},
     F flattened row-major as an (n_W x n_V) unknown."""
-    iv = np.eye(V.n)
-    iw = np.eye(W.n)
-    rows = [
-        _kron(iw, V.A.T) - _kron(W.A, iv),
-        _kron(iw, V.B.T) - _kron(W.B, iv),
-    ]
-    return np.vstack(rows)
+    iv, iw = np.eye(V.n), np.eye(W.n)
+    return np.vstack([_system([(iw, V.A)], [(W.A, iv)]),
+                      _system([(iw, V.B)], [(W.B, iv)])])
 
 
 def hom_dim_numeric(V, W, group_kind: str = B3,
@@ -152,12 +155,9 @@ def hom_dim_numeric(V, W, group_kind: str = B3,
 def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:
     """Constraint matrix on the stacked unknowns (D_X, D_Y), each an
     (n_W x n_V) block flattened row-major."""
-    iv = np.eye(V.n)
-    iw = np.eye(W.n)
-    bv2 = V.B @ V.B
-    bw2 = W.B @ W.B
-    block_x = _kron(iw, V.A.T) + _kron(W.A, iv)
-    block_y = _kron(iw, bv2.T) + _kron(W.B, V.B.T) + _kron(bw2, iv)
+    iv, iw = np.eye(V.n), np.eye(W.n)
+    block_x = _system([(iw, V.A), (W.A, iv)])
+    block_y = _system([(iw, V.B @ V.B), (W.B, V.B), (W.B @ W.B, iv)])
     if group_kind == B3:
         return np.hstack([block_x, -block_y])
     if group_kind == GAMMA:
@@ -175,28 +175,24 @@ def cocycle_dim_numeric(V, W, group_kind: str = B3,
 
 def boundary_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the coboundary space B(V, W), computed as the rank
-    of the boundary map itself.  Must equal n_V n_W - dim Hom(V, W) by
+    of the boundary map F -> (A_W F - F A_V, B_W F - F B_V), which is
+    the negated commutant system.  Must equal n_V n_W - dim Hom(V, W) by
     rank-nullity; tests assert both routes agree."""
-    iv = np.eye(V.n)
-    iw = np.eye(W.n)
-    rows = [
-        _kron(W.A, iv) - _kron(iw, V.A.T),
-        _kron(W.B, iv) - _kron(iw, V.B.T),
-    ]
-    return numeric_rank(np.vstack(rows), tol)
+    return numeric_rank(commutant_matrix(V, W), tol)
 
 
 def ext_dim_numeric(V, W, group_kind: str = B3,
                     tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """dim Ext^1(V, W) = dim Z - dim B from explicit matrices.
+    """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, with
+    dim B the rank of the commutant system.
 
     Raises ToleranceAmbiguity when a singular value of either system
     falls within a factor 10 of its rank threshold.
     """
     _check_kinds(V, W, group_kind)
-    z_dim = _kernel_dim_checked(cocycle_matrix(V, W, group_kind), tol)
-    hom = _kernel_dim_checked(commutant_matrix(V, W), tol)
-    b_dim = V.n * W.n - hom
+    cocycles = cocycle_matrix(V, W, group_kind)
+    z_dim = cocycles.shape[1] - _checked_rank([(_singular_values(cocycles), 1)], tol)
+    b_dim = _checked_rank([(_singular_values(commutant_matrix(V, W)), 1)], tol)
     return z_dim - b_dim
 
 

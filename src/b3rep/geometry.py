@@ -162,7 +162,7 @@ def component_signature(spec: SemisimpleSpec) -> ComponentSignature:
 def component_dim(spec: SemisimpleSpec) -> int:
     """Dimension of the component through the point:
     n^2 + sum_i e_i * selfext(alpha_i)."""
-    return spec.n ** 2 + sum(e.mult * ext_gamma_self(e.alpha) for e in spec.entries)
+    return component_signature(spec).dimension()
 
 
 def tangent_dim_formula(spec: SemisimpleSpec) -> int:
@@ -405,10 +405,11 @@ def analyze(spec: SemisimpleSpec) -> AnalysisReport:
                 "witness components are labelled by their signatures; distinct "
                 "signatures are assumed to give distinct components"
             )
+    signature = component_signature(spec)
     return AnalysisReport(
         n=spec.n,
-        signature=component_signature(spec),
-        component_dim=component_dim(spec),
+        signature=signature,
+        component_dim=signature.dimension(),
         tangent_dim=_tangent_dim(quiver),
         smooth=smooth,
         failed_conditions=tuple(failures),

@@ -36,7 +36,6 @@ from .factory import (
 from .geometry import (
     analyze,
     assemble_and_measure,
-    component_dim,
     ext_b3_spec,
     gln_embed,
     gln_retract,
@@ -44,7 +43,9 @@ from .geometry import (
     tangent_dim_numeric,
 )
 from .lattice import (
+    EULER_MATRIX_HEX,
     GammaDimVector,
+    HexDimVector,
     enumerate_hex,
     enumerate_simple_gamma,
     euler_gamma,
@@ -67,9 +68,6 @@ LAMBDA_POOL = (
     ExactScalar.from_rational(2),
     ExactScalar(Fraction(3, 2), Fraction(1, 7)),
 )
-
-SUITE_NAMES = ("ext", "tangent", "lemma", "gln", "symmetry")
-
 
 @dataclass
 class SuiteResult:
@@ -217,39 +215,28 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
     return result
 
 
-def verify_lemma(max_total: int = 8, trials: int = 0, seed: int = 0,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
+def verify_lemma(max_total: int = 8) -> SuiteResult:
     """Exhaustive desk-scale checks on the hexagon lattice.
 
     For every vector with total at most max_total: the two Euler forms
     agree through the multiplicity map, the hexagon form is symmetric,
     and among vectors passing the simplicity criterion the quadratic
     form equals 1 exactly on the coordinate vectors and is <= 0
-    everywhere else.
+    everywhere else.  The Euler matrix and the multiplicity map are the
+    library's own: ``EULER_MATRIX_HEX`` and ``hex_to_gamma`` on the six
+    coordinate vectors.
     """
-    del trials, seed, tol  # exhaustive suite; kept for a uniform signature
     result = SuiteResult("lemma")
     vectors = [h for total in range(max_total + 1) for h in enumerate_hex(total)]
     hmat = np.array([h.as_tuple() for h in vectors], dtype=np.int64)
-    euler = np.array(
-        [[1, -1, 0, 0, 0, -1],
-         [-1, 1, -1, 0, 0, 0],
-         [0, -1, 1, -1, 0, 0],
-         [0, 0, -1, 1, -1, 0],
-         [0, 0, 0, -1, 1, -1],
-         [-1, 0, 0, 0, -1, 1]], dtype=np.int64)
+    euler = np.array(EULER_MATRIX_HEX, dtype=np.int64)
     # hexagon form on all pairs at once
     pairwise_hex = hmat @ euler @ hmat.T
     result.record(bool(np.array_equal(pairwise_hex, pairwise_hex.T)), 0,
                   "hexagon Euler matrix is not symmetric")
     # multiplicity map to (a, b; x, y, z) and the bipartite form
-    to_gamma = np.array(
-        [[1, 0, 1, 0, 0],
-         [0, 1, 0, 1, 0],
-         [1, 0, 0, 0, 1],
-         [0, 1, 1, 0, 0],
-         [1, 0, 0, 1, 0],
-         [0, 1, 0, 0, 1]], dtype=np.int64)
+    to_gamma = np.array([hex_to_gamma(HexDimVector.basis(i)).as_tuple()
+                         for i in range(6)], dtype=np.int64)
     gmat = hmat @ to_gamma
     totals = hmat.sum(axis=1)
     pairwise_gamma = gmat @ gmat.T - np.outer(totals, totals)
@@ -373,8 +360,8 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
         formula = tangent_dim_formula(spec)
         result.record(measured == formula, measured - formula,
                       f"tangent mismatch {measured} != {formula} for {spec.to_json()}")
-        comp = component_dim(spec)
-        verdict = analyze(spec).smooth
+        report = analyze(spec)
+        comp, verdict = report.component_dim, report.smooth
         result.record(verdict == (measured == comp), 0,
                       f"smooth verdict {verdict} but tangent {measured}, "
                       f"component {comp} for {spec.to_json()}")
@@ -384,25 +371,30 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
     return result
 
 
+#: Suite name -> (function, name of its size parameter, whether it draws
+#: random instances and so takes trials, seed and tol).  The defaults are
+#: those of the function signatures.
 _SUITES = {
-    "ext": (verify_ext, {"max_dim": 3, "trials": 20}),
-    "tangent": (verify_tangent, {"max_n": 6, "trials": 50}),
-    "lemma": (verify_lemma, {"max_total": 8, "trials": 0}),
-    "gln": (verify_gln, {"max_n": 4, "trials": 50}),
-    "symmetry": (verify_symmetry, {"max_dim": 3, "trials": 6}),
+    "ext": (verify_ext, "max_dim", True),
+    "tangent": (verify_tangent, "max_n", True),
+    "lemma": (verify_lemma, "max_total", False),
+    "gln": (verify_gln, "max_n", True),
+    "symmetry": (verify_symmetry, "max_dim", True),
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, n: int | None = None, trials: int | None = None,
               seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
-    """Run one named suite; n remaps to the suite's size parameter."""
+    """Run one named suite; n remaps to the suite's size parameter.  The
+    exhaustive lemma suite ignores trials, seed and tol."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
-    fn, defaults = _SUITES[name]
-    kwargs = dict(defaults)
-    size_key = next(iter(defaults))
-    if n is not None:
-        kwargs[size_key] = n
-    if trials is not None and "trials" in kwargs:
-        kwargs["trials"] = trials
-    return fn(seed=seed, tol=tol, **kwargs)
+    fn, size_key, randomized = _SUITES[name]
+    kwargs = {} if n is None else {size_key: n}
+    if randomized:
+        kwargs.update(seed=seed, tol=tol)
+        if trials is not None:
+            kwargs["trials"] = trials
+    return fn(**kwargs)

@@ -73,7 +73,7 @@ def test_components_small(capsys):
 
 
 def test_components_cap(capsys):
-    code, _, err = run(capsys, "components", "--n", "11")
+    code, _, err = run(capsys, "components", "--n", "21")
     assert code == 2 and "--force" in err
 
 
@@ -221,20 +221,24 @@ class Assembled(Exception):
     pass
 
 
-@pytest.mark.parametrize("alpha, force", [
-    ([17, 16, 11, 11, 11], ()),
-    ([17, 16, 11, 11, 11], ("--force",)),
-    ([16, 16, 11, 11, 10], ()),
-])
-def test_analyze_verify_size_guard(tmp_path, capsys, monkeypatch, alpha, force):
-    # a summand of dimension d costs memory growing as d^4; above the cap
-    # the guard refuses before anything is assembled
+def refuse_assembly(monkeypatch):
     import b3rep.geometry as geometry_mod
 
     def no_assembly(*args, **kwargs):
         raise Assembled
 
     monkeypatch.setattr(geometry_mod, "assemble", no_assembly)
+
+
+@pytest.mark.parametrize("alpha, force", [
+    ([17, 16, 11, 11, 11], ()),
+    ([17, 16, 11, 11, 11], ("--force",)),
+    ([16, 16, 11, 11, 10], ()),
+])
+def test_analyze_verify_size_guard(tmp_path, capsys, monkeypatch, alpha, force):
+    # a summand of dimension d costs memory growing as d^4; above the
+    # budget the guard refuses before anything is assembled
+    refuse_assembly(monkeypatch)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(big_summand_spec(alpha)))
     argv = ("analyze", "--spec", str(path), "--verify", *force)
@@ -245,6 +249,83 @@ def test_analyze_verify_size_guard(tmp_path, capsys, monkeypatch, alpha, force):
     else:
         with pytest.raises(Assembled):
             main(list(argv))
+
+
+@pytest.mark.parametrize("mult, force, refused", [
+    (100000, (), True),
+    (725, (), True),
+    (724, (), False),
+    (725, ("--force",), False),
+])
+def test_analyze_verify_size_guard_counts_the_total_dimension(
+        tmp_path, capsys, monkeypatch, mult, force, refused):
+    # the assembled pair is dense in the total dimension n, so many copies
+    # of a small summand cost 64 n^2 bytes; the budget is that of one
+    # summand of dimension 32, which n = 724 one-dimensional copies fit
+    refuse_assembly(monkeypatch)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": "1", "q": "0"}, "mult": mult}]}))
+    argv = ("analyze", "--spec", str(path), "--verify", *force)
+    if refused:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--force" in err
+    else:
+        with pytest.raises(Assembled):
+            main(list(argv))
+
+
+def scaled_spec(*entries):
+    return {"entries": [
+        {"alpha": alpha, "lambda": {"r": r, "q": "0"}, "instance": f"s{i}"}
+        for i, (alpha, r) in enumerate(entries)]}
+
+
+@pytest.mark.parametrize("spec", [
+    # one summand: OverflowError and LinAlgError tracebacks, false exit 3
+    scaled_spec(([2, 1, 1, 1, 1], "1e200")),
+    scaled_spec(([2, 1, 1, 1, 1], "1e100")),
+    scaled_spec(([2, 1, 1, 1, 1], "1e30")),
+    scaled_spec(([2, 1, 1, 1, 1], "1e-30")),
+    # two summands far apart: ambiguity (exit 2) from 64, false exit 3 from 200
+    scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "64")),
+    scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "128")),
+    scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "200")),
+    # just outside the band on either side
+    scaled_spec(([2, 1, 1, 1, 1], "4001/1000")),
+    scaled_spec(([2, 1, 1, 1, 1], "249/1000")),
+])
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_analyze_verify_refuses_moduli_outside_the_band(
+        tmp_path, capsys, monkeypatch, spec, seed, force):
+    refuse_assembly(monkeypatch)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify",
+                         "--seed", seed, *force)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "moduli" in err
+    # without --verify the exact formulas take any modulus
+    code, out, _ = run(capsys, "analyze", "--spec", str(path))
+    assert code in (0, 1) and json.loads(out)["n"] > 0
+
+
+@pytest.mark.parametrize("low, high", [("1/4", "4"), ("4", "1/4"), ("1", "4"),
+                                       ("1/2", "5/2")])
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_analyze_verify_is_clean_across_the_band(tmp_path, capsys, low, high, seed):
+    # a spread of 16 between the moduli still measures the formula's value
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(scaled_spec(([1, 1, 1, 1, 0], low),
+                                           ([2, 1, 1, 1, 1], high),
+                                           ([0, 1, 0, 1, 0], low))))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify",
+                         "--seed", seed)
+    assert code in (0, 1) and err == ""
+    verification = json.loads(out)["verification"]
+    assert verification["matches_formula"] and verification["matches_smooth_criterion"]
 
 
 def test_analyze_without_verify_ignores_the_size_guard(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Numeric rank machinery and the Hom / Ext oracles on known cases."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from b3rep import (
     random_simple_gamma,
     scale_rep,
 )
+from b3rep.extoracle import cocycle_matrix, commutant_matrix
 
 ONE = ExactScalar.one()
 
@@ -57,6 +60,47 @@ def test_near_threshold_singular_value_is_ambiguous():
     assert ext_dim_numeric(v, v, B3) == 1
     with pytest.raises(ToleranceAmbiguity):
         ext_dim_numeric(v, v, B3, ToleranceConfig(rel_tol=0.9, abs_floor=1e-13))
+
+
+# ---------------------------------------------------------------------------
+# the linear systems against np.kron spellings
+# ---------------------------------------------------------------------------
+
+def reference_commutant(V, W):
+    iv, iw = np.eye(V.n), np.eye(W.n)
+    return np.vstack([np.kron(iw, V.A.T) - np.kron(W.A, iv),
+                      np.kron(iw, V.B.T) - np.kron(W.B, iv)])
+
+
+def reference_cocycle(V, W, group_kind):
+    iv, iw = np.eye(V.n), np.eye(W.n)
+    block_x = np.kron(iw, V.A.T) + np.kron(W.A, iv)
+    block_y = (np.kron(iw, (V.B @ V.B).T) + np.kron(W.B, V.B.T)
+               + np.kron(W.B @ W.B, iv))
+    if group_kind == B3:
+        return np.hstack([block_x, -block_y])
+    zero = np.zeros_like(block_x)
+    return np.block([[block_x, zero], [zero, block_y]])
+
+
+def same_bits(M, ref):
+    return M.dtype == ref.dtype and M.shape == ref.shape and M.tobytes() == ref.tobytes()
+
+
+def test_systems_equal_kron_references_bit_for_bit():
+    # n_V != n_W and a rescaled domain, so a transposed or swapped term
+    # changes the shape or the values
+    reps = [random_simple_gamma(alpha, seed=5).rep
+            for alpha in (GammaDimVector(1, 1, 1, 1, 0), GammaDimVector(2, 1, 1, 1, 1),
+                          GammaDimVector(2, 2, 2, 1, 1))]
+    lam = ExactScalar(Fraction(3, 2), Fraction(1, 7))
+    for V in reps:
+        for W in reps:
+            for dom in (V, scale_rep(V, lam)):
+                assert same_bits(commutant_matrix(dom, W), reference_commutant(dom, W))
+                for kind in (B3, GAMMA):
+                    assert same_bits(cocycle_matrix(dom, W, kind),
+                                     reference_cocycle(dom, W, kind))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The property suites themselves: all green, deterministic, honest."""
 
+import inspect
+
 import pytest
 
-from b3rep import SemisimpleSpec, random_spec, run_suite
+import b3rep.verify as verify_mod
+from b3rep import SemisimpleSpec, SuiteResult, random_spec, run_suite
 
 
 @pytest.mark.parametrize("suite,kwargs", [
@@ -16,6 +19,32 @@ def test_suites_pass_at_reduced_scale(suite, kwargs):
     result = run_suite(suite, seed=0, **kwargs)
     assert result.ok, result.failures
     assert result.checks > 0
+
+
+@pytest.mark.parametrize("suite, size_key", [
+    ("ext", "max_dim"),
+    ("tangent", "max_n"),
+    ("lemma", "max_total"),
+    ("gln", "max_n"),
+    ("symmetry", "max_dim"),
+])
+def test_run_suite_routes_n_to_the_suite_size_parameter(monkeypatch, suite, size_key):
+    fn, *routing = verify_mod._SUITES[suite]
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return SuiteResult(suite)
+
+    monkeypatch.setitem(verify_mod._SUITES, suite, (record, *routing))
+    run_suite(suite, n=7, trials=2, seed=4)
+    assert calls[0][size_key] == 7
+    # every argument passed is one the suite function takes
+    assert set(calls[0]) <= set(inspect.signature(fn).parameters)
+
+
+def test_lemma_suite_ignores_trials_seed_and_tolerance():
+    assert run_suite("lemma", trials=5, seed=3).to_json() == run_suite("lemma").to_json()
 
 
 def test_unknown_suite_rejected():
