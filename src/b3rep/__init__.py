@@ -26,9 +26,12 @@ from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
     boundary_dim_numeric,
+    boundary_dims_numeric,
     cocycle_dim_numeric,
     ext_dim_numeric,
+    ext_dims_numeric,
     hom_dim_numeric,
+    hom_dims_numeric,
     numeric_kernel_dim,
     numeric_rank,
 )
@@ -44,9 +47,11 @@ from .factory import (
     entries_isomorphic,
     one_dim_rep,
     random_simple_gamma,
+    random_simples_gamma,
     scale_rep,
     validate_rep,
     word_span_dim,
+    word_span_dims,
 )
 from .geometry import (
     AnalysisReport,
@@ -96,16 +101,16 @@ __all__ = [
     "SemisimpleSpec", "SimpleInstance", "SpecEntry", "SUITE_NAMES",
     "SuiteResult", "ToleranceAmbiguity", "ToleranceConfig",
     "WitnessUnavailable", "ZETA6", "analyze", "assemble",
-    "boundary_dim_numeric", "burnside_simple", "cocycle_dim_numeric",
-    "component_dim", "component_signature", "derived_seed",
+    "boundary_dim_numeric", "boundary_dims_numeric", "burnside_simple",
+    "cocycle_dim_numeric", "component_dim", "component_signature", "derived_seed",
     "entries_isomorphic", "enumerate_component_signatures", "enumerate_hex",
     "enumerate_simple_gamma", "euler_gamma", "euler_hex", "ext_b3_spec",
-    "ext_dim_numeric", "ext_gamma_pair", "ext_gamma_self", "gln_embed",
-    "gln_retract", "hex_to_gamma", "hom_dim_numeric",
+    "ext_dim_numeric", "ext_dims_numeric", "ext_gamma_pair", "ext_gamma_self",
+    "gln_embed", "gln_retract", "hex_to_gamma", "hom_dim_numeric", "hom_dims_numeric",
     "intersection_witnesses", "is_simple_gamma", "is_simple_hex",
     "local_quiver", "mu6_exponent", "numeric_kernel_dim", "numeric_rank",
     "one_dim_rep", "orbit_class", "orbit_gamma", "random_simple_gamma",
-    "random_spec", "ratio_in_mu6", "run_suite", "scale_rep",
+    "random_simples_gamma", "random_spec", "ratio_in_mu6", "run_suite", "scale_rep",
     "simple_orbit_classes", "tangent_dim_formula", "tangent_dim_numeric",
-    "twist_gamma", "validate_rep", "word_span_dim",
+    "twist_gamma", "validate_rep", "word_span_dim", "word_span_dims",
 ]

@@ -8,7 +8,8 @@ analyze     smoothness report for a semisimple spec file (JSON)
 verify      run one of the property suites: ext | tangent | lemma | gln | symmetry
 
 Exit codes: 0 success (analyze: smooth point), 1 singular point,
-2 invalid input, 3 formula/oracle mismatch or suite failure.  Output is
+2 invalid input, 3 formula/oracle mismatch, an assembled pair that
+fails its relation, or suite failure.  Output is
 deterministic: the same command, flags and seed produce byte-identical
 bytes.
 """
@@ -22,7 +23,8 @@ from fractions import Fraction
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
-from .factory import SemisimpleSpec, derived_seed
+from .constants import B3
+from .factory import SemisimpleSpec, derived_seed, validate_rep
 from .geometry import (
     analyze,
     assemble_and_measure,
@@ -146,12 +148,18 @@ def cmd_analyze(args) -> int:
     if args.verify:
         try:
             # the first assembly uses --seed itself, retries derived seeds
-            seed, _, measured = assemble_and_measure(
+            seed, rep, measured = assemble_and_measure(
                 spec,
                 lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed,
                 tangent_dim_numeric, tol)
         except ToleranceAmbiguity as exc:
             return _fail(f"numeric verification inconclusive: {exc}")
+        valid = validate_rep(rep, B3, tol)
+        if not valid:
+            sys.stderr.write(
+                f"error: assembled pair (seed {seed}) is singular or fails "
+                f"A^2 = B^3: {valid.residuals}\n")
+            return EXIT_MISMATCH
         verification = {
             "seed": seed,
             "tangent_dim_numeric": measured,

@@ -28,6 +28,11 @@ The commutant stacks (I_W, A_V) minus (A_W, I_V) over the same with B;
 the boundary map is its negation.  The cocycle blocks are
 (I_W, A_V) + (A_W, I_V) on D_X and (I_W, B_V^2) + (B_W, B_V) + (B_W^2, I_V)
 on D_Y, side by side with D_Y negated (braid) or diagonal (quotient).
+
+The oracles take lists of equal-shape pairs: the builders broadcast over
+a leading stack axis (``PairStack``), one stacked SVD gives every
+system's singular values, and each system gets its own rank threshold.
+The single-pair functions are the one-element case.
 """
 
 from __future__ import annotations
@@ -61,10 +66,18 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of M, largest first; none for an empty matrix."""
-    if 0 in M.shape:
-        return np.zeros(0)
+    """Singular values of each matrix of a stack (..., m, n), largest
+    first; none for empty matrices."""
+    if 0 in M.shape[-2:]:
+        return np.zeros(M.shape[:-2] + (0,))
     return np.linalg.svd(M, compute_uv=False)
+
+
+def _above(sing: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """Along the last axis of ``sing``: how many singular values lie above
+    the threshold, and whether one lies within a factor 10 of it."""
+    t = np.expand_dims(threshold, -1)
+    return (sing > t).sum(-1), ((sing > t / 10.0) & (sing < t * 10.0)).any(-1)
 
 
 def _rank_decision(weighted, tol: ToleranceConfig) -> tuple[int, bool]:
@@ -83,15 +96,37 @@ def _rank_decision(weighted, tol: ToleranceConfig) -> tuple[int, bool]:
     threshold = tol.rel_tol * smax
     rank, ambiguous = 0, False
     for sing, weight in weighted:
-        rank += weight * int(np.sum(sing > threshold))
-        ambiguous |= bool(np.any((sing > threshold / 10.0) & (sing < threshold * 10.0)))
+        above, near = _above(sing, threshold)
+        rank += weight * int(above)
+        ambiguous |= bool(near)
     return rank, ambiguous
+
+
+def _ranks(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical rank of each matrix of a stack (..., m, n), and its
+    ambiguity flag: ``_rank_decision``'s rule, each matrix against its
+    own threshold."""
+    sing = _singular_values(M)
+    smax = sing[..., 0] if sing.shape[-1] else np.zeros(sing.shape[:-1])
+    ranks, ambiguous = _above(sing, tol.rel_tol * smax)
+    zero = smax < tol.abs_floor
+    return np.where(zero, 0, ranks), ambiguous & ~zero
+
+
+def _checked(ranks, ambiguous):
+    """The ranks; raises ToleranceAmbiguity when any decision is flagged."""
+    if np.any(ambiguous):
+        raise ToleranceAmbiguity(
+            "singular value within a factor 10 of the rank threshold; "
+            "re-randomize the instances"
+        )
+    return ranks
 
 
 def numeric_rank(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank by singular values."""
-    rank, _ = _rank_decision([(_singular_values(np.asarray(M, dtype=complex)), 1)], tol)
-    return rank
+    rank, _ = _ranks(np.asarray(M, dtype=complex), tol)
+    return int(rank)
 
 
 def numeric_kernel_dim(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -100,56 +135,82 @@ def numeric_kernel_dim(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int
     return np.shape(M)[1] - numeric_rank(M, tol)
 
 
-def _checked_rank(weighted, tol: ToleranceConfig) -> int:
-    """``_rank_decision``'s rank; raises ToleranceAmbiguity when flagged."""
-    rank, ambiguous = _rank_decision(weighted, tol)
-    if ambiguous:
-        raise ToleranceAmbiguity(
-            "singular value within a factor 10 of the rank threshold; "
-            "re-randomize the instances"
-        )
-    return rank
-
-
 def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """np.kron(P, Q) for matrices, equal to it bit for bit (one product
-    per entry) without its per-call overhead, which dominates the many
-    small systems of the block-wise tangent oracle and the ext suite."""
-    (p0, p1), (q0, q1) = P.shape, Q.shape
-    return (P[:, None, :, None] * Q[None, :, None, :]).reshape(p0 * q0, p1 * q1)
+    """np.kron(P, Q) for matrices, or for each pair of matrices of two
+    stacks that broadcast over their leading axes, equal to it bit for
+    bit (one product per entry) without its per-call overhead, which
+    dominates the many small systems of the oracles."""
+    (p0, p1), (q0, q1) = P.shape[-2:], Q.shape[-2:]
+    prod = P[..., :, None, :, None] * Q[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p0 * q0, p1 * q1))
 
 
 def _system(terms, minus=()) -> np.ndarray:
     """Matrix of F -> sum P F Q - sum P' F Q' over the pairs (P, Q) of
     ``terms`` and (P', Q') of ``minus``, on F flattened row-major: the
-    Kronecker products kron(P, Q^T), added and subtracted in order."""
+    Kronecker products kron(P, Q^T), added and subtracted in order.
+    Stacked factors give a stack of systems."""
     (P, Q), *rest = terms
-    total = _kron(P, Q.T)
+    total = _kron(P, Q.swapaxes(-1, -2))
     for P, Q in rest:
-        total = total + _kron(P, Q.T)
+        total = total + _kron(P, Q.swapaxes(-1, -2))
     for P, Q in minus:
-        total = total - _kron(P, Q.T)
+        total = total - _kron(P, Q.swapaxes(-1, -2))
     return total
+
+
+class PairStack:
+    """Equal-shape matrix pairs stacked along a leading axis: A and B of
+    shape (k, n, n).  The system builders take it wherever they take a
+    single pair, and return one system per element."""
+
+    __slots__ = ("A", "B")
+
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        self.A = A
+        self.B = B
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[-1]
+
+
+def _stacks(pairs, group_kind: str) -> tuple[PairStack, PairStack]:
+    """Check the relation kinds of equal-shape (V, W) pairs, then stack
+    the domains and the codomains."""
+    for V, W in pairs:
+        _check_kinds(V, W, group_kind)
+    return tuple(PairStack(np.stack([pair[side].A for pair in pairs]),
+                           np.stack([pair[side].B for pair in pairs]))
+                 for side in (0, 1))
 
 
 def commutant_matrix(V, W) -> np.ndarray:
     """System whose kernel is {F : F A_V = A_W F, F B_V = B_W F},
     F flattened row-major as an (n_W x n_V) unknown."""
     iv, iw = np.eye(V.n), np.eye(W.n)
-    return np.vstack([_system([(iw, V.A)], [(W.A, iv)]),
-                      _system([(iw, V.B)], [(W.B, iv)])])
+    return np.concatenate([_system([(iw, V.A)], [(W.A, iv)]),
+                           _system([(iw, V.B)], [(W.B, iv)])], axis=-2)
 
 
-def hom_dim_numeric(V, W, group_kind: str = B3,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the intertwiner space Hom(V, W).
+def hom_dims_numeric(pairs, group_kind: str = B3,
+                     tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """Dimension of the intertwiner space Hom(V, W) for each of a list
+    of equal-shape pairs (V, W).
 
     The linear condition is the same for both relation kinds; the kind
     argument only enforces that quotient-case Hom is asked of matrix
     pairs tagged as satisfying A^2 = B^3 = 1.
     """
-    _check_kinds(V, W, group_kind)
-    return numeric_kernel_dim(commutant_matrix(V, W), tol)
+    V, W = _stacks(pairs, group_kind)
+    ranks, _ = _ranks(commutant_matrix(V, W), tol)
+    return (V.n * W.n - ranks).tolist()
+
+
+def hom_dim_numeric(V, W, group_kind: str = B3,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of the intertwiner space Hom(V, W)."""
+    return hom_dims_numeric([(V, W)], group_kind, tol)[0]
 
 
 def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:
@@ -159,10 +220,11 @@ def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:
     block_x = _system([(iw, V.A), (W.A, iv)])
     block_y = _system([(iw, V.B @ V.B), (W.B, V.B), (W.B @ W.B, iv)])
     if group_kind == B3:
-        return np.hstack([block_x, -block_y])
+        return np.concatenate([block_x, -block_y], axis=-1)
     if group_kind == GAMMA:
         zero = np.zeros_like(block_x)
-        return np.block([[block_x, zero], [zero, block_y]])
+        return np.concatenate([np.concatenate([block_x, zero], axis=-1),
+                               np.concatenate([zero, block_y], axis=-1)], axis=-2)
     raise ValueError(f"unknown group kind {group_kind!r}")
 
 
@@ -173,27 +235,44 @@ def cocycle_dim_numeric(V, W, group_kind: str = B3,
     return numeric_kernel_dim(cocycle_matrix(V, W, group_kind), tol)
 
 
+def boundary_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """Dimension of the coboundary space B(V, W) for each of a list of
+    equal-shape pairs (V, W), computed as the rank of the boundary map
+    F -> (A_W F - F A_V, B_W F - F B_V), which is the negated commutant
+    system.  Must equal n_V n_W - dim Hom(V, W) by rank-nullity; tests
+    assert both routes agree."""
+    V, W = _stacks(pairs, B3)
+    ranks, _ = _ranks(commutant_matrix(V, W), tol)
+    return ranks.tolist()
+
+
 def boundary_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the coboundary space B(V, W), computed as the rank
-    of the boundary map F -> (A_W F - F A_V, B_W F - F B_V), which is
-    the negated commutant system.  Must equal n_V n_W - dim Hom(V, W) by
-    rank-nullity; tests assert both routes agree."""
-    return numeric_rank(commutant_matrix(V, W), tol)
+    """Dimension of the coboundary space B(V, W)."""
+    return boundary_dims_numeric([(V, W)], tol)[0]
+
+
+def ext_dims_numeric(pairs, group_kind: str = B3,
+                     tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, for each
+    of a list of equal-shape pairs (V, W), with dim B the rank of the
+    commutant system.  All systems of one kind go through one stacked
+    SVD.
+
+    Raises ToleranceAmbiguity when a singular value of any system falls
+    within a factor 10 of that system's rank threshold.
+    """
+    V, W = _stacks(pairs, group_kind)
+    cocycles = cocycle_matrix(V, W, group_kind)
+    z_dims = cocycles.shape[-1] - _checked(*_ranks(cocycles, tol))
+    b_dims = _checked(*_ranks(commutant_matrix(V, W), tol))
+    return (z_dims - b_dims).tolist()
 
 
 def ext_dim_numeric(V, W, group_kind: str = B3,
                     tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, with
-    dim B the rank of the commutant system.
-
-    Raises ToleranceAmbiguity when a singular value of either system
-    falls within a factor 10 of its rank threshold.
-    """
-    _check_kinds(V, W, group_kind)
-    cocycles = cocycle_matrix(V, W, group_kind)
-    z_dim = cocycles.shape[1] - _checked_rank([(_singular_values(cocycles), 1)], tol)
-    b_dim = _checked_rank([(_singular_values(commutant_matrix(V, W)), 1)], tol)
-    return z_dim - b_dim
+    """dim Ext^1(V, W) from explicit matrices; raises ToleranceAmbiguity
+    when a rank threshold is not clean."""
+    return ext_dims_numeric([(V, W)], group_kind, tol)[0]
 
 
 def _check_kinds(V, W, group_kind: str) -> None:

@@ -8,7 +8,9 @@ by independent random unitaries (orthonormalized Gaussian matrices), so
 conditioning stays near 1 and numerical ranks are unambiguous;
 simplicity is then certified by the Burnside span test, which grows the
 word span of {A, B} one word length at a time, by left multiplication
-only, and asks for the full matrix algebra.
+only, and asks for the full matrix algebra.  Draws of one type come in
+stacks (``random_simples_gamma``), each seeded on its own, so a stack
+costs a few numpy calls per level instead of a few per draw.
 
 A ``SemisimpleSpec`` is the symbolic side of a semisimple module: an
 ordered list of (dimension vector, exact scalar, multiplicity, instance
@@ -18,6 +20,7 @@ equal instance ids denoting the same underlying simple block.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -147,67 +150,146 @@ def one_dim_rep(u: int) -> RepPair:
     return RepPair(np.array([[rho]]), np.array([[tau]]), GAMMA)
 
 
-def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like unitary: QR of a complex Gaussian matrix with the phase
-    freedom fixed, deterministic given the generator state."""
-    zmat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _unitaries(zmat: np.ndarray) -> np.ndarray:
+    """Haar-like unitaries from a stack of complex Gaussian matrices
+    (..., n, n): one stacked QR with the phase freedom fixed."""
     q, r = np.linalg.qr(zmat)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def word_span_dim(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the linear span of all words in {A, B} (at most n^2),
-    grown one word length at a time by left multiplication.
+def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-like unitary, deterministic given the generator state."""
+    return _unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
-    Every word of length k + 1 is A w or B w for a word w of length k.
-    The words accepted up to length k span all words of length <= k, so
-    the left multiples of the words accepted at length k, with the
-    shorter ones, span all words of length <= k + 1.  A level's
+
+def word_span_dims(A: np.ndarray, B: np.ndarray,
+                   tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Dimension of the linear span of all words in {A, B} (at most n^2)
+    for each pair of a stack, A and B of shape (k, n, n), or for one pair
+    of shape (n, n), grown one word length at a time by left
+    multiplication.
+
+    Every word of length l + 1 is A w or B w for a word w of length l.
+    The words accepted up to length l span all words of length <= l, so
+    the left multiples of the words accepted at length l, with the
+    shorter ones, span all words of length <= l + 1.  A level's
     candidates come from one product with A and B stacked, and are
     projected against the basis of shorter words in two BLAS passes.
     They are then accepted in order against the vectors this level has
     accepted so far: a candidate counts when its norm is at least
     abs_floor and its residual above rel_tol times its norm.  The
-    accepted words are the next frontier; the span is complete when a
+    accepted words are the next frontier; a span is complete when a
     level accepts none.
+
+    In a stack every element keeps its own count.  Bases and frontiers
+    are padded with zeros to the largest of the stack: a zero word makes
+    zero candidates, which fall under abs_floor, and a zero basis vector
+    projects out nothing.  One pair, or a stack of one, takes the same
+    steps without the stack axis, whose bookkeeping would cost it up to
+    twice the time.
     """
-    n = V.n
+    one = A.shape[:-2] == (1,)
+    if one:
+        A, B = A[0], B[0]
+    n = A.shape[-1]
     target = n * n
-    generators = np.concatenate([V.A, V.B])
-    basis = np.empty((target, target), dtype=complex)
-    basis[0] = np.eye(n).reshape(-1) / np.sqrt(n)
-    count = 1
+    lead = A.shape[:-2]
+    generators = np.concatenate([A, B], axis=-2)[..., None, :, :]
+    basis = np.zeros(lead + (target, target), dtype=complex)
+    basis[..., 0, :] = np.eye(n).reshape(-1) / np.sqrt(n)
+    count = np.ones(lead, dtype=np.intp)
+    low = high = 1
     frontier = np.eye(n, dtype=complex)[None]
-    while len(frontier) and count < target:
-        # rows A w_0, B w_0, A w_1, B w_1, ... of the frontier words w_i
-        cand = (generators @ frontier).reshape(-1, target)
-        old = basis[:count]
-        resid = cand - (cand.conj() @ old.T).conj() @ old
-        resid -= (resid.conj() @ old.T).conj() @ old
-        norms = np.linalg.norm(cand, axis=1)
+    while frontier.shape[-3] and low < target:
+        # rows A w_0, B w_0, A w_1, B w_1, ... of each element's words w_i
+        cand = (generators @ frontier).reshape(lead + (-1, target))
+        old = basis[..., :high, :]
+        old_t = old.swapaxes(-1, -2)
+        resid = cand - (cand.conj() @ old_t).conj() @ old
+        resid -= (resid.conj() @ old_t).conj() @ old
+        norms = np.linalg.norm(cand, axis=-1)
         floor = tol.rel_tol * norms
         # projecting out this level's vectors can only shrink a residual,
         # so a candidate already under its threshold is rejected here
-        live = (norms >= tol.abs_floor) & (np.linalg.norm(resid, axis=1) > floor)
-        start = count
-        kept = []
-        for i in np.flatnonzero(live):
-            w = resid[i]
-            if count > start:
-                new = basis[start:count]
-                w = w - (new @ w.conj()).conj() @ new
-                w = w - (new @ w.conj()).conj() @ new
-            norm_w = np.linalg.norm(w)
-            if norm_w <= floor[i]:
-                continue
-            basis[count] = w / norm_w
-            count += 1
-            kept.append(i)
-            if count == target:
-                break
-        frontier = cand[kept].reshape(-1, n, n)
-    return count
+        live = (norms >= tol.abs_floor) & (np.linalg.norm(resid, axis=-1) > floor)
+        if lead:
+            kept = _accept_in_order_stacked(basis, resid, live, floor, count)
+            # a column that only other elements kept is a zero word here
+            cols = np.flatnonzero(kept.any(axis=0))
+            frontier = cand[:, cols] * kept[:, cols, None]
+            low, high = int(count.min()), int(count.max())
+        else:
+            kept = _accept_in_order(basis, resid, live, floor, count)
+            frontier = cand[kept]
+            low = high = int(count)
+        # each element's accepted words, in order, are the next frontier
+        frontier = frontier.reshape(lead + (-1, n, n))
+    return count[None] if one else count
+
+
+def _accept_in_order(basis, resid, live, floor, count) -> np.ndarray:
+    """The in-level step of ``word_span_dims`` for one pair: take the
+    live residuals in order, project out the vectors accepted before them
+    in this level, and append to the basis (rows below ``count`` filled)
+    those still above their floor.  Returns the mask of accepted
+    candidates and advances ``count``, a 0-d array."""
+    target = len(basis)
+    start = top = int(count)
+    kept = np.zeros(len(live), dtype=bool)
+    for i in np.flatnonzero(live):
+        w = resid[i]
+        if top > start:
+            new = basis[start:top]
+            w = w - (new @ w.conj()).conj() @ new
+            w = w - (new @ w.conj()).conj() @ new
+        norm_w = np.linalg.norm(w)
+        if norm_w <= floor[i]:
+            continue
+        basis[top] = w / norm_w
+        top += 1
+        kept[i] = True
+        if top == target:
+            break
+    count[...] = top
+    return kept
+
+
+def _accept_in_order_stacked(basis, resid, live, floor, count) -> np.ndarray:
+    """``_accept_in_order`` for every element of a stack at once: one
+    step per candidate position, each element appending at its own
+    count.  An element whose level started above the lowest count also
+    projects out some of its older vectors, which the residuals are
+    already orthogonal to."""
+    target = basis.shape[1]
+    kept = np.zeros_like(live)
+    start = top = int(count.min())
+    open_ = count < target
+    for i in np.flatnonzero(live.any(axis=0)):
+        act = live[:, i] & open_
+        if not act.any():
+            continue
+        w = resid[:, i, None]
+        if top > start:
+            new = basis[:, start:top]
+            w = w - (w.conj() @ new.swapaxes(1, 2)).conj() @ new
+            w = w - (w.conj() @ new.swapaxes(1, 2)).conj() @ new
+        norm_w = np.linalg.norm(w, axis=2)
+        idx = np.flatnonzero(act & (norm_w[:, 0] > floor[:, i]))
+        if idx.size:
+            pos = count[idx]
+            basis[idx, pos] = w[idx, 0] / norm_w[idx]
+            count[idx] = pos + 1
+            kept[idx, i] = True
+            top = max(top, int(pos.max()) + 1)
+            open_ = count < target
+    return kept
+
+
+def word_span_dim(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of the linear span of all words in {A, B}: the
+    ``word_span_dims`` of one pair."""
+    return int(word_span_dims(V.A, V.B, tol))
 
 
 def burnside_simple(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -229,42 +311,80 @@ class SimpleInstance:
     attempts: int = 1
 
 
-def random_simple_gamma(alpha: GammaDimVector, seed: int,
-                        instance_id: str | None = None,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> SimpleInstance:
-    """Generic simple pair of type alpha: exact eigenvalue diagonals
-    conjugated by seeded random unitaries, retried (bounded) until the
-    Burnside test passes."""
+def random_simples_gamma(alpha: GammaDimVector, seeds,
+                         tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
+    """Generic simple pairs of type alpha, one per seed: exact eigenvalue
+    diagonals conjugated by seeded random unitaries, retried (bounded)
+    until the Burnside test passes.
+
+    Each draw has its own generator, seeded from (alpha, seed, attempt),
+    so an instance does not depend on the other seeds of the call.  The
+    draws of one attempt go through one stacked QR, one stacked
+    conjugation and one stacked span test; only the seeds the test
+    rejected are drawn again, at the next attempt.
+    """
     if not is_simple_gamma(alpha):
         raise NotSimpleDimension(f"{alpha} is not a simple dimension vector")
-    if instance_id is None:
-        instance_id = f"{alpha}@{seed}"
     n = alpha.n
     diag_a = np.diag(np.array([1.0] * alpha.a + [-1.0] * alpha.b, dtype=complex))
     diag_b = np.diag(np.array(
         [1.0] * alpha.x + [OMEGA] * alpha.y + [OMEGA ** 2] * alpha.z, dtype=complex))
+    seeds = list(seeds)
+    found: dict[int, SimpleInstance] = {}
+    pending = list(range(len(seeds)))
     for attempt in range(_RETRY_LIMIT):
+        if not pending:
+            break
         if n == 1:
-            rep = RepPair(diag_a, diag_b, GAMMA)
+            A = diag_a[None].repeat(len(pending), axis=0)
+            B = diag_b[None].repeat(len(pending), axis=0)
         else:
-            rng = np.random.default_rng(derived_seed("simple", alpha.as_tuple(), seed, attempt))
-            p = _random_unitary(n, rng)
-            q = _random_unitary(n, rng)
-            rep = RepPair(p @ diag_a @ p.conj().T, q @ diag_b @ q.conj().T, GAMMA)
-        if burnside_simple(rep, tol):
-            return SimpleInstance(alpha, seed, rep, instance_id, attempts=attempt + 1)
-    raise GenerationFailed(
-        f"no simple instance of type {alpha} after {_RETRY_LIMIT} attempts; "
-        "suspect the simplicity criterion"
-    )
+            # per draw: real and imaginary parts of p's Gaussian, then q's
+            gauss = np.stack([
+                np.random.default_rng(
+                    derived_seed("simple", alpha.as_tuple(), seeds[i], attempt)
+                ).standard_normal((4, n, n))
+                for i in pending
+            ])
+            p, q = _unitaries(gauss[:, 0::2] + 1j * gauss[:, 1::2]).swapaxes(0, 1)
+            A = p @ diag_a @ p.conj().swapaxes(-1, -2)
+            B = q @ diag_b @ q.conj().swapaxes(-1, -2)
+        simple = word_span_dims(A, B, tol) == n * n
+        for i, a, b, ok in zip(pending, A, B, simple):
+            if ok:
+                found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA),
+                                          f"{alpha}@{seeds[i]}", attempts=attempt + 1)
+        pending = [i for i, ok in zip(pending, simple) if not ok]
+    if pending:
+        raise GenerationFailed(
+            f"no simple instance of type {alpha} after {_RETRY_LIMIT} attempts; "
+            "suspect the simplicity criterion"
+        )
+    return [found[i] for i in range(len(seeds))]
+
+
+def random_simple_gamma(alpha: GammaDimVector, seed: int,
+                        instance_id: str | None = None,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> SimpleInstance:
+    """Generic simple pair of type alpha: the ``random_simples_gamma``
+    of one seed, under the given instance id (default ``alpha@seed``)."""
+    inst, = random_simples_gamma(alpha, [seed], tol)
+    if instance_id is not None:
+        inst.instance_id = instance_id
+    return inst
+
+
+@functools.lru_cache(maxsize=256)
+def _scale_factors(lam: ExactScalar) -> tuple[complex, complex]:
+    """(lam^3, lam^2) as complex numbers, from exact powers."""
+    return complex(lam ** 3), complex(lam ** 2)
 
 
 def scale_rep(V: RepPair, lam: ExactScalar) -> RepPair:
     """Rescaling action (A, B) -> (lam^3 A, lam^2 B).  Preserves
     A^2 = B^3; the result keeps the Gamma tag only when lam is a sixth
     root of unity."""
-    c3 = complex(lam ** 3)
-    c2 = complex(lam ** 2)
+    c3, c2 = _scale_factors(lam)
     kind = GAMMA if (V.relation_kind == GAMMA and lam.in_mu6()) else B3
     return RepPair(c3 * V.A, c2 * V.B, kind)
 

@@ -23,6 +23,7 @@ companion module); the test suite holds the two sides together.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ from .errors import (
 from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _checked_rank,
+    _checked,
+    _rank_decision,
     _singular_values,
     cocycle_matrix,
 )
@@ -86,12 +88,16 @@ class ComponentSignature:
         factors = tuple(sorted(self.factors))
         if not factors:
             raise ValueError("signature needs at least one factor")
-        for f in factors:
+        object.__setattr__(self, "factors", factors)
+        for f in self._counts():
             if orbit_class(f) != f:
                 raise ValueError(f"{f} is not a canonical orbit representative")
             if not is_simple_gamma(f):
                 raise ValueError(f"{f} is not a simple dimension vector")
-        object.__setattr__(self, "factors", factors)
+
+    def _counts(self) -> dict[GammaDimVector, int]:
+        """Each distinct factor with its multiplicity, in sorted order."""
+        return Counter(self.factors)
 
     @classmethod
     def from_factors(cls, vectors) -> "ComponentSignature":
@@ -110,7 +116,7 @@ class ComponentSignature:
     def dimension(self) -> int:
         """Dimension of the labelled component: n^2 plus the sum of the
         factors' self-extension counts."""
-        return self.n ** 2 + sum(ext_gamma_self(f) for f in self.factors)
+        return self.n ** 2 + sum(c * ext_gamma_self(f) for f, c in self._counts().items())
 
     def to_json(self) -> list[list[int]]:
         return [f.to_json() for f in self.factors]
@@ -155,8 +161,8 @@ def component_signature(spec: SemisimpleSpec) -> ComponentSignature:
     class of each entry's type, repeated by its multiplicity."""
     factors = []
     for e in spec.entries:
-        factors.extend([e.alpha] * e.mult)
-    return ComponentSignature.from_factors(factors)
+        factors.extend([orbit_class(e.alpha)] * e.mult)
+    return ComponentSignature(tuple(factors))
 
 
 def component_dim(spec: SemisimpleSpec) -> int:
@@ -210,7 +216,7 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         for cod, c_cod in classes
         for dom, c_dom in classes
     ]
-    return 2 * V.n ** 2 - _checked_rank(weighted, tol)
+    return 2 * V.n ** 2 - _checked(*_rank_decision(weighted, tol))
 
 
 def _diagonal_blocks(V: RepPair) -> list[slice]:
@@ -332,17 +338,16 @@ def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSign
     if not failures:
         raise ValueError("point is smooth; no intersection witnesses")
     entries = spec.entries
-    base = []
-    for e in entries:
-        base.extend([orbit_class(e.alpha)] * e.mult)
+    classes = [orbit_class(e.alpha) for e in entries]
 
     def merged_signature(removals: list[tuple[int, int]], merged: GammaDimVector):
-        factors = list(base)
+        mults = [e.mult for e in entries]
         for idx, copies in removals:
-            for _ in range(copies):
-                factors.remove(orbit_class(entries[idx].alpha))
-        factors.append(orbit_class(merged))
-        return ComponentSignature.from_factors(factors)
+            mults[idx] -= copies
+        factors = [orbit_class(merged)]
+        for cls, mult in zip(classes, mults):
+            factors.extend([cls] * mult)
+        return ComponentSignature(tuple(factors))
 
     witnesses: list[ComponentSignature] = []
     for failure in failures:

@@ -19,9 +19,10 @@ from .errors import GenerationFailed, ToleranceAmbiguity
 from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
-    boundary_dim_numeric,
+    boundary_dims_numeric,
     ext_dim_numeric,
-    hom_dim_numeric,
+    ext_dims_numeric,
+    hom_dims_numeric,
 )
 from .factory import (
     SemisimpleSpec,
@@ -29,7 +30,7 @@ from .factory import (
     _random_unitary,
     derived_seed,
     entries_isomorphic,
-    random_simple_gamma,
+    random_simples_gamma,
     scale_rep,
     validate_rep,
 )
@@ -102,21 +103,74 @@ class SuiteResult:
         }
 
 
-def _fresh_simple(alpha: GammaDimVector, seed: int, label, tol: ToleranceConfig):
-    return random_simple_gamma(alpha, derived_seed("verify", label, seed), tol=tol)
+def _draw(keys, seed: int, tol: ToleranceConfig) -> dict:
+    """Instances for (alpha, label) keys, each from the seed
+    ``derived_seed("verify", label, seed)``: one stacked
+    ``random_simples_gamma`` per type."""
+    labels_by_type: dict[GammaDimVector, list] = {}
+    for alpha, label in dict.fromkeys(keys):
+        labels_by_type.setdefault(alpha, []).append(label)
+    drawn = {}
+    for alpha, labels in labels_by_type.items():
+        seeds = [derived_seed("verify", label, seed) for label in labels]
+        for label, inst in zip(labels, random_simples_gamma(alpha, seeds, tol)):
+            drawn[alpha, label] = inst
+    return drawn
 
 
-def _independent_pair(alpha, beta, seed, trial, tol):
-    """Two independent instances; for equal types of dimension >= 2 the
-    draw is retried until the modules are non-isomorphic (Hom = 0)."""
+def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
+                       singles=()) -> tuple[dict, dict]:
+    """Two independent instances for each (alpha, beta, trial) request;
+    for equal types of dimension >= 2 the draw is retried, with a bumped
+    label, until the modules are non-isomorphic (Hom = 0).  Each round
+    is one ``_draw`` and one stacked Hom rank per dimension.  The
+    (alpha, label) keys of ``singles`` are drawn with the first round.
+    Returns the pairs by request and the single instances by key."""
+    pairs, drawn_singles = {}, {}
+    pending = list(dict.fromkeys(requests))
     for bump in range(8):
-        s = _fresh_simple(alpha, seed, ("pair-a", alpha, beta, trial, bump), tol)
-        t = _fresh_simple(beta, seed, ("pair-b", alpha, beta, trial, bump), tol)
-        if alpha != beta or alpha.n == 1:
-            return s, t
-        if hom_dim_numeric(s.rep, t.rep, GAMMA, tol) == 0:
-            return s, t
+        keys = [key for alpha, beta, trial in pending
+                for key in ((alpha, ("pair-a", alpha, beta, trial, bump)),
+                            (beta, ("pair-b", alpha, beta, trial, bump)))]
+        drawn = _draw([*keys, *(singles if bump == 0 else ())], seed, tol)
+        if bump == 0:
+            drawn_singles = {key: drawn[key] for key in singles}
+        for req, a_key, b_key in zip(pending, keys[0::2], keys[1::2]):
+            pairs[req] = (drawn[a_key], drawn[b_key])
+        linked: dict[int, list] = {}
+        for req in pending:
+            alpha, beta, _ = req
+            if alpha == beta and alpha.n > 1:
+                linked.setdefault(alpha.n, []).append(req)
+        pending = []
+        for same_n in linked.values():
+            homs = hom_dims_numeric([(s.rep, t.rep) for s, t in map(pairs.get, same_n)],
+                                    GAMMA, tol)
+            pending += [req for req, hom in zip(same_n, homs) if hom != 0]
+        if not pending:
+            return pairs, drawn_singles
     raise GenerationFailed("could not draw non-isomorphic instances")
+
+
+def _measure(systems, tol: ToleranceConfig) -> list[int]:
+    """Values of (oracle, V, W, kind) systems, in order; the oracle is
+    ext, hom or boundary.  One stacked call per oracle, kind and pair of
+    dimensions."""
+    groups: dict[tuple, list[int]] = {}
+    for idx, (oracle, V, W, kind) in enumerate(systems):
+        groups.setdefault((oracle, kind, V.n, W.n), []).append(idx)
+    values = [0] * len(systems)
+    for (oracle, kind, _, _), idxs in groups.items():
+        pairs = [systems[i][1:3] for i in idxs]
+        if oracle == "ext":
+            got = ext_dims_numeric(pairs, kind, tol)
+        elif oracle == "hom":
+            got = hom_dims_numeric(pairs, kind, tol)
+        else:
+            got = boundary_dims_numeric(pairs, tol)
+        for i, value in zip(idxs, got):
+            values[i] = value
+    return values
 
 
 def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
@@ -132,63 +186,73 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
     cover the three regimes against the spec-entry formula, including
     the +1 on the diagonal and the incommensurable-scalar zero.  Also
     asserts the rank-nullity route to the coboundary dimension.
+
+    The suite plans its checks, draws every instance in one stack per
+    type, measures every system in one stack per oracle, kind and shape,
+    and then records the checks in the planned order.
     """
     result = SuiteResult("ext")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
-
-    for alpha in simples:
-        expected_self = ext_gamma_self(alpha)
-        for trial in range(trials):
-            inst = _fresh_simple(alpha, seed, ("self", alpha, trial), tol)
-            got = ext_dim_numeric(inst.rep, inst.rep, GAMMA, tol)
-            result.record(got == expected_self, got - expected_self,
-                          f"self {alpha}: oracle {got} != formula {expected_self}")
-
     pair_trials = max(1, trials // 4)
-    for alpha in simples:
-        for beta in simples:
-            if alpha == beta and alpha.n == 1:
-                expected = 0  # the two instances are the same module
-            else:
-                expected = ext_gamma_pair(alpha, beta)
-            for trial in range(pair_trials):
-                s, t = _independent_pair(alpha, beta, seed, trial, tol)
-                got = ext_dim_numeric(s.rep, t.rep, GAMMA, tol)
-                result.record(got == expected, got - expected,
-                              f"pair {alpha},{beta}: oracle {got} != {expected}")
-                hom = hom_dim_numeric(s.rep, t.rep, GAMMA, tol)
-                b_direct = boundary_dim_numeric(s.rep, t.rep, tol)
-                result.record(b_direct == s.rep.n * t.rep.n - hom,
-                              b_direct - (s.rep.n * t.rep.n - hom),
-                              f"rank-nullity {alpha},{beta}")
-
     b3_types = [v for n in range(1, min(max_dim, 2) + 1)
                 for v in enumerate_simple_gamma(n)]
-    for ai, alpha in enumerate(b3_types):
-        for bi, beta in enumerate(b3_types):
-            for li, lam in enumerate(LAMBDA_POOL):
-                mu = LAMBDA_POOL[(li + ai + bi) % len(LAMBDA_POOL)]
-                e1 = SpecEntry(alpha, lam, 1, "L")
-                e2 = SpecEntry(beta, mu, 1, "R")
-                s, t = _independent_pair(alpha, beta, seed, 1000 + li, tol)
-                v = scale_rep(s.rep, lam)
-                w = scale_rep(t.rep, mu)
-                got = ext_dim_numeric(v, w, B3, tol)
-                if entries_isomorphic(e1, e2):
-                    expected = ext_gamma_self(alpha) + 1
-                else:
-                    expected = ext_b3_spec(e1, e2)
-                result.record(got == expected, got - expected,
-                              f"braid {alpha}*{lam} vs {beta}*{mu}: {got} != {expected}")
+    self_keys = [(alpha, ("self", alpha, trial))
+                 for alpha in simples for trial in range(trials)]
+    quotient = [(alpha, beta, trial) for alpha in simples for beta in simples
+                for trial in range(pair_trials)]
+    braid = [(alpha, lam, beta, LAMBDA_POOL[(li + ai + bi) % len(LAMBDA_POOL)], 1000 + li)
+             for ai, alpha in enumerate(b3_types) for bi, beta in enumerate(b3_types)
+             for li, lam in enumerate(LAMBDA_POOL)]
+    b3self = [(alpha, lam, (alpha, ("b3self", alpha, str(lam))))
+              for alpha in b3_types for lam in LAMBDA_POOL]
+    pairs, singles = _independent_pairs(
+        [*quotient, *((alpha, beta, trial) for alpha, _, beta, _, trial in braid)],
+        seed, tol, singles=[*self_keys, *(key for _, _, key in b3self)])
 
-    for alpha in b3_types:
-        for lam in LAMBDA_POOL:
-            inst = _fresh_simple(alpha, seed, ("b3self", alpha, str(lam)), tol)
-            v = scale_rep(inst.rep, lam)
-            got = ext_dim_numeric(v, v, B3, tol)
+    # every check in recording order: the systems whose values add up to
+    # the measured value, the expected value, and the failure message
+    # around the measured value (none: the message alone)
+    systems, checks = [], []
+
+    def check(expected, head, tail, *specs):
+        idxs = tuple(range(len(systems), len(systems) + len(specs)))
+        systems.extend(specs)
+        checks.append((idxs, expected, head, tail))
+
+    for alpha, label in self_keys:
+        rep = singles[alpha, label].rep
+        expected = ext_gamma_self(alpha)
+        check(expected, f"self {alpha}: oracle ", f" != formula {expected}",
+              ("ext", rep, rep, GAMMA))
+    for alpha, beta, trial in quotient:
+        s, t = (inst.rep for inst in pairs[alpha, beta, trial])
+        # equal one-dimensional types: the two instances are the same module
+        expected = 0 if alpha == beta and alpha.n == 1 else ext_gamma_pair(alpha, beta)
+        check(expected, f"pair {alpha},{beta}: oracle ", f" != {expected}",
+              ("ext", s, t, GAMMA))
+        # rank-nullity: dim Hom + dim B = n_V n_W
+        check(s.n * t.n, f"rank-nullity {alpha},{beta}", None,
+              ("hom", s, t, GAMMA), ("boundary", s, t, B3))
+    for alpha, lam, beta, mu, trial in braid:
+        e1, e2 = SpecEntry(alpha, lam, 1, "L"), SpecEntry(beta, mu, 1, "R")
+        if entries_isomorphic(e1, e2):
             expected = ext_gamma_self(alpha) + 1
-            result.record(got == expected, got - expected,
-                          f"braid self {alpha}*{lam}: {got} != {expected}")
+        else:
+            expected = ext_b3_spec(e1, e2)
+        s, t = pairs[alpha, beta, trial]
+        check(expected, f"braid {alpha}*{lam} vs {beta}*{mu}: ", f" != {expected}",
+              ("ext", scale_rep(s.rep, lam), scale_rep(t.rep, mu), B3))
+    for alpha, lam, key in b3self:
+        v = scale_rep(singles[key].rep, lam)
+        expected = ext_gamma_self(alpha) + 1
+        check(expected, f"braid self {alpha}*{lam}: ", f" != {expected}",
+              ("ext", v, v, B3))
+
+    values = _measure(systems, tol)
+    for idxs, expected, head, tail in checks:
+        got = sum(values[i] for i in idxs)
+        result.record(got == expected, got - expected,
+                      head if tail is None else f"{head}{got}{tail}")
     return result
 
 
@@ -198,13 +262,18 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
     ext(V, W) = ext(W, V) on sampled pairs of rescaled simples."""
     result = SuiteResult("symmetry")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
+    samples = []
     for trial in range(trials):
         rng = np.random.default_rng(derived_seed("symmetry", seed, trial))
         alpha = simples[rng.integers(len(simples))]
         beta = simples[rng.integers(len(simples))]
         lam = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
         mu = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
-        s, t = _independent_pair(alpha, beta, seed, trial, tol)
+        samples.append(((alpha, beta, trial), lam, mu))
+    pairs, _ = _independent_pairs([req for req, _, _ in samples], seed, tol)
+    for req, lam, mu in samples:
+        alpha, beta, _ = req
+        s, t = pairs[req]
         v = scale_rep(s.rep, lam)
         w = scale_rep(t.rep, mu)
         forward = ext_dim_numeric(v, w, B3, tol)

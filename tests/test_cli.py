@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from b3rep.cli import main
@@ -211,6 +212,21 @@ def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, _, err = run(capsys, "analyze", "--spec", str(path), "--verify")
     assert code == 3 and "mismatch" in err
+
+
+def test_analyze_verify_rejects_an_invalid_assembled_pair(tmp_path, capsys, monkeypatch):
+    # a pair breaking A^2 = B^3 (A^2 = 1, B^3 = 8) is a program fault:
+    # exit 3, one error line, no report
+    import b3rep.geometry as geometry_mod
+    from b3rep.constants import B3
+    from b3rep.factory import RepPair
+    monkeypatch.setattr(geometry_mod, "assemble", lambda spec, seed=0, tol=None:
+                        RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3))
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(SMOOTH_SPEC))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
+    assert code == 3 and out == ""
+    assert err.startswith("error: assembled pair") and err.count("\n") == 1
 
 
 def big_summand_spec(alpha):

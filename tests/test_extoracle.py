@@ -10,6 +10,7 @@ from b3rep import (
     GAMMA,
     ExactScalar,
     GammaDimVector,
+    RepPair,
     SemisimpleSpec,
     SpecEntry,
     ToleranceAmbiguity,
@@ -28,7 +29,15 @@ from b3rep import (
     random_simple_gamma,
     scale_rep,
 )
-from b3rep.extoracle import cocycle_matrix, commutant_matrix
+from b3rep.extoracle import (
+    PairStack,
+    _ranks,
+    boundary_dims_numeric,
+    cocycle_matrix,
+    commutant_matrix,
+    ext_dims_numeric,
+    hom_dims_numeric,
+)
 
 ONE = ExactScalar.one()
 
@@ -101,6 +110,71 @@ def test_systems_equal_kron_references_bit_for_bit():
                 for kind in (B3, GAMMA):
                     assert same_bits(cocycle_matrix(dom, W, kind),
                                      reference_cocycle(dom, W, kind))
+
+
+# ---------------------------------------------------------------------------
+# stacks of equal-shape pairs
+# ---------------------------------------------------------------------------
+
+def simples_of_dimension(n, count, seed):
+    types = enumerate_simple_gamma(n)
+    return [random_simple_gamma(types[i % len(types)], seed + i).rep for i in range(count)]
+
+
+def stack(reps):
+    return PairStack(np.stack([r.A for r in reps]), np.stack([r.B for r in reps]))
+
+
+@pytest.mark.parametrize("n_v, n_w", [(1, 1), (2, 2), (3, 3), (1, 3), (3, 2)])
+def test_stacked_oracles_equal_per_pair_results(n_v, n_w):
+    # the stacked systems equal the per-pair np.kron spellings bit for
+    # bit, and the stacked dimensions the per-pair ranks of those
+    quotient = list(zip(simples_of_dimension(n_v, 6, 0), simples_of_dimension(n_w, 6, 50)))
+    if n_v == n_w:
+        quotient += [(v, v) for v, _ in quotient[:3]]
+    lam = ExactScalar(Fraction(3, 2), Fraction(1, 7))
+    braid = [(scale_rep(v, lam), scale_rep(w, mu)) for v, w in quotient
+             for mu in (lam, ExactScalar.zeta6(1), ONE)]
+    for pairs, kind in ((quotient, GAMMA), (braid, B3)):
+        V, W = stack([v for v, _ in pairs]), stack([w for _, w in pairs])
+        commutants, cocycles = commutant_matrix(V, W), cocycle_matrix(V, W, kind)
+        for i, (v, w) in enumerate(pairs):
+            assert same_bits(commutants[i], reference_commutant(v, w))
+            assert same_bits(cocycles[i], reference_cocycle(v, w, kind))
+        ranks = [numeric_rank(reference_commutant(v, w)) for v, w in pairs]
+        ext = [numeric_kernel_dim(reference_cocycle(v, w, kind)) - rank
+               for (v, w), rank in zip(pairs, ranks)]
+        assert ext_dims_numeric(pairs, kind) == ext
+        assert ext == [ext_dim_numeric(v, w, kind) for v, w in pairs]
+        assert boundary_dims_numeric(pairs) == ranks
+        assert hom_dims_numeric(pairs, kind) == [n_v * n_w - rank for rank in ranks]
+        assert hom_dims_numeric(pairs, kind) == [hom_dim_numeric(v, w, kind) for v, w in pairs]
+    assert len(set(ext)) > 1 or n_v * n_w == 1
+
+
+def test_stacked_ranks_take_each_matrix_threshold():
+    # under one shared threshold the small copy would lose its 1e-3 value
+    M = np.diag([1.0, 1e-3, 0.0])
+    ranks, ambiguous = _ranks(np.stack([M, 1e-7 * M, 0 * M]), ToleranceConfig())
+    assert ranks.tolist() == [2, 2, 0] and not ambiguous.any()
+
+
+def test_one_ambiguous_element_makes_the_stacked_ext_raise():
+    # eigenvalues 1 and 1 + 1e-8 next to 8: a commutant singular value
+    # about 5e-9 of the largest, within a factor 10 of rel_tol
+    def diagonal(moduli):
+        return RepPair(np.diag([complex(r ** 3) for r in moduli]),
+                       np.diag([complex(r ** 2) for r in moduli]), B3)
+
+    clean = diagonal([Fraction(1), Fraction(2), Fraction(3)])
+    near = diagonal([Fraction(1), 1 + Fraction(1, 10 ** 8), Fraction(2)])
+    assert ext_dims_numeric([(clean, clean)] * 2, B3) == [3, 3]
+    with pytest.raises(ToleranceAmbiguity):
+        ext_dims_numeric([(clean, clean), (near, near), (clean, clean)], B3)
+    # Hom and the boundary rank do not check: each element gets its own
+    # answer, and the near pair's two small values fall under its threshold
+    assert hom_dims_numeric([(clean, clean), (near, near)], B3) == [3, 5]
+    assert boundary_dims_numeric([(clean, clean), (near, near)]) == [6, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from b3rep import (
     validate_rep,
     word_span_dim,
 )
+from b3rep.factory import random_simples_gamma, word_span_dims
 
 ONE = ExactScalar.one()
 ZETA = ExactScalar.zeta6(1)
@@ -187,10 +188,15 @@ def test_first_try_success_rate():
 
 
 def test_generation_failure_is_loud(monkeypatch):
+    # every draw goes through the stacked span test; a span that never
+    # fills the matrix algebra exhausts the retries
     import b3rep.factory as factory_mod
-    monkeypatch.setattr(factory_mod, "burnside_simple", lambda rep, tol: False)
+    monkeypatch.setattr(factory_mod, "word_span_dims",
+                        lambda A, B, tol: np.zeros(A.shape[:-2], dtype=int))
     with pytest.raises(GenerationFailed):
         random_simple_gamma(ALPHA2, seed=0)
+    with pytest.raises(GenerationFailed):
+        factory_mod.random_simples_gamma(ALPHA3, [0, 1, 2])
 
 
 def test_simplicity_criterion_matches_burnside_sampling():
@@ -234,6 +240,60 @@ def test_word_span_dim_matches_the_per_candidate_reference():
         for alpha in dimension_vectors(n):
             rep = generic_pair(alpha, rng)
             assert word_span_dim(rep) == reference_word_span_dim(rep), alpha
+
+
+def test_word_span_dims_of_a_mixed_stack_match_the_reference():
+    # one n, simple and non-simple types in one stack, so the counts part
+    # ways mid-stack and the finished elements ride along padded
+    rng = np.random.default_rng(47)
+    for n in range(2, 6):
+        reps = [generic_pair(alpha, rng) for alpha in dimension_vectors(n)
+                for _ in range(2)]
+        expected = [reference_word_span_dim(rep) for rep in reps]
+        assert len(set(expected)) > 2
+        got = word_span_dims(np.stack([r.A for r in reps]), np.stack([r.B for r in reps]))
+        assert got.tolist() == expected, n
+        # a stack of one and a single pair take the same steps
+        assert [int(word_span_dims(r.A[None], r.B[None])[0]) for r in reps] == expected
+
+
+def same_draws(xs, ys):
+    return all(x.rep.A.tobytes() == y.rep.A.tobytes() and x.rep.B.tobytes() == y.rep.B.tobytes()
+               and (x.alpha, x.seed, x.instance_id, x.attempts)
+               == (y.alpha, y.seed, y.instance_id, y.attempts)
+               for x, y in zip(xs, ys, strict=True))
+
+
+def test_random_simples_gamma_equals_one_seed_draws():
+    seeds = [0, 7, 7, 123, 2 ** 63]
+    for alpha in (GammaDimVector(1, 0, 1, 0, 0), ALPHA2, ALPHA3, GammaDimVector(2, 2, 2, 1, 1)):
+        assert same_draws(random_simples_gamma(alpha, seeds),
+                          [random_simple_gamma(alpha, seed) for seed in seeds])
+
+
+def test_random_simples_gamma_redraws_only_the_rejected_seed(monkeypatch):
+    # the first draw of seed 3 is rejected once; it alone is drawn again,
+    # exactly as a one-seed draw under the same rejection
+    import b3rep.factory as factory_mod
+    victim = random_simple_gamma(ALPHA3, 3).rep.A.tobytes()
+    real = factory_mod.word_span_dims
+    stacks = []
+
+    def reject_victim(A, B, tol):
+        dims = np.array(real(A, B, tol))
+        stacks.append(A.shape[:-2])
+        for i, a in enumerate(A.reshape(-1, *A.shape[-2:])):
+            if a.tobytes() == victim:
+                dims.reshape(-1)[i] = 0
+        return dims
+
+    monkeypatch.setattr(factory_mod, "word_span_dims", reject_victim)
+    seeds = list(range(6))
+    drawn = random_simples_gamma(ALPHA3, seeds)
+    assert stacks == [(6,), (1,)]
+    assert [inst.attempts for inst in drawn] == [1, 1, 1, 2, 1, 1]
+    assert drawn[3].rep.A.tobytes() != victim
+    assert same_draws(drawn, [random_simple_gamma(ALPHA3, seed) for seed in seeds])
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 3), (5, 5), (9, 1), (13, 4), (16, 12)])

@@ -180,6 +180,31 @@ def test_signature_validation():
     ComponentSignature((orbit_class(A0),))
 
 
+def test_orbit_classes_do_not_grow_with_multiplicity(monkeypatch):
+    # analyze, with its signature, its dimension and both kinds of
+    # witness, takes orbit classes per entry and per distinct factor
+    import b3rep.geometry as geometry_mod
+    real = geometry_mod.orbit_class
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha)
+        return real(alpha)
+
+    monkeypatch.setattr(geometry_mod, "orbit_class", counted)
+    counts = []
+    for mult in (3, 7, 1000):
+        spec = spec_of(entry(A0, mult=mult, iid="p"), entry(A1, iid="q"),
+                       entry(DIM3, mult=mult, iid="s"))
+        calls.clear()
+        report = analyze(spec)
+        counts.append(len(calls))
+        assert report.signature.k == 2 * mult + 1
+        assert report.component_dim == (4 * mult + 1) ** 2 + mult * ext_gamma_self(DIM3)
+        assert [w.k for w in report.witnesses] == [2 * mult] * 3
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_component_dimensions():
     assert component_dim(spec_of(entry(A0, iid="p"), entry(A1, iid="q"))) == 4
     assert component_dim(spec_of(entry(DIM2))) == 5

@@ -5,7 +5,16 @@ import inspect
 import pytest
 
 import b3rep.verify as verify_mod
-from b3rep import SemisimpleSpec, SuiteResult, random_spec, run_suite
+from b3rep import (
+    DEFAULT_TOL,
+    GammaDimVector,
+    GenerationFailed,
+    SemisimpleSpec,
+    SuiteResult,
+    derived_seed,
+    random_spec,
+    run_suite,
+)
 
 
 @pytest.mark.parametrize("suite,kwargs", [
@@ -72,3 +81,35 @@ def test_random_specs_cover_both_verdicts():
     from b3rep import analyze
     verdicts = {analyze(random_spec(4, seed=s)).smooth for s in range(30)}
     assert verdicts == {True, False}
+
+
+def test_independent_pairs_redraw_only_the_linked_requests(monkeypatch):
+    # the first round's stacked Hom reads every equal-type pair as linked:
+    # only that pair is drawn again, with the bumped label
+    real = verify_mod.hom_dims_numeric
+    rounds = []
+
+    def linked_first(pairs, kind, tol):
+        rounds.append(len(pairs))
+        homs = real(pairs, kind, tol)
+        return [1] * len(homs) if len(rounds) == 1 else homs
+
+    monkeypatch.setattr(verify_mod, "hom_dims_numeric", linked_first)
+    a1, a2 = GammaDimVector(1, 0, 1, 0, 0), GammaDimVector(1, 1, 1, 1, 0)
+    single = (a1, ("self", a1, 0))
+    requests = [(a2, a2, 0), (a2, a1, 0), (a1, a1, 0)]
+    pairs, singles = verify_mod._independent_pairs(requests, 3, DEFAULT_TOL, [single])
+    assert rounds == [1, 1]
+
+    def seeds(req):
+        return [inst.seed for inst in pairs[req]]
+
+    assert seeds((a2, a2, 0)) == [derived_seed("verify", ("pair-a", a2, a2, 0, 1), 3),
+                                  derived_seed("verify", ("pair-b", a2, a2, 0, 1), 3)]
+    assert seeds((a2, a1, 0)) == [derived_seed("verify", ("pair-a", a2, a1, 0, 0), 3),
+                                  derived_seed("verify", ("pair-b", a2, a1, 0, 0), 3)]
+    assert singles[single].seed == derived_seed("verify", ("self", a1, 0), 3)
+
+    monkeypatch.setattr(verify_mod, "hom_dims_numeric", lambda pairs, kind, tol: [1] * len(pairs))
+    with pytest.raises(GenerationFailed):
+        verify_mod._independent_pairs(requests, 3, DEFAULT_TOL)
