@@ -36,6 +36,9 @@ from .verify import SUITE_NAMES, run_suite
 
 # n = 20 takes about 1 s; the count of signatures grows fast beyond it.
 _COMPONENT_CAP = 20
+# analyze holds and prints one factor per copy of a simple: 10^4 copies
+# take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
+_COPIES_CAP = 10_000
 # analyze --verify takes scalar moduli in [1/M, M] only.  Its rank rule
 # has one threshold relative to the largest singular value over all
 # blocks, and the block systems scale with the moduli, so distant moduli
@@ -136,6 +139,10 @@ def cmd_analyze(args) -> int:
         return _fail(f"malformed JSON in {args.spec}: {exc}")
     try:
         spec = SemisimpleSpec.from_json(data)
+        copies = sum(e.mult for e in spec.entries)
+        if copies > _COPIES_CAP and not args.force:
+            raise InvalidSpec(f"spec has {copies} copies of simples; above "
+                              f"{_COPIES_CAP} it needs --force")
         tol = ToleranceConfig(rel_tol=args.tol)
         if args.verify:
             _check_verifiable(spec, args.force)
@@ -248,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--verify", action="store_true",
                       help="assemble matrices and check the tangent dimension")
     p_an.add_argument("--force", action="store_true",
-                      help=f"allow --verify above {_VERIFY_BUDGET / 1e6:.0f} MB "
-                           "of estimated memory")
+                      help=f"allow more than {_COPIES_CAP} copies of simples, and "
+                           f"--verify above {_VERIFY_BUDGET / 1e6:.0f} MB of "
+                           "estimated memory")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--tol", type=float, default=1e-8)
     add_format(p_an)

@@ -294,28 +294,30 @@ def verify_lemma(max_total: int = 8) -> SuiteResult:
     everywhere else.  The Euler matrix and the multiplicity map are the
     library's own: ``EULER_MATRIX_HEX`` and ``hex_to_gamma`` on the six
     coordinate vectors.
+
+    Both forms are bilinear and the vectors of total <= max_total
+    (>= 1) include the six coordinate vectors, so each identity holds on
+    every pair exactly when it holds on the 6x6 Gram matrices of that
+    basis; the suite checks it there, in O(N) time and memory over the
+    N vectors.
     """
     result = SuiteResult("lemma")
     vectors = [h for total in range(max_total + 1) for h in enumerate_hex(total)]
     hmat = np.array([h.as_tuple() for h in vectors], dtype=np.int64)
     euler = np.array(EULER_MATRIX_HEX, dtype=np.int64)
-    # hexagon form on all pairs at once
-    pairwise_hex = hmat @ euler @ hmat.T
-    result.record(bool(np.array_equal(pairwise_hex, pairwise_hex.T)), 0,
+    result.record(bool(np.array_equal(euler, euler.T)), 0,
                   "hexagon Euler matrix is not symmetric")
     # multiplicity map to (a, b; x, y, z) and the bipartite form
     to_gamma = np.array([hex_to_gamma(HexDimVector.basis(i)).as_tuple()
                          for i in range(6)], dtype=np.int64)
-    gmat = hmat @ to_gamma
-    totals = hmat.sum(axis=1)
-    pairwise_gamma = gmat @ gmat.T - np.outer(totals, totals)
-    result.record(bool(np.array_equal(pairwise_hex, pairwise_gamma)),
-                  float(np.max(np.abs(pairwise_hex - pairwise_gamma))),
+    gram_gamma = to_gamma @ to_gamma.T - 1
+    result.record(bool(np.array_equal(euler, gram_gamma)),
+                  float(np.max(np.abs(euler - gram_gamma))),
                   "hexagon and bipartite Euler forms disagree")
-    # spot-check the scalar API against the vectorized computation
+    # spot-check the scalar API against the matrix form
     for i in (0, 1, len(vectors) // 2, len(vectors) - 1):
         h1, h2 = vectors[i], vectors[-1 - i]
-        result.record(euler_hex(h1, h2) == int(pairwise_hex[i, len(vectors) - 1 - i]),
+        result.record(euler_hex(h1, h2) == int(hmat[i] @ euler @ hmat[-1 - i]),
                       0, f"euler_hex mismatch at {h1},{h2}")
         result.record(
             euler_gamma(hex_to_gamma(h1), hex_to_gamma(h2)) == euler_hex(h1, h2),
@@ -441,14 +443,14 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
 
 
 #: Suite name -> (function, name of its size parameter, whether it draws
-#: random instances and so takes trials, seed and tol).  The defaults are
-#: those of the function signatures.
+#: random instances and so takes trials, seed and tol, smallest size that
+#: records a check).  The defaults are those of the function signatures.
 _SUITES = {
-    "ext": (verify_ext, "max_dim", True),
-    "tangent": (verify_tangent, "max_n", True),
-    "lemma": (verify_lemma, "max_total", False),
-    "gln": (verify_gln, "max_n", True),
-    "symmetry": (verify_symmetry, "max_dim", True),
+    "ext": (verify_ext, "max_dim", True, 1),
+    "tangent": (verify_tangent, "max_n", True, 1),
+    "lemma": (verify_lemma, "max_total", False, 1),
+    "gln": (verify_gln, "max_n", True, 2),
+    "symmetry": (verify_symmetry, "max_dim", True, 1),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -456,11 +458,14 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str, n: int | None = None, trials: int | None = None,
               seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
-    """Run one named suite; n remaps to the suite's size parameter.  The
-    exhaustive lemma suite ignores trials, seed and tol."""
+    """Run one named suite; n remaps to the suite's size parameter, and a
+    size too small to record a check raises ValueError.  The exhaustive
+    lemma suite ignores trials, seed and tol."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
-    fn, size_key, randomized = _SUITES[name]
+    fn, size_key, randomized, least = _SUITES[name]
+    if n is not None and n < least:
+        raise ValueError(f"the {name} suite needs n >= {least}, got {n}")
     kwargs = {} if n is None else {size_key: n}
     if randomized:
         kwargs.update(seed=seed, tol=tol)

@@ -351,6 +351,28 @@ def test_analyze_without_verify_ignores_the_size_guard(tmp_path, capsys):
     assert code == 0 and json.loads(out)["n"] == 33
 
 
+@pytest.mark.parametrize("mults, refused", [
+    ((6000, 4000), False),
+    ((6000, 4001), True),
+])
+def test_analyze_copies_cap(tmp_path, capsys, mults, refused):
+    # plain analyze holds and prints one factor per copy; the cap counts
+    # the copies of all entries together
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": "1", "q": "0"}, "mult": mults[0],
+         "instance": "s1"},
+        {"alpha": [0, 1, 0, 1, 0], "lambda": {"r": "2", "q": "0"}, "mult": mults[1],
+         "instance": "s2"}]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    if refused:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--force" in err
+        code, out, err = run(capsys, "analyze", "--spec", str(path), "--force")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["signature"]) == sum(mults)
+
+
 def test_analyze_table_output(tmp_path, capsys):
     path = tmp_path / "sing.json"
     path.write_text(json.dumps(SINGULAR_SPEC))
@@ -380,6 +402,18 @@ def test_verify_gln_small(capsys):
 def test_verify_bad_trials(capsys):
     code, _, err = run(capsys, "verify", "lemma", "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("suite, least", [
+    ("ext", 1), ("tangent", 1), ("lemma", 1), ("gln", 2), ("symmetry", 1),
+])
+def test_verify_refuses_a_size_below_the_first_check(capsys, suite, least):
+    for n in (least - 1, -1):
+        code, out, err = run(capsys, "verify", suite, "--n", str(n))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "verify", suite, "--n", str(least), "--trials", "1")
+    assert code == 0 and json.loads(out)["checks"] > 0
 
 
 def test_verify_unknown_suite(capsys):

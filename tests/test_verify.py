@@ -1,14 +1,17 @@
 """The property suites themselves: all green, deterministic, honest."""
 
 import inspect
+import tracemalloc
 
 import pytest
 
+import b3rep.lattice as lattice_mod
 import b3rep.verify as verify_mod
 from b3rep import (
     DEFAULT_TOL,
     GammaDimVector,
     GenerationFailed,
+    HexDimVector,
     SemisimpleSpec,
     SuiteResult,
     derived_seed,
@@ -54,6 +57,70 @@ def test_run_suite_routes_n_to_the_suite_size_parameter(monkeypatch, suite, size
 
 def test_lemma_suite_ignores_trials_seed_and_tolerance():
     assert run_suite("lemma", trials=5, seed=3).to_json() == run_suite("lemma").to_json()
+
+
+@pytest.mark.parametrize("n, checks", [
+    (1, 16), (2, 22), (5, 70), (8, 374), (10, 967),
+    # N = 18564 vectors: one N x N int64 pair matrix would take 2.8 GB
+    (12, 2216),
+])
+def test_lemma_check_counts(n, checks):
+    result = run_suite("lemma", n=n)
+    assert result.ok, result.failures
+    assert result.checks == checks
+
+
+def test_lemma_suite_allocates_no_pair_matrix():
+    # 3003 vectors of total <= 8: one pair matrix of them is 72 MB
+    tracemalloc.start()
+    try:
+        assert run_suite("lemma", n=8).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def swapped_hex_to_gamma(i):
+    """hex_to_gamma with x and y swapped on the i-th coordinate vector."""
+    real = verify_mod.hex_to_gamma
+
+    def mutated(h):
+        g = real(h)
+        if h == HexDimVector.basis(i):
+            return GammaDimVector(g.a, g.b, g.y, g.x, g.z)
+        return g
+
+    return mutated
+
+
+def euler_with(*changes):
+    """EULER_MATRIX_HEX with the given (i, j, value) entries changed."""
+    rows = [list(row) for row in verify_mod.EULER_MATRIX_HEX]
+    for i, j, value in changes:
+        rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+DISAGREE = "hexagon and bipartite Euler forms disagree"
+
+
+@pytest.mark.parametrize("module, name, value, failure", [
+    # a symmetric pair: the form stays symmetric but leaves the bipartite one
+    (lattice_mod, "EULER_MATRIX_HEX", euler_with((0, 2, -1), (2, 0, -1)), DISAGREE),
+    (lattice_mod, "EULER_MATRIX_HEX", euler_with((1, 3, 1)),
+     "hexagon Euler matrix is not symmetric"),
+    (verify_mod, "hex_to_gamma", swapped_hex_to_gamma(0), DISAGREE),
+    (verify_mod, "hex_to_gamma", swapped_hex_to_gamma(4), DISAGREE),
+])
+def test_lemma_suite_fails_on_a_mutated_form_or_map(monkeypatch, module, name, value,
+                                                    failure):
+    # a changed Euler matrix is the library's: euler_hex reads it as well
+    if module is lattice_mod:
+        monkeypatch.setattr(verify_mod, name, value)
+    monkeypatch.setattr(module, name, value)
+    result = run_suite("lemma")
+    assert failure in result.failures and result.checks == 374
 
 
 def test_unknown_suite_rejected():
