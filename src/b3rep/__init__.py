@@ -8,7 +8,7 @@ smooth, entirely through integer lattice combinatorics (Euler forms of
 two small quivers, a twist action by sixth roots of unity), and holds
 every formula against numerical linear-algebra oracles built from
 explicit matrices: Burnside span tests for simplicity, cocycle /
-coboundary systems for extension dimensions, and the linearized relation
+commutant systems for extension dimensions, and the linearized relation
 for tangent spaces.
 """
 
@@ -25,9 +25,9 @@ from .errors import (
 from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
-    boundary_dim_numeric,
-    boundary_dims_numeric,
+    coboundary_defects_numeric,
     cocycle_dim_numeric,
+    cocycle_dims_numeric,
     ext_dim_numeric,
     ext_dims_numeric,
     hom_dim_numeric,
@@ -101,8 +101,8 @@ __all__ = [
     "SemisimpleSpec", "SimpleInstance", "SpecEntry", "SUITE_NAMES",
     "SuiteResult", "ToleranceAmbiguity", "ToleranceConfig",
     "WitnessUnavailable", "ZETA6", "analyze", "assemble",
-    "boundary_dim_numeric", "boundary_dims_numeric", "burnside_simple",
-    "cocycle_dim_numeric", "component_dim", "component_signature", "derived_seed",
+    "burnside_simple", "coboundary_defects_numeric", "cocycle_dim_numeric",
+    "cocycle_dims_numeric", "component_dim", "component_signature", "derived_seed",
     "entries_isomorphic", "enumerate_component_signatures", "enumerate_hex",
     "enumerate_simple_gamma", "euler_gamma", "euler_hex", "ext_b3_spec",
     "ext_dim_numeric", "ext_dims_numeric", "ext_gamma_pair", "ext_gamma_self",

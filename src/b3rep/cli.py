@@ -39,11 +39,12 @@ _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
-# analyze --verify takes scalar moduli in [1/M, M] only.  Its rank rule
-# has one threshold relative to the largest singular value over all
-# blocks, and the block systems scale with the moduli, so distant moduli
-# push true singular values under it (moduli 1 and 200 give a wrong
-# rank).  Moduli in [1/4, 4] were clean on a sweep of random specs.
+# analyze --verify takes scalar moduli in [1/M, M] only.  The tangent
+# rank does not depend on the moduli, but the relation check does: moduli
+# 1 and 1000 put the singular-value ratio of A at 1e-9 (a false exit 3),
+# the relation residual overflows at 10^30 and 10^100 (exit 3), and the
+# scalar's powers overflow a float at 10^200 (a traceback).  Moduli in
+# [1/4, 4] were clean on a sweep of random specs.
 _MODULUS_BAND = 4
 # Memory of analyze --verify in bytes, 32 d^4 + 64 n^2: the tangent
 # system of the largest summand (dimension d) and the dense assembled
@@ -118,7 +119,7 @@ def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
                for e in spec.entries):
         raise InvalidSpec(
             f"--verify takes scalar moduli in [1/{_MODULUS_BAND}, {_MODULUS_BAND}] "
-            "only; beyond it the numeric rank is unreliable"
+            "only; beyond it the assembled pair's relation check fails"
         )
     need = 32 * max(e.dim for e in spec.entries) ** 4 + 64 * spec.n ** 2
     if need > _VERIFY_BUDGET and not force:

@@ -25,14 +25,17 @@ Every system comes from one builder, ``_system``, which turns a list of
 pairs (P, Q), and optionally a list to subtract, into the matrix of
 F -> sum P F Q on F flattened row-major: vec(P F Q) = kron(P, Q^T) vec(F).
 The commutant stacks (I_W, A_V) minus (A_W, I_V) over the same with B;
-the boundary map is its negation.  The cocycle blocks are
+its image is the coboundary space, negated.  The cocycle blocks are
 (I_W, A_V) + (A_W, I_V) on D_X and (I_W, B_V^2) + (B_W, B_V) + (B_W^2, I_V)
 on D_Y, side by side with D_Y negated (braid) or diagonal (quotient).
 
 The oracles take lists of equal-shape pairs: the builders broadcast over
 a leading stack axis (``PairStack``), one stacked SVD gives every
-system's singular values, and each system gets its own rank threshold.
-The single-pair functions are the one-element case.
+system's singular values, and each system gets its own rank threshold
+(``_ranks``, the one rank rule of the package).  Cocycle systems are
+ranked after their D_X and D_Y column groups are brought to unit scale,
+so that threshold does not depend on the moduli of the pairs.  The
+single-pair functions are the one-element case.
 """
 
 from __future__ import annotations
@@ -65,51 +68,21 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of a stack (..., m, n), largest
-    first; none for empty matrices."""
-    if 0 in M.shape[-2:]:
-        return np.zeros(M.shape[:-2] + (0,))
-    return np.linalg.svd(M, compute_uv=False)
-
-
-def _above(sing: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
-    """Along the last axis of ``sing``: how many singular values lie above
-    the threshold, and whether one lies within a factor 10 of it."""
-    t = np.expand_dims(threshold, -1)
-    return (sing > t).sum(-1), ((sing > t / 10.0) & (sing < t * 10.0)).any(-1)
-
-
-def _rank_decision(weighted, tol: ToleranceConfig) -> tuple[int, bool]:
-    """(numerical rank, ambiguity flag) of a matrix whose singular values
-    are the given arrays, each repeated ``weight`` times, as for a
-    block-diagonal matrix with repeated blocks.
-
-    One threshold, rel_tol times the largest singular value of all, holds
-    for every array.  Ambiguous means some singular value lies within a
-    factor 10 of the threshold, so the rank would move under a modest
-    change of tolerance.
-    """
-    smax = max((float(sing[0]) for sing, _ in weighted if sing.size), default=0.0)
-    if smax < tol.abs_floor:
-        return 0, False
-    threshold = tol.rel_tol * smax
-    rank, ambiguous = 0, False
-    for sing, weight in weighted:
-        above, near = _above(sing, threshold)
-        rank += weight * int(above)
-        ambiguous |= bool(near)
-    return rank, ambiguous
-
-
 def _ranks(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Numerical rank of each matrix of a stack (..., m, n), and its
-    ambiguity flag: ``_rank_decision``'s rule, each matrix against its
-    own threshold."""
-    sing = _singular_values(M)
-    smax = sing[..., 0] if sing.shape[-1] else np.zeros(sing.shape[:-1])
-    ranks, ambiguous = _above(sing, tol.rel_tol * smax)
-    zero = smax < tol.abs_floor
+    ambiguity flag.  Each matrix has its own threshold, rel_tol times its
+    largest singular value, and is the zero map when that value falls
+    below abs_floor.  Ambiguous means some singular value lies within a
+    factor 10 of the threshold, so the rank would move under a modest
+    change of tolerance.  An empty matrix has rank 0."""
+    if 0 in M.shape[-2:]:
+        zeros = np.zeros(M.shape[:-2], dtype=int)
+        return zeros, zeros != 0
+    sing = np.linalg.svd(M, compute_uv=False)
+    threshold = tol.rel_tol * sing[..., :1]
+    ranks = (sing > threshold).sum(-1)
+    ambiguous = ((sing > threshold / 10.0) & (sing < threshold * 10.0)).any(-1)
+    zero = sing[..., 0] < tol.abs_floor
     return np.where(zero, 0, ranks), ambiguous & ~zero
 
 
@@ -228,44 +201,79 @@ def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:
     raise ValueError(f"unknown group kind {group_kind!r}")
 
 
-def cocycle_dim_numeric(V, W, group_kind: str = B3,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the cocycle space Z(V, W)."""
-    _check_kinds(V, W, group_kind)
-    return numeric_kernel_dim(cocycle_matrix(V, W, group_kind), tol)
+def _peak(M: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a stack, 1 for a zero
+    matrix, kept as a (..., 1, 1) axis pair so it divides the stack."""
+    peak = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    return np.where(peak > 0, peak, 1.0)
 
 
-def boundary_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
-    """Dimension of the coboundary space B(V, W) for each of a list of
-    equal-shape pairs (V, W), computed as the rank of the boundary map
-    F -> (A_W F - F A_V, B_W F - F B_V), which is the negated commutant
-    system.  Must equal n_V n_W - dim Hom(V, W) by rank-nullity; tests
-    assert both routes agree."""
-    V, W = _stacks(pairs, B3)
-    ranks, _ = _ranks(commutant_matrix(V, W), tol)
-    return ranks.tolist()
+def _unit_scaled(V: PairStack, W: PairStack) -> tuple[PairStack, PairStack]:
+    """The stacks with each element's A factors divided by
+    sx = max|A_V| + max|A_W| and its B factors by
+    sy = sqrt(b_V^2 + b_W b_V + b_W^2), b = max|B|.  That divides the
+    D_X columns of the cocycle system by sx and its D_Y columns by sy^2,
+    which keeps the rank and bounds the entries of both column groups by
+    about 1, whatever the moduli of the pairs."""
+    b_v, b_w = _peak(V.B), _peak(W.B)
+    sx = _peak(V.A) + _peak(W.A)
+    sy = np.sqrt(b_v * b_v + b_w * b_v + b_w * b_w)
+    return PairStack(V.A / sx, V.B / sy), PairStack(W.A / sx, W.B / sy)
 
 
-def boundary_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the coboundary space B(V, W)."""
-    return boundary_dims_numeric([(V, W)], tol)[0]
-
-
-def ext_dims_numeric(pairs, group_kind: str = B3,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
-    """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, for each
-    of a list of equal-shape pairs (V, W), with dim B the rank of the
-    commutant system.  All systems of one kind go through one stacked
+def cocycle_dims_numeric(pairs, group_kind: str = B3,
+                         tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """Dimension of the cocycle space Z(V, W) for each of a list of
+    equal-shape pairs (V, W): the kernel dimension of its cocycle system,
+    unit-scaled by ``_unit_scaled`` so that each system's own rank
+    threshold holds at any moduli.  All systems go through one stacked
     SVD.
 
     Raises ToleranceAmbiguity when a singular value of any system falls
     within a factor 10 of that system's rank threshold.
     """
+    cocycles = cocycle_matrix(*_unit_scaled(*_stacks(pairs, group_kind)), group_kind)
+    return (cocycles.shape[-1] - _checked(*_ranks(cocycles, tol))).tolist()
+
+
+def cocycle_dim_numeric(V, W, group_kind: str = B3,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of the cocycle space Z(V, W); raises ToleranceAmbiguity
+    when the rank threshold is not clean."""
+    return cocycle_dims_numeric([(V, W)], group_kind, tol)[0]
+
+
+def coboundary_defects_numeric(pairs, group_kind: str = B3,
+                               tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """Rank of the cocycle system on the coboundaries, for each of a list
+    of equal-shape pairs (V, W): of ``cocycle_matrix @ commutant_matrix``,
+    whose columns are the cocycle conditions on the coboundaries
+    F -> (F A_V - A_W F, F B_V - B_W F).  It is 0 exactly when every
+    coboundary is a cocycle, which needs both pairs to satisfy the
+    relation and the two systems to agree on signs and transposes: the
+    premise of dim Ext = dim Z - dim B.  The product is divided by
+    (max|A_V| + max|A_W|)^2 + (max|B_V| + max|B_W|)^3, which bounds the
+    terms it cancels, so abs_floor tells zero relative to them."""
     V, W = _stacks(pairs, group_kind)
-    cocycles = cocycle_matrix(V, W, group_kind)
-    z_dims = cocycles.shape[-1] - _checked(*_ranks(cocycles, tol))
-    b_dims = _checked(*_ranks(commutant_matrix(V, W), tol))
-    return (z_dims - b_dims).tolist()
+    terms = (_peak(V.A) + _peak(W.A)) ** 2 + (_peak(V.B) + _peak(W.B)) ** 3
+    product = cocycle_matrix(V, W, group_kind) @ commutant_matrix(V, W)
+    ranks, _ = _ranks(product / terms, tol)
+    return ranks.tolist()
+
+
+def ext_dims_numeric(pairs, group_kind: str = B3,
+                     tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, for each
+    of a list of equal-shape pairs (V, W), with dim Z from
+    ``cocycle_dims_numeric`` and dim B the rank of the commutant system.
+    All systems of one kind go through one stacked SVD each.
+
+    Raises ToleranceAmbiguity when a singular value of any system falls
+    within a factor 10 of that system's rank threshold.
+    """
+    z_dims = cocycle_dims_numeric(pairs, group_kind, tol)
+    b_dims = _checked(*_ranks(commutant_matrix(*_stacks(pairs, group_kind)), tol))
+    return [z - int(b) for z, b in zip(z_dims, b_dims)]
 
 
 def ext_dim_numeric(V, W, group_kind: str = B3,

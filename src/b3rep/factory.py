@@ -112,9 +112,11 @@ class RepValidation:
         return self.ok
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> RepValidation:
     """Check invertibility and the defining relation of the given kind
-    at tolerance; returns the verdict together with residual norms."""
+    at tolerance; returns the verdict together with residual norms.  A
+    residual or scale that overflowed certifies nothing, so it fails."""
     residuals = {}
     invertible = True
     for name, M in (("A", V.A), ("B", V.B)):
@@ -136,7 +138,8 @@ def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> R
         res = float(np.linalg.norm(a2 - b3))
         scale = max(float(np.linalg.norm(a2)), float(np.linalg.norm(b3)))
         residuals["relation_A2_B3"] = res
-        ok = invertible and res <= tol.rel_tol * scale
+        # false for a nan residual, and for an infinite scale
+        ok = invertible and res <= tol.rel_tol * scale < np.inf
     else:
         raise ValueError(f"unknown relation kind {kind!r}")
     return RepValidation(ok, kind, residuals)

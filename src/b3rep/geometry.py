@@ -34,14 +34,7 @@ from .errors import (
     ToleranceAmbiguity,
     WitnessUnavailable,
 )
-from .extoracle import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    _checked,
-    _rank_decision,
-    _singular_values,
-    cocycle_matrix,
-)
+from .extoracle import DEFAULT_TOL, ToleranceConfig, cocycle_dims_numeric
 from .factory import RepPair, SemisimpleSpec, SpecEntry, assemble, entries_isomorphic
 from .constants import B3
 from .lattice import (
@@ -190,33 +183,37 @@ def _tangent_dim(quiver: LocalQuiver) -> int:
 
 
 def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Tangent-space dimension measured from the matrices: 2 n^2 minus
-    the rank of the linearized relation
+    """Tangent-space dimension measured from the matrices: the kernel
+    dimension of the linearized relation
 
         (dA, dB) -> dA A + A dA - (dB B^2 + B dB B + B^2 dB),
 
-    whose kernel is the cocycle space Z^1(V, V) of the braid relation.
+    which is the cocycle space Z^1(V, V) of the braid relation.
 
-    The rank is taken block by block.  When A and B share a block-diagonal
-    zero pattern, the linearized relation is block diagonal up to a
-    permutation of rows and columns, and its block (i, j) is the cocycle
-    system from the j-th diagonal block of V to the i-th.  Exactly equal
-    diagonal blocks (repeated summands) form one class, whose systems are
-    solved once and counted by multiplicity.  The rank rule is that of a
-    single matrix: one threshold relative to the largest singular value
-    over all blocks.  Dense input, such as a unitary conjugate of an
+    The kernel is taken block by block.  When A and B share a
+    block-diagonal zero pattern, the linearized relation is block
+    diagonal up to a permutation of rows and columns, and its block
+    (i, j) is the cocycle system from the j-th diagonal block of V to the
+    i-th, so dim Z is the sum of the blocks' cocycle dimensions.  Exactly
+    equal diagonal blocks (repeated summands) form one class, whose
+    systems are solved once and counted by multiplicity; the systems of
+    one shape go through one ``cocycle_dims_numeric`` call, each against
+    its own threshold.  Dense input, such as a unitary conjugate of an
     assembled pair, is one block, so its rank comes from one SVD of the
     full n^2 x 2n^2 system.
 
-    Raises ToleranceAmbiguity when the rank threshold is not clean.
+    Raises ToleranceAmbiguity when a rank threshold is not clean.
     """
     classes = _block_classes(V)
-    weighted = [
-        (_singular_values(cocycle_matrix(dom, cod, B3)), c_dom * c_cod)
-        for cod, c_cod in classes
-        for dom, c_dom in classes
-    ]
-    return 2 * V.n ** 2 - _checked(*_rank_decision(weighted, tol))
+    by_shape: dict[tuple[int, int], list] = {}
+    for cod, c_cod in classes:
+        for dom, c_dom in classes:
+            by_shape.setdefault((dom.n, cod.n), []).append(((dom, cod), c_dom * c_cod))
+    total = 0
+    for members in by_shape.values():
+        pairs, counts = zip(*members)
+        total += sum(c * z for c, z in zip(counts, cocycle_dims_numeric(pairs, B3, tol)))
+    return total
 
 
 def _diagonal_blocks(V: RepPair) -> list[slice]:
@@ -339,17 +336,11 @@ def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSign
         raise ValueError("point is smooth; no intersection witnesses")
     entries = spec.entries
     classes = [orbit_class(e.alpha) for e in entries]
-
-    def merged_signature(removals: list[tuple[int, int]], merged: GammaDimVector):
-        mults = [e.mult for e in entries]
-        for idx, copies in removals:
-            mults[idx] -= copies
-        factors = [orbit_class(merged)]
-        for cls, mult in zip(classes, mults):
-            factors.extend([cls] * mult)
-        return ComponentSignature(tuple(factors))
-
-    witnesses: list[ComponentSignature] = []
+    # each witness is the spec's signature with the removed copies
+    # replaced by the merged class, so (merged class, removed classes)
+    # determines it; every distinct witness is built once, in order of
+    # first appearance
+    keys: dict[tuple, None] = {}
     for failure in failures:
         if failure["kind"] == "cross_ext":
             i, j = (t - 1 for t in failure["entries"])
@@ -362,7 +353,7 @@ def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSign
                     f"merged vector {merged} failed the simplicity criterion; "
                     "this contradicts the merging rule and wants a close look"
                 )
-            witnesses.append(merged_signature([(i, 1), (j, 1)], merged))
+            keys.setdefault((orbit_class(merged), tuple(sorted((classes[i], classes[j])))))
         elif failure["kind"] == "multiplicity" and failure["dim"] >= 3:
             i = failure["entry"] - 1
             merged = 2 * entries[i].alpha
@@ -370,12 +361,14 @@ def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSign
                 raise B3RepError(
                     f"doubled vector {merged} failed the simplicity criterion"
                 )
-            witnesses.append(merged_signature([(i, 2)], merged))
-    deduped = []
-    for w in witnesses:
-        if w not in deduped:
-            deduped.append(w)
-    if not deduped:
+            keys.setdefault((orbit_class(merged), (classes[i], classes[i])))
+    copies = Counter(cls for cls, e in zip(classes, entries) for _ in range(e.mult))
+    witnesses = []
+    for merged, removed in keys:
+        rest = copies.copy()
+        rest.subtract(removed)
+        witnesses.append(ComponentSignature((merged, *rest.elements())))
+    if not witnesses:
         offenders = [f for f in failures if f["kind"] == "multiplicity"]
         raise WitnessUnavailable(
             "all failures are 2-dimensional summands with multiplicity >= 2 "
@@ -383,7 +376,7 @@ def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSign
             "singular but a second generically-semisimple component is not "
             "guaranteed"
         )
-    return deduped
+    return witnesses
 
 
 def analyze(spec: SemisimpleSpec) -> AnalysisReport:

@@ -16,8 +16,9 @@ from b3rep import (
     ToleranceAmbiguity,
     ToleranceConfig,
     assemble,
-    boundary_dim_numeric,
+    coboundary_defects_numeric,
     cocycle_dim_numeric,
+    cocycle_dims_numeric,
     enumerate_simple_gamma,
     ext_dim_numeric,
     ext_gamma_pair,
@@ -32,7 +33,6 @@ from b3rep import (
 from b3rep.extoracle import (
     PairStack,
     _ranks,
-    boundary_dims_numeric,
     cocycle_matrix,
     commutant_matrix,
     ext_dims_numeric,
@@ -62,13 +62,47 @@ def test_kernel_dim_basics():
     assert numeric_rank(np.diag([1.0, 1e-3, 1e-15])) == 2
 
 
+def rank_decisions(*diagonals):
+    """(rank, ambiguous) of each diagonal matrix with the given diagonal,
+    zero-padded to one shape and ranked as one stack."""
+    width = max(len(d) for d in diagonals)
+    M = np.stack([np.diag(np.pad(np.asarray(d, dtype=float), (0, width - len(d))))
+                  for d in diagonals])
+    ranks, ambiguous = _ranks(M, ToleranceConfig())  # rel_tol 1e-8, abs_floor 1e-12
+    return list(zip(ranks.tolist(), ambiguous.tolist()))
+
+
+def test_rank_rule_per_matrix():
+    # clean gap: 1e-12 is far below the threshold 1e-8
+    assert rank_decisions([1.0, 1e-3, 1e-12]) == [(2, False)]
+    # within a factor 10 of the threshold, on either side, is ambiguous
+    assert rank_decisions([1.0, 5e-8], [1.0, 2e-9], [1.0, 2e-7], [1.0, 5e-10]) == \
+        [(2, True), (1, True), (2, False), (1, False)]
+    # each matrix against its own largest singular value: 1e-6 counts even
+    # next to a matrix whose largest is 1e4
+    assert rank_decisions([1e4], [1e-6]) == [(1, False), (1, False)]
+    # below abs_floor a matrix is the zero map, and never ambiguous
+    assert rank_decisions([1e-13, 1e-14], [1.0]) == [(0, False), (1, False)]
+    # empty matrices have rank 0, stacked or single
+    ranks, ambiguous = _ranks(np.zeros((3, 0, 4)), ToleranceConfig())
+    assert ranks.tolist() == [0, 0, 0] and not ambiguous.any()
+    assert numeric_rank(np.zeros((0, 5))) == 0
+    # the one-matrix rank is the same rule
+    assert numeric_rank(np.diag([3.0, 1.0, 1e-13])) == 2
+
+
 def test_near_threshold_singular_value_is_ambiguous():
     # a clean system at default tolerance turns ambiguous when the
     # threshold is pushed into the spectrum
     v = one_dim_rep(0)
     assert ext_dim_numeric(v, v, B3) == 1
+    loose = ToleranceConfig(rel_tol=0.9, abs_floor=1e-13)
     with pytest.raises(ToleranceAmbiguity):
-        ext_dim_numeric(v, v, B3, ToleranceConfig(rel_tol=0.9, abs_floor=1e-13))
+        ext_dim_numeric(v, v, B3, loose)
+    # the cocycle dimension alone checks its threshold too
+    assert cocycle_dim_numeric(v, v, B3) == 1
+    with pytest.raises(ToleranceAmbiguity):
+        cocycle_dim_numeric(v, v, B3, loose)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +180,9 @@ def test_stacked_oracles_equal_per_pair_results(n_v, n_w):
                for (v, w), rank in zip(pairs, ranks)]
         assert ext_dims_numeric(pairs, kind) == ext
         assert ext == [ext_dim_numeric(v, w, kind) for v, w in pairs]
-        assert boundary_dims_numeric(pairs) == ranks
+        assert cocycle_dims_numeric(pairs, kind) == \
+            [numeric_kernel_dim(reference_cocycle(v, w, kind)) for v, w in pairs]
+        assert coboundary_defects_numeric(pairs, kind) == [0] * len(pairs)
         assert hom_dims_numeric(pairs, kind) == [n_v * n_w - rank for rank in ranks]
         assert hom_dims_numeric(pairs, kind) == [hom_dim_numeric(v, w, kind) for v, w in pairs]
     assert len(set(ext)) > 1 or n_v * n_w == 1
@@ -171,10 +207,11 @@ def test_one_ambiguous_element_makes_the_stacked_ext_raise():
     assert ext_dims_numeric([(clean, clean)] * 2, B3) == [3, 3]
     with pytest.raises(ToleranceAmbiguity):
         ext_dims_numeric([(clean, clean), (near, near), (clean, clean)], B3)
-    # Hom and the boundary rank do not check: each element gets its own
-    # answer, and the near pair's two small values fall under its threshold
+    # Hom and the coboundary defect do not check: each element gets its
+    # own answer, and the near pair's two small values fall under its
+    # threshold
     assert hom_dims_numeric([(clean, clean), (near, near)], B3) == [3, 5]
-    assert boundary_dims_numeric([(clean, clean), (near, near)]) == [6, 4]
+    assert coboundary_defects_numeric([(clean, clean), (near, near)], B3) == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +304,20 @@ def test_braid_sixth_root_twist_reduces_to_quotient_case():
         assert ext_dim_numeric(v0, w, B3) == expected, k
 
 
-def test_boundary_dimension_agrees_with_rank_nullity():
+def test_every_coboundary_is_a_cocycle():
     a = GammaDimVector(1, 1, 1, 1, 0)
     s = random_simple_gamma(a, seed=31)
     t = random_simple_gamma(a, seed=32)
-    for v, w in ((s.rep, t.rep), (s.rep, s.rep), (one_dim_rep(0), s.rep)):
-        hom = hom_dim_numeric(v, w, GAMMA)
-        assert boundary_dim_numeric(v, w) == v.n * w.n - hom
+    quotient = [(s.rep, t.rep), (s.rep, s.rep), (one_dim_rep(0), s.rep)]
+    assert coboundary_defects_numeric(quotient[:2], GAMMA) == [0, 0]
+    assert coboundary_defects_numeric(quotient[2:], GAMMA) == [0]
+    lam = ExactScalar(Fraction(3, 2), Fraction(1, 7))
+    braid = [(scale_rep(v, lam), scale_rep(w, lam)) for v, w in quotient[:2]]
+    assert coboundary_defects_numeric(braid, B3) == [0, 0]
+    # B doubled: A^2 = 1 but B^3 = 8, so the coboundary F -> (F A - A F,
+    # F B' - B F) of F = I is no cocycle; the defect is F -> -7 F, of full rank
+    doubled = RepPair(s.rep.A, 2 * s.rep.B, B3)
+    assert coboundary_defects_numeric([(doubled, s.rep)], B3) == [4]
 
 
 def test_cocycle_space_of_braid_relation_contains_boundaries():

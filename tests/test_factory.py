@@ -406,6 +406,23 @@ def test_validate_scaled_character():
     assert validate_rep(doubled, B3)
 
 
+def test_validate_fails_when_a_norm_overflows():
+    # (2,1;1,1,1) at modulus 10^30: A^2 and B^3 have entries near 1e180,
+    # so their norms overflow; with B doubled the relation fails by a
+    # factor 8, and inf <= rel_tol * inf must not pass it
+    dim3 = GammaDimVector(2, 1, 1, 1, 1)
+    spec = SemisimpleSpec((SpecEntry(dim3, ExactScalar.from_rational(10 ** 30), 1, "q"),))
+    rep = assemble(spec, seed=0)
+    doubled = RepPair(rep.A, 2 * rep.B, B3)
+    for pair in (doubled, rep):
+        valid = validate_rep(pair, B3)
+        assert not valid and valid.residuals["relation_A2_B3"] == np.inf
+    # the same pair at modulus 1 checks cleanly either way
+    rep = assemble(SemisimpleSpec((SpecEntry(dim3, ONE, 1, "q"),)), seed=0)
+    assert validate_rep(rep, B3)
+    assert not validate_rep(RepPair(rep.A, 2 * rep.B, B3), B3)
+
+
 # ---------------------------------------------------------------------------
 # spec entries and isomorphism
 # ---------------------------------------------------------------------------

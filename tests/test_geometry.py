@@ -7,7 +7,6 @@ import pytest
 
 from b3rep import (
     B3,
-    DEFAULT_TOL,
     ComponentSignature,
     ExactScalar,
     GammaDimVector,
@@ -29,14 +28,13 @@ from b3rep import (
     gln_retract,
     intersection_witnesses,
     local_quiver,
-    numeric_rank,
     orbit_class,
     random_spec,
     tangent_dim_formula,
     tangent_dim_numeric,
     validate_rep,
 )
-from b3rep.extoracle import _rank_decision
+from b3rep import geometry
 from b3rep.geometry import _block_classes, _diagonal_blocks, assemble_and_measure
 
 ONE = ExactScalar.one()
@@ -315,29 +313,27 @@ def test_block_detection_and_classes_on_hand_built_pair():
     assert len(_diagonal_blocks(RepPair(A_up, B, B3))) == 1
 
 
-def test_rank_rule_on_weighted_singular_values():
-    tol = DEFAULT_TOL  # rel_tol 1e-8, abs_floor 1e-12
-    # clean gap: 1e-12 is far below the threshold 1e-8
-    assert _rank_decision([(np.array([1.0, 1e-3, 1e-12]), 1)], tol) == (2, False)
-    # one threshold for all systems, set by the largest singular value of all:
-    # 1e-6 counts on its own but not next to 1e4 (threshold 1e-4)
-    assert _rank_decision([(np.array([1e-6]), 1)], tol) == (1, False)
-    assert _rank_decision([(np.array([1e4]), 1), (np.array([1e-6]), 1)], tol) == (1, False)
-    # within a factor 10 of the threshold, on either side, is ambiguous
-    assert _rank_decision([(np.array([1.0, 5e-8]), 1)], tol) == (2, True)
-    assert _rank_decision([(np.array([1.0, 2e-9]), 1)], tol) == (1, True)
-    assert _rank_decision([(np.array([10.0]), 1), (np.array([5e-7]), 1)], tol) == (2, True)
-    # below abs_floor everything is the zero map
-    assert _rank_decision([(np.array([1e-13, 1e-14]), 3)], tol) == (0, False)
-    assert _rank_decision([(np.zeros(0), 1)], tol) == (0, False)
-    # each system's rank counts weight times
-    weighted = [(np.array([2.0, 1.0, 0.0]), 1), (np.array([1.0, 0.0]), 6),
-                (np.array([3.0, 1e-15]), 4)]
-    assert _rank_decision(weighted, tol) == (2 + 6 + 4, False)
-    # the one-matrix rank is the same rule on one unweighted list
-    M = np.diag([3.0, 1.0, 1e-13])
-    assert _rank_decision([(np.linalg.svd(M, compute_uv=False), 1)], tol) == (2, False)
-    assert numeric_rank(M, tol) == 2
+def scalar(modulus):
+    return ExactScalar(Fraction(modulus), 0)
+
+
+@pytest.mark.parametrize("entries", [
+    *[(entry(DIM2, ONE, iid="p"), entry(DIM3, scalar(r), iid="q"))
+      for r in (64, 128, 200, 1000, 10 ** 6)],
+    (entry(DIM3, scalar(10 ** 30)),),
+    (entry(DIM3, scalar(Fraction(1, 10 ** 30))),),
+    *[(entry(A0, scalar(r), iid="a"), entry(A1, scalar(r), iid="b"))
+      for r in (16, Fraction(1, 10 ** 30), 10 ** 30)],
+], ids=lambda entries: "+".join(f"{e.alpha}@{e.lam.r}" for e in entries))
+def test_tangent_numeric_at_distant_moduli(entries):
+    # one rank threshold over all block systems loses the small ones next
+    # to the large (ambiguous at 64 and 128, 31 from 200 on, 15 and 18 at
+    # 10^30 and 10^-30, 8 for the characters at 10^-30); per-system
+    # thresholds without unit-scaled column groups give 4 for the adjacent
+    # characters at 16
+    spec = spec_of(*entries)
+    for seed in range(3):
+        assert tangent_dim_numeric(assemble(spec, seed=seed)) == tangent_dim_formula(spec)
 
 
 def test_tangent_numeric_on_a_large_point_of_small_summands():
@@ -489,6 +485,25 @@ def test_witnesses_deduplicate_equal_signatures():
     witnesses = intersection_witnesses(spec)
     assert len(witnesses) == 1
     assert witnesses[0] == ComponentSignature.from_factors([DIM2] + vertices[:4])
+
+
+def test_witnesses_build_each_distinct_signature_once(monkeypatch):
+    # 60 entries of one type at one scalar fail on all 1770 pairs of
+    # entries, and every failure gives the same witness: it is built once,
+    # not once per failure, which made analyze cubic in the entry count
+    built = []
+
+    class Counting(ComponentSignature):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    spec = spec_of(*(entry(DIM3, iid=f"s{i}") for i in range(60)))
+    monkeypatch.setattr(geometry, "ComponentSignature", Counting)
+    witnesses = intersection_witnesses(spec)
+    assert len(built) == 1
+    assert [w.factors for w in witnesses] == \
+        [ComponentSignature.from_factors([2 * DIM3] + [DIM3] * 58).factors]
 
 
 def test_witness_preserves_total_dimension():
