@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
@@ -39,13 +38,6 @@ _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
-# analyze --verify takes scalar moduli in [1/M, M] only.  The tangent
-# rank does not depend on the moduli, but the relation check does: moduli
-# 1 and 1000 put the singular-value ratio of A at 1e-9 (a false exit 3),
-# the relation residual overflows at 10^30 and 10^100 (exit 3), and the
-# scalar's powers overflow a float at 10^200 (a traceback).  Moduli in
-# [1/4, 4] were clean on a sweep of random specs.
-_MODULUS_BAND = 4
 # Memory of analyze --verify in bytes, 32 d^4 + 64 n^2: the tangent
 # system of the largest summand (dimension d) and the dense assembled
 # n x n pair with its copy.  Without --force it may use what one summand
@@ -113,13 +105,13 @@ def cmd_components(args) -> int:
 
 def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
     """Raise InvalidSpec when ``analyze --verify`` should not assemble the
-    spec: a scalar modulus outside the band, or, without --force, a
-    memory estimate above the budget."""
-    if not all(Fraction(1, _MODULUS_BAND) <= e.lam.r <= _MODULUS_BAND
+    spec: a scalar whose |lambda|^6, the scale of A^2 = B^3, is not a
+    normal float, or, without --force, a memory estimate above the budget."""
+    if not all(sys.float_info.min <= e.lam.r ** 6 <= sys.float_info.max
                for e in spec.entries):
         raise InvalidSpec(
-            f"--verify takes scalar moduli in [1/{_MODULUS_BAND}, {_MODULUS_BAND}] "
-            "only; beyond it the assembled pair's relation check fails"
+            "--verify takes scalar moduli whose sixth power is a normal float "
+            f"only, in [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]"
         )
     need = 32 * max(e.dim for e in spec.entries) ** 4 + 64 * spec.n ** 2
     if need > _VERIFY_BUDGET and not force:

@@ -32,10 +32,10 @@ on D_Y, side by side with D_Y negated (braid) or diagonal (quotient).
 The oracles take lists of equal-shape pairs: the builders broadcast over
 a leading stack axis (``PairStack``), one stacked SVD gives every
 system's singular values, and each system gets its own rank threshold
-(``_ranks``, the one rank rule of the package).  Cocycle systems are
-ranked after their D_X and D_Y column groups are brought to unit scale,
-so that threshold does not depend on the moduli of the pairs.  The
-single-pair functions are the one-element case.
+(``_ranks``, the one rank rule of the package).  Cocycle and commutant
+systems are ranked on unit-scaled stacks (``_unit_scaled``), so that no
+threshold depends on the moduli of the pairs.  The single-pair functions
+are the one-element case.
 """
 
 from __future__ import annotations
@@ -169,14 +169,14 @@ def commutant_matrix(V, W) -> np.ndarray:
 def hom_dims_numeric(pairs, group_kind: str = B3,
                      tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Dimension of the intertwiner space Hom(V, W) for each of a list
-    of equal-shape pairs (V, W).
+    of equal-shape pairs (V, W), from the unit-scaled commutant system.
 
     The linear condition is the same for both relation kinds; the kind
     argument only enforces that quotient-case Hom is asked of matrix
     pairs tagged as satisfying A^2 = B^3 = 1.
     """
     V, W = _stacks(pairs, group_kind)
-    ranks, _ = _ranks(commutant_matrix(V, W), tol)
+    ranks, _ = _ranks(commutant_matrix(*_unit_scaled(V, W)), tol)
     return (V.n * W.n - ranks).tolist()
 
 
@@ -201,23 +201,24 @@ def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:
     raise ValueError(f"unknown group kind {group_kind!r}")
 
 
-def _peak(M: np.ndarray) -> np.ndarray:
-    """Largest entry modulus of each matrix of a stack, 1 for a zero
-    matrix, kept as a (..., 1, 1) axis pair so it divides the stack."""
-    peak = np.abs(M).max(axis=(-2, -1), keepdims=True)
+def _peak(M: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Largest entry modulus of each matrix of a stack (or of each row,
+    with axis=-1), 1 for a zero one, kept as an axis so it divides M."""
+    peak = np.abs(M).max(axis=axis, keepdims=True)
     return np.where(peak > 0, peak, 1.0)
 
 
 def _unit_scaled(V: PairStack, W: PairStack) -> tuple[PairStack, PairStack]:
     """The stacks with each element's A factors divided by
     sx = max|A_V| + max|A_W| and its B factors by
-    sy = sqrt(b_V^2 + b_W b_V + b_W^2), b = max|B|.  That divides the
-    D_X columns of the cocycle system by sx and its D_Y columns by sy^2,
-    which keeps the rank and bounds the entries of both column groups by
-    about 1, whatever the moduli of the pairs."""
+    sy = sqrt(b_V^2 + b_W b_V + b_W^2), b = max|B|, taken as a hypot that
+    squares no peak.  That divides the cocycle system's D_X and D_Y columns
+    by sx and sy^2 and the commutant's A and B rows by sx and sy, which
+    keeps both kernels and bounds every group's entries by about 1,
+    whatever the moduli of the pairs."""
     b_v, b_w = _peak(V.B), _peak(W.B)
     sx = _peak(V.A) + _peak(W.A)
-    sy = np.sqrt(b_v * b_v + b_w * b_v + b_w * b_w)
+    sy = np.hypot(b_v + b_w / 2, np.sqrt(0.75) * b_w)
     return PairStack(V.A / sx, V.B / sy), PairStack(W.A / sx, W.B / sy)
 
 
@@ -265,14 +266,15 @@ def ext_dims_numeric(pairs, group_kind: str = B3,
                      tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, for each
     of a list of equal-shape pairs (V, W), with dim Z from
-    ``cocycle_dims_numeric`` and dim B the rank of the commutant system.
-    All systems of one kind go through one stacked SVD each.
+    ``cocycle_dims_numeric`` and dim B = n_V n_W - dim Hom the rank of
+    the unit-scaled commutant system.  All systems of one kind go through
+    one stacked SVD each.
 
     Raises ToleranceAmbiguity when a singular value of any system falls
     within a factor 10 of that system's rank threshold.
     """
     z_dims = cocycle_dims_numeric(pairs, group_kind, tol)
-    b_dims = _checked(*_ranks(commutant_matrix(*_stacks(pairs, group_kind)), tol))
+    b_dims = _checked(*_ranks(commutant_matrix(*_unit_scaled(*_stacks(pairs, group_kind))), tol))
     return [z - int(b) for z, b in zip(z_dims, b_dims)]
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import B3, GAMMA, OMEGA
 from .errors import GenerationFailed, InvalidSpec, IsomorphicDistinctEntries, NotSimpleDimension
-from .extoracle import DEFAULT_TOL, ToleranceConfig
+from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak
 from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
@@ -112,36 +112,36 @@ class RepValidation:
         return self.ok
 
 
+def _row_defect(X: np.ndarray, Y: np.ndarray) -> float:
+    """Largest max|X_i - Y_i| / max(max|X_i|, max|Y_i|) over the rows i:
+    the defect of X = Y, each row on its own scale; nan if one overflowed."""
+    defect = np.abs(X - Y).max(axis=1)
+    scale = np.maximum(np.abs(X).max(axis=1), np.abs(Y).max(axis=1))
+    return float((defect / np.where(scale > 0, scale, 1.0)).max())
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> RepValidation:
-    """Check invertibility and the defining relation of the given kind
-    at tolerance; returns the verdict together with residual norms.  A
-    residual or scale that overflowed certifies nothing, so it fails."""
-    residuals = {}
-    invertible = True
-    for name, M in (("A", V.A), ("B", V.B)):
-        sing = np.linalg.svd(M, compute_uv=False)
-        ratio = float(sing[-1] / sing[0]) if sing[0] > 0 else 0.0
-        residuals[f"min_singular_ratio_{name}"] = ratio
-        if ratio <= tol.rel_tol:
-            invertible = False
-    a2 = V.A @ V.A
-    b3 = V.B @ V.B @ V.B
-    eye = np.eye(V.n)
+    """Check invertibility and the defining relation of the given kind,
+    each row on its own scale; returns the verdict with the values that
+    decided it.  A or B is invertible when its singular-value ratio,
+    after each row is divided by its largest modulus, exceeds rel_tol.
+    The relation holds when ``_row_defect`` of (A^2, B^3) for B3, or of
+    (A^2, I) and (B^3, I) for Gamma, is at most rel_tol."""
+    a2, b3 = V.A @ V.A, V.B @ V.B @ V.B
     if kind == GAMMA:
-        res_a = float(np.linalg.norm(a2 - eye))
-        res_b = float(np.linalg.norm(b3 - eye))
-        residuals["relation_A2"] = res_a
-        residuals["relation_B3"] = res_b
-        ok = invertible and res_a <= tol.rel_tol * V.n and res_b <= tol.rel_tol * V.n
+        relations = {"relation_A2": (a2, np.eye(V.n)), "relation_B3": (b3, np.eye(V.n))}
     elif kind == B3:
-        res = float(np.linalg.norm(a2 - b3))
-        scale = max(float(np.linalg.norm(a2)), float(np.linalg.norm(b3)))
-        residuals["relation_A2_B3"] = res
-        # false for a nan residual, and for an infinite scale
-        ok = invertible and res <= tol.rel_tol * scale < np.inf
+        relations = {"relation_A2_B3": (a2, b3)}
     else:
         raise ValueError(f"unknown relation kind {kind!r}")
+    residuals = {}
+    for name, M in (("A", V.A), ("B", V.B)):
+        sing = np.linalg.svd(M / _peak(M, axis=-1), compute_uv=False)
+        residuals[f"min_singular_ratio_{name}"] = float(sing[-1] / sing[0]) if sing[0] > 0 else 0.0
+    invertible = all(ratio > tol.rel_tol for ratio in residuals.values())
+    residuals.update((key, _row_defect(X, Y)) for key, (X, Y) in relations.items())
+    ok = invertible and all(residuals[key] <= tol.rel_tol for key in relations)
     return RepValidation(ok, kind, residuals)
 
 

@@ -298,52 +298,82 @@ def scaled_spec(*entries):
         for i, (alpha, r) in enumerate(entries)]}
 
 
-@pytest.mark.parametrize("spec", [
-    # without the band: an OverflowError traceback at 1e200, exit 3 on an
-    # overflowed relation residual at 1e100 and 1e30; 1e-30 verifies
-    scaled_spec(([2, 1, 1, 1, 1], "1e200")),
-    scaled_spec(([2, 1, 1, 1, 1], "1e100")),
-    scaled_spec(([2, 1, 1, 1, 1], "1e30")),
-    scaled_spec(([2, 1, 1, 1, 1], "1e-30")),
-    # two summands far apart: these verify without the band, but from a
-    # spread of about 460 validate_rep's singular-value ratio gives exit 3
-    scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "64")),
-    scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "128")),
-    scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "200")),
-    # just outside the band on either side
-    scaled_spec(([2, 1, 1, 1, 1], "4001/1000")),
-    scaled_spec(([2, 1, 1, 1, 1], "249/1000")),
+def verify_scaled(tmp_path, capsys, spec, *flags):
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(spec))
+    return run(capsys, "analyze", "--spec", str(path), "--verify", *flags)
+
+
+def assert_verified(code, out, err):
+    assert code in (0, 1) and err == ""
+    verification = json.loads(out)["verification"]
+    assert verification["matches_formula"] and verification["matches_smooth_criterion"]
+
+
+def assert_refused(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "moduli" in err
+
+
+# The ids spec0-spec8 name the same specs as when --verify took moduli in
+# [1/4, 4] only and refused all nine.  Now only a scalar whose |lambda|^6
+# leaves the float range is refused; the rest verify.
+@pytest.mark.parametrize("spec, refused", [
+    # |lambda|^6 = 10^1200 and 10^600 would overflow A^2 and B^3
+    pytest.param(scaled_spec(([2, 1, 1, 1, 1], "1e200")), True, id="spec0"),
+    pytest.param(scaled_spec(([2, 1, 1, 1, 1], "1e100")), True, id="spec1"),
+    pytest.param(scaled_spec(([2, 1, 1, 1, 1], "1e30")), False, id="spec2"),
+    pytest.param(scaled_spec(([2, 1, 1, 1, 1], "1e-30")), False, id="spec3"),
+    # two summands far apart, once a false exit 3 from validate_rep's
+    # singular-value ratio over the whole pair
+    pytest.param(scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "64")),
+                 False, id="spec4"),
+    pytest.param(scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "128")),
+                 False, id="spec5"),
+    pytest.param(scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], "200")),
+                 False, id="spec6"),
+    pytest.param(scaled_spec(([2, 1, 1, 1, 1], "4001/1000")), False, id="spec7"),
+    pytest.param(scaled_spec(([2, 1, 1, 1, 1], "249/1000")), False, id="spec8"),
 ])
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
 @pytest.mark.parametrize("force", [(), ("--force",)])
 def test_analyze_verify_refuses_moduli_outside_the_band(
-        tmp_path, capsys, monkeypatch, spec, seed, force):
-    refuse_assembly(monkeypatch)
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(spec))
-    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify",
-                         "--seed", seed, *force)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "moduli" in err
+        tmp_path, capsys, monkeypatch, spec, refused, seed, force):
+    if refused:
+        refuse_assembly(monkeypatch)
+        assert_refused(*verify_scaled(tmp_path, capsys, spec, "--seed", seed, *force))
+    else:
+        assert_verified(*verify_scaled(tmp_path, capsys, spec, "--seed", seed, *force))
     # without --verify the exact formulas take any modulus
-    code, out, _ = run(capsys, "analyze", "--spec", str(path))
+    code, out, _ = run(capsys, "analyze", "--spec", str(tmp_path / "scaled.json"))
     assert code in (0, 1) and json.loads(out)["n"] > 0
 
 
+@pytest.mark.parametrize("modulus, refused", [
+    # 10^306 and 10^-306 are normal floats, 10^312 overflows and 10^-312
+    # is below the smallest normal float
+    ("1e51", False), ("1e-51", False), ("1e52", True), ("1e-52", True),
+])
+def test_analyze_verify_takes_moduli_up_to_the_float_range(
+        tmp_path, capsys, monkeypatch, modulus, refused):
+    spec = scaled_spec(([1, 1, 1, 1, 0], "1"), ([2, 1, 1, 1, 1], modulus))
+    if refused:
+        refuse_assembly(monkeypatch)
+        assert_refused(*verify_scaled(tmp_path, capsys, spec))
+    else:
+        assert_verified(*verify_scaled(tmp_path, capsys, spec))
+
+
 @pytest.mark.parametrize("low, high", [("1/4", "4"), ("4", "1/4"), ("1", "4"),
-                                       ("1/2", "5/2")])
+                                       ("1/2", "5/2"), ("1", "1000"), ("1", "1000000")])
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
 def test_analyze_verify_is_clean_across_the_band(tmp_path, capsys, low, high, seed):
-    # a spread of 16 between the moduli still measures the formula's value
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(scaled_spec(([1, 1, 1, 1, 0], low),
-                                           ([2, 1, 1, 1, 1], high),
-                                           ([0, 1, 0, 1, 0], low))))
-    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify",
-                         "--seed", seed)
-    assert code in (0, 1) and err == ""
-    verification = json.loads(out)["verification"]
-    assert verification["matches_formula"] and verification["matches_smooth_criterion"]
+    # a spread of 10^6 between the moduli still measures the formula's value
+    assert_verified(*verify_scaled(tmp_path, capsys,
+                                   scaled_spec(([1, 1, 1, 1, 0], low),
+                                               ([2, 1, 1, 1, 1], high),
+                                               ([0, 1, 0, 1, 0], low)),
+                                   "--seed", seed))
 
 
 def test_analyze_without_verify_ignores_the_size_guard(tmp_path, capsys):

@@ -287,6 +287,17 @@ def test_braid_self_extension_gains_one_dimension():
     assert ext_dim_numeric(scaled, scaled, B3) == ext_gamma_self(inst.alpha) + 1
 
 
+@pytest.mark.parametrize("modulus", [10 ** 6, 10 ** 30, Fraction(1, 10 ** 30)])
+def test_braid_self_extension_at_distant_moduli(modulus):
+    # the commutant's A rows scale as |lambda|^3 and its B rows as
+    # |lambda|^2; under one threshold without unit scaling the B rows were
+    # lost (ambiguous at 10^6, Hom 5 and Ext 7 at 10^30)
+    inst = random_simple_gamma(GammaDimVector(2, 1, 1, 1, 1), seed=1)
+    v = scale_rep(inst.rep, ExactScalar.from_rational(modulus))
+    assert hom_dim_numeric(v, v, B3) == 1
+    assert ext_dim_numeric(v, v, B3) == ext_gamma_self(inst.alpha) + 1
+
+
 def test_braid_incommensurable_scalars_kill_extensions():
     v0 = one_dim_rep(0)
     assert ext_dim_numeric(v0, scale_rep(v0, ExactScalar.from_rational(2)), B3) == 0

@@ -407,20 +407,51 @@ def test_validate_scaled_character():
 
 
 def test_validate_fails_when_a_norm_overflows():
-    # (2,1;1,1,1) at modulus 10^30: A^2 and B^3 have entries near 1e180,
-    # so their norms overflow; with B doubled the relation fails by a
-    # factor 8, and inf <= rel_tol * inf must not pass it
-    dim3 = GammaDimVector(2, 1, 1, 1, 1)
-    spec = SemisimpleSpec((SpecEntry(dim3, ExactScalar.from_rational(10 ** 30), 1, "q"),))
-    rep = assemble(spec, seed=0)
-    doubled = RepPair(rep.A, 2 * rep.B, B3)
-    for pair in (doubled, rep):
-        valid = validate_rep(pair, B3)
-        assert not valid and valid.residuals["relation_A2_B3"] == np.inf
-    # the same pair at modulus 1 checks cleanly either way
-    rep = assemble(SemisimpleSpec((SpecEntry(dim3, ONE, 1, "q"),)), seed=0)
-    assert validate_rep(rep, B3)
-    assert not validate_rep(RepPair(rep.A, 2 * rep.B, B3), B3)
+    def at(exponent):
+        entry = SpecEntry(GammaDimVector(2, 1, 1, 1, 1),
+                          ExactScalar.from_rational(10 ** exponent), 1, "q")
+        return assemble(SemisimpleSpec((entry,)), seed=0)
+
+    # (2,1;1,1,1) at modulus 10^60: A^2 and B^3 have entries near 1e360,
+    # past the float range, and an overflowed row certifies nothing
+    valid = validate_rep(at(60), B3)
+    assert not valid and not np.isfinite(valid.residuals["relation_A2_B3"])
+    # at 10^30 (entries near 1e180) and at 1 the pair checks cleanly; with
+    # B doubled the relation fails by a factor 8 on every row
+    for rep in (at(30), at(0)):
+        assert validate_rep(rep, B3)
+        doubled = validate_rep(RepPair(rep.A, 2 * rep.B, B3), B3)
+        assert not doubled and doubled.residuals["relation_A2_B3"] == pytest.approx(7 / 8)
+
+
+def beside_the_unit(modulus, seed):
+    """(1,1;1,1,0) at 1 next to (2,1;1,1,1) at the given modulus."""
+    spec = SemisimpleSpec((SpecEntry(ALPHA2, ONE, 1, "p"),
+                           SpecEntry(ALPHA3, ExactScalar.from_rational(modulus), 1, "q")))
+    return assemble(spec, seed=seed)
+
+
+@pytest.mark.parametrize("modulus", [10 ** 3, 10 ** 30, Fraction(1, 10 ** 30)])
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_passes_at_distant_moduli(modulus, seed):
+    # over the whole pair, A's singular-value ratio was 1e-9 at 10^3 and
+    # 1e-90 at 10^-30; each row on its own scale is clean
+    valid = validate_rep(beside_the_unit(modulus, seed), B3)
+    assert valid and valid.residuals["relation_A2_B3"] < 1e-14
+
+
+@pytest.mark.parametrize("modulus", [4, 200, 10 ** 3, 10 ** 30, Fraction(1, 10 ** 30)])
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_fails_on_one_broken_block_at_any_moduli(modulus, seed):
+    # a whole-pair threshold is set by the larger block: with the unit
+    # block's B off by 1e-6 the check passed at 4 and at 200
+    rep = beside_the_unit(modulus, seed)
+    doubled, nudged, zero_row = rep.B.copy(), rep.B.copy(), rep.A.copy()
+    doubled[2:, 2:] *= 2
+    nudged[:2, :2] *= 1 + 1e-6
+    zero_row[3] = 0
+    for A, B in ((rep.A, doubled), (rep.A, nudged), (zero_row, rep.B)):
+        assert not validate_rep(RepPair(A, B, B3), B3)
 
 
 # ---------------------------------------------------------------------------

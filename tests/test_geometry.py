@@ -319,7 +319,7 @@ def scalar(modulus):
 
 @pytest.mark.parametrize("entries", [
     *[(entry(DIM2, ONE, iid="p"), entry(DIM3, scalar(r), iid="q"))
-      for r in (64, 128, 200, 1000, 10 ** 6)],
+      for r in (64, 128, 200, 1000, 10 ** 6, 10 ** 80, 10 ** 100)],
     (entry(DIM3, scalar(10 ** 30)),),
     (entry(DIM3, scalar(Fraction(1, 10 ** 30))),),
     *[(entry(A0, scalar(r), iid="a"), entry(A1, scalar(r), iid="b"))
@@ -330,7 +330,8 @@ def test_tangent_numeric_at_distant_moduli(entries):
     # to the large (ambiguous at 64 and 128, 31 from 200 on, 15 and 18 at
     # 10^30 and 10^-30, 8 for the characters at 10^-30); per-system
     # thresholds without unit-scaled column groups give 4 for the adjacent
-    # characters at 16
+    # characters at 16; squared peaks in the unit scaling overflowed from
+    # about 10^77 and gave 30 at 10^80 and 10^100
     spec = spec_of(*entries)
     for seed in range(3):
         assert tangent_dim_numeric(assemble(spec, seed=seed)) == tangent_dim_formula(spec)
