@@ -38,10 +38,13 @@ _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
-# Memory of analyze --verify in bytes, 32 d^4 + 64 n^2: the tangent
-# system of the largest summand (dimension d) and the dense assembled
-# n x n pair with its copy.  Without --force it may use what one summand
-# of dimension 32 needs.
+# Memory of analyze --verify in bytes, 32 d^4 + 64 n^2: twice the
+# Burnside word-span basis of the largest summand (d^2 words of d^2
+# complex entries, 16 d^4), which sets the peak, and the dense assembled
+# n x n pair with its copy.  The tangent system of that summand is the
+# reduced one, about 8 d^4.  Peak RSS of one balanced simple, above the
+# 34 MB of the imported package: 21, 33 and 54 MB at d = 24, 28 and 32.
+# Without --force it may use what one summand of dimension 32 needs.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
 
 EXIT_OK = 0

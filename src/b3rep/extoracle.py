@@ -36,6 +36,14 @@ system's singular values, and each system gets its own rank threshold
 systems are ranked on unit-scaled stacks (``_unit_scaled``), so that no
 threshold depends on the moduli of the pairs.  The single-pair functions
 are the one-element case.
+
+A self block V whose A^2 is a scalar c also has a reduced cocycle system
+(``self_cocycle_dims_numeric``).  In the eigen-splitting of A = s(P+ - P-),
+s^2 = c, the D_X equation is solvable on the (+,+) and (-,-) blocks and
+void on the mixed ones, which leaves a K x d^2 system on D_Y alone,
+K = 2 m+ m- <= d^2 / 2, built by ``_system`` from rectangular factors.
+It replaces the d^2 x 2d^2 system of a large simple, whose SVD dominates
+the tangent oracle.
 """
 
 from __future__ import annotations
@@ -208,6 +216,14 @@ def _peak(M: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     return np.where(peak > 0, peak, 1.0)
 
 
+def _row_defect(X: np.ndarray, Y: np.ndarray) -> float:
+    """Largest max|X_i - Y_i| / max(max|X_i|, max|Y_i|) over the rows i:
+    the defect of X = Y, each row on its own scale; nan if one overflowed."""
+    defect = np.abs(X - Y).max(axis=1)
+    scale = np.maximum(np.abs(X).max(axis=1), np.abs(Y).max(axis=1))
+    return float((defect / np.where(scale > 0, scale, 1.0)).max())
+
+
 def _unit_scaled(V: PairStack, W: PairStack) -> tuple[PairStack, PairStack]:
     """The stacks with each element's A factors divided by
     sx = max|A_V| + max|A_W| and its B factors by
@@ -244,6 +260,79 @@ def cocycle_dim_numeric(V, W, group_kind: str = B3,
     return cocycle_dims_numeric([(V, W)], group_kind, tol)[0]
 
 
+def _eigen_bases(A: np.ndarray, tol: ToleranceConfig):
+    """(L+, R+, L-, R-) for a matrix with A^2 = c I at rel_tol (by
+    ``_row_defect``): the rows Vh[:m] and the columns U[:, :m] of the SVD
+    of each eigenprojector (I +- A/s)/2, s^2 = c, which span its row and
+    column spaces; None when A^2 is not scalar.  The nonzero singular
+    values of an idempotent are at least 1, so those of size >= 1/2
+    count its rank m."""
+    n = A.shape[-1]
+    a2 = A @ A
+    c = np.trace(a2) / n
+    if not _row_defect(a2, c * np.eye(n)) <= tol.rel_tol:
+        return None
+    bases = []
+    for sign in (1, -1):
+        u, sing, vh = np.linalg.svd((np.eye(n) + sign * A / np.sqrt(complex(c))) / 2)
+        m = int((sing >= 0.5).sum())
+        bases += [vh[:m], u[:, :m]]
+    return bases
+
+
+def self_cocycle_dims_numeric(reps, tol: ToleranceConfig = DEFAULT_TOL) -> list[int | None]:
+    """Dimension of the braid cocycle space Z(V, V) for each of a list of
+    pairs V, from a reduced system; None for a pair whose A^2 is not a
+    scalar at rel_tol, which needs the full ``cocycle_dims_numeric``.
+
+    With A^2 = c I write A = s(P+ - P-), s^2 = c, P+- = (I +- A/s)/2.  In
+    the splitting M = sum P^e M P^f, X -> XA + AX multiplies block (e, f)
+    by (e + f)s.  So the cocycle equation fixes D_X on the (+,+) and (-,-)
+    blocks from D_Y, leaves it free on the mixed blocks, K = 2 m+ m-
+    dimensions, and asks P^e (D_Y B^2 + B D_Y B + B^2 D_Y) P^f = 0 there.
+    With L_e and R_f from ``_eigen_bases`` that is the K x d^2 system
+
+        C: D_Y -> L_e (D_Y B^2 + B D_Y B + B^2 D_Y) R_f,  (e, f) = (+,-), (-,+),
+
+    and dim Z = K + d^2 - rank C.  C has about a quarter of the entries of
+    the d^2 x 2d^2 cocycle system.  The projectors come from A itself; A
+    need not be normal.  Each pair is unit-scaled by ``_unit_scaled``
+    first, and the systems of one shape go through one stacked SVD, each
+    against its own threshold.
+
+    Raises ToleranceAmbiguity when a singular value of any system falls
+    within a factor 10 of that system's rank threshold.
+    """
+    dims: list[int | None] = [None] * len(reps)
+    by_shape: dict[tuple[int, int], list] = {}
+    for i, rep in enumerate(reps):
+        stack = PairStack(rep.A[None], rep.B[None])
+        scaled, _ = _unit_scaled(stack, stack)
+        A, B = scaled.A[0], scaled.B[0]
+        bases = _eigen_bases(A, tol)
+        if bases is None:
+            continue
+        l_plus, r_plus, l_minus, r_minus = bases
+        b2 = B @ B
+        system = np.concatenate([_system([(L, b2 @ R), (L @ B, B @ R), (L @ b2, R)])
+                                 for L, R in ((l_plus, r_minus), (l_minus, r_plus))])
+        by_shape.setdefault(system.shape, []).append((i, system))
+    for (k, n2), members in by_shape.items():
+        indices, systems = zip(*members)
+        ranks = _checked(*_ranks(np.stack(systems), tol))
+        for i, rank in zip(indices, ranks):
+            dims[i] = k + n2 - int(rank)
+    return dims
+
+
+def _relation_scaled(V: PairStack) -> PairStack:
+    """Each element as (A/t^3, B/t^2), t = max(max|A|^(1/3), max|B|^(1/2)):
+    entries bounded by 1, and A^2 - B^3 divided by t^6, so the braid
+    relation holds or fails on the scale of the element itself."""
+    t = np.maximum(np.cbrt(_peak(V.A)), np.sqrt(_peak(V.B)))
+    return PairStack(V.A / t ** 3, V.B / t ** 2)
+
+
 def coboundary_defects_numeric(pairs, group_kind: str = B3,
                                tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Rank of the cocycle system on the coboundaries, for each of a list
@@ -252,10 +341,15 @@ def coboundary_defects_numeric(pairs, group_kind: str = B3,
     F -> (F A_V - A_W F, F B_V - B_W F).  It is 0 exactly when every
     coboundary is a cocycle, which needs both pairs to satisfy the
     relation and the two systems to agree on signs and transposes: the
-    premise of dim Ext = dim Z - dim B.  The product is divided by
-    (max|A_V| + max|A_W|)^2 + (max|B_V| + max|B_W|)^3, which bounds the
-    terms it cancels, so abs_floor tells zero relative to them."""
+    premise of dim Ext = dim Z - dim B.  For the braid relation each side
+    is first rescaled on its own (``_relation_scaled``), so a broken pair
+    next to a much larger one keeps its defect at its own scale.  The
+    product is divided by (max|A_V| + max|A_W|)^2 + (max|B_V| + max|B_W|)^3,
+    which bounds the terms it cancels, so abs_floor tells zero relative
+    to them."""
     V, W = _stacks(pairs, group_kind)
+    if group_kind == B3:
+        V, W = _relation_scaled(V), _relation_scaled(W)
     terms = (_peak(V.A) + _peak(W.A)) ** 2 + (_peak(V.B) + _peak(W.B)) ** 3
     product = cocycle_matrix(V, W, group_kind) @ commutant_matrix(V, W)
     ranks, _ = _ranks(product / terms, tol)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import B3, GAMMA, OMEGA
 from .errors import GenerationFailed, InvalidSpec, IsomorphicDistinctEntries, NotSimpleDimension
-from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak
+from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
 from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
@@ -110,14 +110,6 @@ class RepValidation:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _row_defect(X: np.ndarray, Y: np.ndarray) -> float:
-    """Largest max|X_i - Y_i| / max(max|X_i|, max|Y_i|) over the rows i:
-    the defect of X = Y, each row on its own scale; nan if one overflowed."""
-    defect = np.abs(X - Y).max(axis=1)
-    scale = np.maximum(np.abs(X).max(axis=1), np.abs(Y).max(axis=1))
-    return float((defect / np.where(scale > 0, scale, 1.0)).max())
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -34,7 +34,12 @@ from .errors import (
     ToleranceAmbiguity,
     WitnessUnavailable,
 )
-from .extoracle import DEFAULT_TOL, ToleranceConfig, cocycle_dims_numeric
+from .extoracle import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    cocycle_dims_numeric,
+    self_cocycle_dims_numeric,
+)
 from .factory import RepPair, SemisimpleSpec, SpecEntry, assemble, entries_isomorphic
 from .constants import B3
 from .lattice import (
@@ -182,6 +187,14 @@ def _tangent_dim(quiver: LocalQuiver) -> int:
     )
 
 
+#: Smallest self block ranked on the reduced system.  Routing the d = 2-3
+#: self blocks there as well made analyze-blocks slower: in-process passes
+#: (medians of 16 alternated, one BLAS thread, 2 cores) took 0.144 s at 4,
+#: 0.149 s at 3 and 0.160 s at 2.  Those systems are tiny, and the extra
+#: calls per block cost more than the smaller SVD saves.
+REDUCED_SELF_MIN_DIM = 4
+
+
 def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Tangent-space dimension measured from the matrices: the kernel
     dimension of the linearized relation
@@ -190,26 +203,36 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
 
     which is the cocycle space Z^1(V, V) of the braid relation.
 
-    The kernel is taken block by block.  When A and B share a
-    block-diagonal zero pattern, the linearized relation is block
-    diagonal up to a permutation of rows and columns, and its block
-    (i, j) is the cocycle system from the j-th diagonal block of V to the
-    i-th, so dim Z is the sum of the blocks' cocycle dimensions.  Exactly
-    equal diagonal blocks (repeated summands) form one class, whose
-    systems are solved once and counted by multiplicity; the systems of
-    one shape go through one ``cocycle_dims_numeric`` call, each against
-    its own threshold.  Dense input, such as a unitary conjugate of an
-    assembled pair, is one block, so its rank comes from one SVD of the
-    full n^2 x 2n^2 system.
+    The kernel is taken per ordered pair of block classes, self pairs
+    included.  When A and B share a block-diagonal zero pattern, the
+    linearized relation is block diagonal up to a permutation of rows and
+    columns, and its block (i, j) is the cocycle system from the j-th
+    diagonal block of V to the i-th, so dim Z is the sum of the blocks'
+    cocycle dimensions.  Exactly equal diagonal blocks (repeated summands)
+    form one class, whose systems are solved once and counted by
+    multiplicity.  A self pair of dimension >= REDUCED_SELF_MIN_DIM goes
+    to ``self_cocycle_dims_numeric``, which ranks a K x d^2 system with
+    K = 2 m+ m- <= d^2 / 2 when A^2 is scalar on the block.  Every other
+    pair, and a self block whose A^2 is not scalar, goes to the
+    ``cocycle_dims_numeric`` call of its shape, each system against its
+    own threshold.  Dense input, such as a unitary conjugate of an
+    assembled pair, is one block; when its summands have different
+    lambda^6 its rank comes from one SVD of the full n^2 x 2n^2 system.
 
     Raises ToleranceAmbiguity when a rank threshold is not clean.
     """
     classes = _block_classes(V)
+    large = [rep for rep, _ in classes if rep.n >= REDUCED_SELF_MIN_DIM]
+    reduced = dict(zip(map(id, large), self_cocycle_dims_numeric(large, tol)))
+    total = 0
     by_shape: dict[tuple[int, int], list] = {}
     for cod, c_cod in classes:
         for dom, c_dom in classes:
-            by_shape.setdefault((dom.n, cod.n), []).append(((dom, cod), c_dom * c_cod))
-    total = 0
+            z = reduced.get(id(dom)) if dom is cod else None
+            if z is None:
+                by_shape.setdefault((dom.n, cod.n), []).append(((dom, cod), c_dom * c_cod))
+            else:
+                total += c_dom * c_cod * z
     for members in by_shape.values():
         pairs, counts = zip(*members)
         total += sum(c * z for c, z in zip(counts, cocycle_dims_numeric(pairs, B3, tol)))

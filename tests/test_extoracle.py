@@ -37,7 +37,9 @@ from b3rep.extoracle import (
     commutant_matrix,
     ext_dims_numeric,
     hom_dims_numeric,
+    self_cocycle_dims_numeric,
 )
+from b3rep.factory import _random_unitary, random_simples_gamma
 
 ONE = ExactScalar.one()
 
@@ -329,6 +331,88 @@ def test_every_coboundary_is_a_cocycle():
     # F B' - B F) of F = I is no cocycle; the defect is F -> -7 F, of full rank
     doubled = RepPair(s.rep.A, 2 * s.rep.B, B3)
     assert coboundary_defects_numeric([(doubled, s.rep)], B3) == [4]
+
+
+@pytest.mark.parametrize("modulus", [1, 10, 10 ** 3, 10 ** 6])
+def test_coboundary_defect_of_a_small_broken_pair_next_to_a_large_one(modulus):
+    # one scale for the product, set by the larger pair, put the broken
+    # pair's defect under abs_floor: 0 from modulus 10^3 on
+    s = random_simple_gamma(GammaDimVector(1, 1, 1, 1, 0), seed=3)
+    doubled = RepPair(s.rep.A, 2 * s.rep.B, B3)
+    large = scale_rep(s.rep, ExactScalar.from_rational(modulus))
+    assert coboundary_defects_numeric([(doubled, large), (large, doubled)], B3) == [4, 4]
+    assert coboundary_defects_numeric([(s.rep, large), (large, s.rep)], B3) == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the reduced self-block cocycle system
+# ---------------------------------------------------------------------------
+
+REDUCED_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar(Fraction(3, 2), Fraction(1, 7)),
+                   ExactScalar.from_rational(10 ** 30),
+                   ExactScalar.from_rational(Fraction(1, 10 ** 30)))
+
+
+@pytest.mark.parametrize("d", range(4, 9))
+def test_reduced_self_cocycles_match_the_full_system(d):
+    reps = [scale_rep(inst.rep, lam)
+            for alpha in enumerate_simple_gamma(d)
+            for inst in random_simples_gamma(alpha, range(3))
+            for lam in REDUCED_SCALARS]
+    assert self_cocycle_dims_numeric(reps) == cocycle_dims_numeric([(v, v) for v in reps])
+
+
+def test_reduced_self_cocycles_of_dense_semisimple_blocks():
+    # summands with equal lambda^6, mixed by a unitary: A^2 is scalar but
+    # the eigenspaces of A sit in special position against those of B
+    lam, minus_lam = (ExactScalar(Fraction(3, 2), q) for q in (Fraction(1, 7), Fraction(9, 14)))
+    dim1, dim2, dim3, dim4 = (GammaDimVector(1, 0, 1, 0, 0), GammaDimVector(1, 1, 1, 1, 0),
+                              GammaDimVector(2, 1, 1, 1, 1), GammaDimVector(2, 2, 2, 1, 1))
+    specs = [((dim2, lam, 2, "s"),),
+             ((dim2, ONE, 1, "s"), (dim2, ExactScalar.zeta6(1), 1, "t")),
+             ((dim3, ONE, 1, "s"), (dim1, ExactScalar.zeta6(2), 1, "t")),
+             ((dim4, lam, 1, "s"), (dim2, minus_lam, 1, "t"))]
+    reps = []
+    for seed, entries in enumerate(specs):
+        rep = assemble(SemisimpleSpec(tuple(SpecEntry(*e) for e in entries)), seed=seed)
+        u = _random_unitary(rep.n, np.random.default_rng(seed))
+        reps.append(RepPair(u @ rep.A @ u.conj().T, u @ rep.B @ u.conj().T, B3))
+    assert self_cocycle_dims_numeric(reps) == [cocycle_dim_numeric(v, v) for v in reps]
+
+
+def test_reduced_self_cocycles_need_no_normal_A():
+    # a non-unitary similarity makes the eigenprojectors oblique
+    inst = random_simple_gamma(GammaDimVector(3, 3, 2, 2, 2), seed=4)
+    rng = np.random.default_rng(4)
+    G = np.eye(6) + 0.5 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    G_inv = np.linalg.inv(G)
+    v = RepPair(G @ inst.rep.A @ G_inv, G @ inst.rep.B @ G_inv, B3)
+    assert self_cocycle_dims_numeric([v]) == cocycle_dims_numeric([(v, v)]) \
+        == [cocycle_dim_numeric(inst.rep, inst.rep)]
+    # a real pair whose A^2 = -I has a negative real scalar
+    rotation = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
+    real = RepPair(rotation, -np.eye(4), B3)
+    assert self_cocycle_dims_numeric([real]) == cocycle_dims_numeric([(real, real)])
+
+
+def test_reduced_self_cocycles_refuse_a_non_scalar_square():
+    # A^2 = diag(1, 1, 64, 64): two moduli in one block
+    inst = random_simple_gamma(GammaDimVector(1, 1, 1, 1, 0), seed=2)
+    scaled = scale_rep(inst.rep, ExactScalar.from_rational(2))
+    A, B = np.zeros((4, 4), complex), np.zeros((4, 4), complex)
+    A[:2, :2], A[2:, 2:] = inst.rep.A, scaled.A
+    B[:2, :2], B[2:, 2:] = inst.rep.B, scaled.B
+    v = RepPair(A, B, B3)
+    assert self_cocycle_dims_numeric([inst.rep, v]) == \
+        [cocycle_dim_numeric(inst.rep, inst.rep), None]
+
+
+def test_reduced_self_cocycles_raise_on_an_ambiguous_threshold():
+    inst = random_simple_gamma(GammaDimVector(3, 2, 2, 2, 1), seed=0)
+    assert self_cocycle_dims_numeric([inst.rep]) == [cocycle_dim_numeric(inst.rep, inst.rep)]
+    loose = ToleranceConfig(rel_tol=0.9, abs_floor=1e-13)
+    with pytest.raises(ToleranceAmbiguity):
+        self_cocycle_dims_numeric([inst.rep], loose)
 
 
 def test_cocycle_space_of_braid_relation_contains_boundaries():

@@ -278,6 +278,43 @@ def test_block_path_matches_dense_path_on_unitary_conjugates():
                 == tangent_dim_formula(spec), spec.to_json()
 
 
+@pytest.fixture
+def full_shapes(monkeypatch):
+    """(n_V, n_W) of each pair that tangent_dim_numeric ranks on the full
+    cocycle system."""
+    shapes = []
+    full = geometry.cocycle_dims_numeric
+
+    def spy(pairs, kind, tol):
+        shapes.extend((v.n, w.n) for v, w in pairs)
+        return full(pairs, kind, tol)
+
+    monkeypatch.setattr(geometry, "cocycle_dims_numeric", spy)
+    return shapes
+
+
+def test_self_blocks_from_dimension_four_take_the_reduced_system(full_shapes):
+    # every pair but the self pair of the 5-dimensional class
+    big = GammaDimVector(3, 2, 2, 2, 1)
+    spec = spec_of(entry(big, ExactScalar(Fraction(3, 2), Fraction(1, 7)), iid="b"),
+                   entry(DIM3, iid="c"), entry(A0, iid="a"))
+    assert tangent_dim_numeric(assemble(spec, seed=1)) == tangent_dim_formula(spec)
+    assert sorted(full_shapes) == [(1, 1), (1, 3), (1, 5), (3, 1), (3, 3), (3, 5),
+                                   (5, 1), (5, 3)]
+
+
+def test_dense_conjugate_of_mixed_moduli_takes_the_full_system(full_shapes):
+    # A^2 of the conjugate is not scalar (lambda^6 = 1 and 3^6 / 2^6), so
+    # its one block is ranked on the full n^2 x 2n^2 system
+    for seed in range(3):
+        spec = spec_of(entry(GammaDimVector(2, 2, 2, 1, 1), iid="p"),
+                       entry(DIM2, ExactScalar(Fraction(3, 2), 0), iid="q"))
+        conj = _unitary_conjugate(assemble(spec, seed=seed), seed)
+        full_shapes.clear()
+        assert tangent_dim_numeric(conj) == tangent_dim_formula(spec)
+        assert full_shapes == [(6, 6)]
+
+
 def test_block_detection_and_classes_on_hand_built_pair():
     xa = np.array([[1.0, 2.0], [0.0, 3.0]])
     xb = np.array([[4.0, 0.0], [5.0, 6.0]])
