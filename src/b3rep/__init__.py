@@ -7,7 +7,7 @@ A^2 = B^3 = 1.  This package classifies which semisimple points are
 smooth, entirely through integer lattice combinatorics (Euler forms of
 two small quivers, a twist action by sixth roots of unity), and holds
 every formula against numerical linear-algebra oracles built from
-explicit matrices: Burnside span tests for simplicity, cocycle /
+explicit matrices: spin and Burnside span tests for simplicity, cocycle /
 commutant systems for extension dimensions, and the linearized relation
 for tangent spaces.
 """

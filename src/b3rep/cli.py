@@ -38,12 +38,18 @@ _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
-# Memory of analyze --verify in bytes, 32 d^4 + 64 n^2: twice the
-# Burnside word-span basis of the largest summand (d^2 words of d^2
-# complex entries, 16 d^4), which sets the peak, and the dense assembled
-# n x n pair with its copy.  The tangent system of that summand is the
-# reduced one, about 8 d^4.  Peak RSS of one balanced simple, above the
-# 34 MB of the imported package: 21, 33 and 54 MB at d = 24, 28 and 32.
+# Memory of analyze --verify in bytes, 32 d^4 + 64 n^2, for a largest
+# summand of dimension d and a total dimension n.  With one large summand
+# it bounds the arrays of the run: the tangent stage of that summand sets
+# their peak (its reduced K x d^2 system, K <= d^2 / 2, with the copies
+# its build and SVD make), the spin-certified draw holds O(d^2), and
+# 64 n^2 is the dense assembled pair with its copy.  One balanced simple,
+# fresh processes, d = 24 / 28 / 32: tracemalloc peak 6.2 / 10.7 / 17.7 MB
+# (about 17 d^4) against an estimate of 10.6 / 19.7 / 33.6 MB; peak RSS
+# above the 34 MB of the imported package 14 / 21 / 31 MB, about 5 MB of
+# it a fixed cost that a d = 4 run pays too.  The full cross systems of
+# two large summands are not counted: two of dimension 24 took 66 MB
+# above import against an estimate of 11 MB.
 # Without --force it may use what one summand of dimension 32 needs.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
 

@@ -6,11 +6,15 @@ A^2 = B^3 = 1, ``B3`` pairs only A^2 = B^3.  A generic simple of a given
 dimension vector is built by conjugating the exact eigenvalue diagonals
 by independent random unitaries (orthonormalized Gaussian matrices), so
 conditioning stays near 1 and numerical ranks are unambiguous;
-simplicity is then certified by the Burnside span test, which grows the
-word span of {A, B} one word length at a time, by left multiplication
-only, and asks for the full matrix algebra.  Draws of one type come in
-stacks (``random_simples_gamma``), each seeded on its own, so a stack
-costs a few numpy calls per level instead of a few per draw.
+simplicity is then certified by a two-sided spin test in O(n^3)
+(``_spin_certified``): one eigenvector of A B and one of its adjoint must
+each spin to all of C^n.  The Burnside span test (``word_span_dims``,
+``burnside_simple``), which grows the word span of {A, B} one word
+length at a time and asks for the full matrix algebra in O(n^6), stays
+as the independent oracle the tests compare the certificate against;
+both run on the same span engine (``_span_dims``).  Draws of one type
+come in stacks (``random_simples_gamma``), each seeded on its own, so a
+stack costs a few numpy calls per level instead of a few per draw.
 
 A ``SemisimpleSpec`` is the symbolic side of a semisimple module: an
 ordered list of (dimension vector, exact scalar, multiplicity, instance
@@ -43,6 +47,14 @@ ONE_DIM_CHARACTERS = (
 )
 
 _RETRY_LIMIT = 16
+
+#: Smallest dimension at which a lone pair is certified by the spin test.
+#: Below it the spin's fixed cost (eig, solve, a stacked span of two)
+#: loses to the word span: one draw took 0.16 / 0.37 / 0.51 / 0.99 ms by
+#: the word span and 0.25 / 0.48 / 0.64 / 0.93 ms by the spin at d = 2 /
+#: 3 / 4 / 5 (medians of 15 alternated, one BLAS thread, 2 cores).
+#: Stacks of two or more draws were faster by the spin from d = 2 on.
+SPIN_MIN_DIM = 5
 
 
 def derived_seed(*parts) -> int:
@@ -162,20 +174,28 @@ def word_span_dims(A: np.ndarray, B: np.ndarray,
                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Dimension of the linear span of all words in {A, B} (at most n^2)
     for each pair of a stack, A and B of shape (k, n, n), or for one pair
-    of shape (n, n), grown one word length at a time by left
-    multiplication.
+    of shape (n, n): the ``_span_dims`` of the identity."""
+    return _span_dims(A, B, np.eye(A.shape[-1], dtype=complex), tol)
+
+
+def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
+               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Dimension of span{w X0 : w a word in A, B} (at most n m) for each
+    pair of a stack, A and B of shape (k, n, n) and a nonzero X0 of shape
+    (k, n, m), or (n, m) for every pair, or for one pair without the
+    stack axis, grown one word length at a time by left multiplication.
 
     Every word of length l + 1 is A w or B w for a word w of length l.
-    The words accepted up to length l span all words of length <= l, so
+    The words accepted up to length l span all w X0 of length <= l, so
     the left multiples of the words accepted at length l, with the
-    shorter ones, span all words of length <= l + 1.  A level's
-    candidates come from one product with A and B stacked, and are
-    projected against the basis of shorter words in two BLAS passes.
-    They are then accepted in order against the vectors this level has
-    accepted so far: a candidate counts when its norm is at least
-    abs_floor and its residual above rel_tol times its norm.  The
-    accepted words are the next frontier; a span is complete when a
-    level accepts none.
+    shorter ones, span all w X0 of length <= l + 1.  The first basis
+    vector is X0 / |X0|.  A level's candidates come from one product with
+    A and B stacked, and are projected against the basis of shorter words
+    in two BLAS passes.  They are then accepted in order against the
+    vectors this level has accepted so far: a candidate counts when its
+    norm is at least abs_floor and its residual above rel_tol times its
+    norm.  The accepted words are the next frontier; a span is complete
+    when a level accepts none.
 
     In a stack every element keeps its own count.  Bases and frontiers
     are padded with zeros to the largest of the stack: a zero word makes
@@ -186,16 +206,17 @@ def word_span_dims(A: np.ndarray, B: np.ndarray,
     """
     one = A.shape[:-2] == (1,)
     if one:
-        A, B = A[0], B[0]
-    n = A.shape[-1]
-    target = n * n
+        A, B, X0 = A[0], B[0], X0.reshape(X0.shape[-2:])
+    n, m = X0.shape[-2:]
+    target = n * m
     lead = A.shape[:-2]
     generators = np.concatenate([A, B], axis=-2)[..., None, :, :]
     basis = np.zeros(lead + (target, target), dtype=complex)
-    basis[..., 0, :] = np.eye(n).reshape(-1) / np.sqrt(n)
+    start = X0.reshape(X0.shape[:-2] + (target,))
+    basis[..., 0, :] = start / np.sqrt((start.conj() * start).real.sum(-1, keepdims=True))
     count = np.ones(lead, dtype=np.intp)
     low = high = 1
-    frontier = np.eye(n, dtype=complex)[None]
+    frontier = X0[..., None, :, :]
     while frontier.shape[-3] and low < target:
         # rows A w_0, B w_0, A w_1, B w_1, ... of each element's words w_i
         cand = (generators @ frontier).reshape(lead + (-1, target))
@@ -219,12 +240,12 @@ def word_span_dims(A: np.ndarray, B: np.ndarray,
             frontier = cand[kept]
             low = high = int(count)
         # each element's accepted words, in order, are the next frontier
-        frontier = frontier.reshape(lead + (-1, n, n))
+        frontier = frontier.reshape(lead + (-1, n, m))
     return count[None] if one else count
 
 
 def _accept_in_order(basis, resid, live, floor, count) -> np.ndarray:
-    """The in-level step of ``word_span_dims`` for one pair: take the
+    """The in-level step of ``_span_dims`` for one pair: take the
     live residuals in order, project out the vectors accepted before them
     in this level, and append to the basis (rows below ``count`` filled)
     those still above their floor.  Returns the mask of accepted
@@ -293,11 +314,50 @@ def burnside_simple(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return word_span_dim(V, tol) == V.n * V.n
 
 
+def _spin_certified(A: np.ndarray, B: np.ndarray,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Whether each pair of a stack (k, n, n) is simple, by a two-sided
+    spin test in O(n^3) (Parker's Meat-Axe; Holt & Rees, "Testing modules
+    for irreducibility", 1994).
+
+    Take W = A B and its eigenvalue mu farthest from the others, with
+    right eigenvector v and left eigenvector u.  When mu is simple, its
+    eigenspace is the line of v, so a proper submodule U either holds v
+    or has mu as an eigenvalue on the quotient; then U's orthogonal
+    complement, invariant under A^H and B^H, holds u.  So the pair is
+    simple iff v spins to all of C^n under (A, B) and u under
+    (A^H, B^H); both spins go through one ``_span_dims`` stack.  mu
+    counts as simple when its gap exceeds sqrt(rel_tol) max|W|, which
+    keeps the eigenvector error, about eps / gap, far below rel_tol.  A
+    pair without such an eigenvalue, such as a doubled simple, is
+    reported not simple.
+
+    A lone pair of dimension below ``SPIN_MIN_DIM`` takes the word span
+    instead, which is faster there and gives the same verdict.
+    """
+    k, n = A.shape[:2]
+    if k == 1 and n < SPIN_MIN_DIM:
+        return word_span_dims(A, B, tol) == n * n
+    W = A @ B
+    evals, R = np.linalg.eig(W)
+    dist = np.abs(evals[:, :, None] - evals[:, None, :])
+    dist[:, np.arange(n), np.arange(n)] = np.inf
+    gap = dist.min(axis=2)
+    j = gap.argmax(axis=1)
+    clear = gap.max(axis=1) > np.sqrt(tol.rel_tol) * np.abs(W).max(axis=(1, 2))
+    rows = np.arange(k)
+    v, u = R[rows, :, j], np.linalg.inv(R)[rows, j].conj()
+    dims = _span_dims(np.concatenate([A, A.conj().swapaxes(1, 2)]),
+                      np.concatenate([B, B.conj().swapaxes(1, 2)]),
+                      np.concatenate([v, u])[..., None], tol)
+    return clear & (dims[:k] == n) & (dims[k:] == n)
+
+
 @dataclass(eq=False)
 class SimpleInstance:
-    """A generic simple module of a given type, certified by the
-    Burnside test and reproducible from its seed.  ``attempts`` counts
-    how many draws the Burnside test rejected plus one."""
+    """A generic simple module of a given type, certified by the spin
+    test and reproducible from its seed.  ``attempts`` counts how many
+    draws the certificate rejected plus one."""
 
     alpha: GammaDimVector
     seed: int
@@ -310,13 +370,13 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
                          tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
     """Generic simple pairs of type alpha, one per seed: exact eigenvalue
     diagonals conjugated by seeded random unitaries, retried (bounded)
-    until the Burnside test passes.
+    until ``_spin_certified`` certifies them simple.
 
     Each draw has its own generator, seeded from (alpha, seed, attempt),
     so an instance does not depend on the other seeds of the call.  The
     draws of one attempt go through one stacked QR, one stacked
-    conjugation and one stacked span test; only the seeds the test
-    rejected are drawn again, at the next attempt.
+    conjugation and one stacked certificate; only the seeds it rejected
+    are drawn again, at the next attempt.
     """
     if not is_simple_gamma(alpha):
         raise NotSimpleDimension(f"{alpha} is not a simple dimension vector")
@@ -344,7 +404,7 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
             p, q = _unitaries(gauss[:, 0::2] + 1j * gauss[:, 1::2]).swapaxes(0, 1)
             A = p @ diag_a @ p.conj().swapaxes(-1, -2)
             B = q @ diag_b @ q.conj().swapaxes(-1, -2)
-        simple = word_span_dims(A, B, tol) == n * n
+        simple = _spin_certified(A, B, tol)
         for i, a, b, ok in zip(pending, A, B, simple):
             if ok:
                 found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA),

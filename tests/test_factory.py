@@ -34,7 +34,14 @@ from b3rep import (
     validate_rep,
     word_span_dim,
 )
-from b3rep.factory import random_simples_gamma, word_span_dims
+from b3rep.extoracle import cocycle_matrix
+from b3rep.factory import (
+    _random_unitary,
+    _span_dims,
+    _spin_certified,
+    random_simples_gamma,
+    word_span_dims,
+)
 
 ONE = ExactScalar.one()
 ZETA = ExactScalar.zeta6(1)
@@ -188,11 +195,11 @@ def test_first_try_success_rate():
 
 
 def test_generation_failure_is_loud(monkeypatch):
-    # every draw goes through the stacked span test; a span that never
-    # fills the matrix algebra exhausts the retries
+    # every draw goes through the stacked certificate; one that never
+    # certifies a draw exhausts the retries
     import b3rep.factory as factory_mod
-    monkeypatch.setattr(factory_mod, "word_span_dims",
-                        lambda A, B, tol: np.zeros(A.shape[:-2], dtype=int))
+    monkeypatch.setattr(factory_mod, "_spin_certified",
+                        lambda A, B, tol: np.zeros(len(A), dtype=bool))
     with pytest.raises(GenerationFailed):
         random_simple_gamma(ALPHA2, seed=0)
     with pytest.raises(GenerationFailed):
@@ -276,18 +283,18 @@ def test_random_simples_gamma_redraws_only_the_rejected_seed(monkeypatch):
     # exactly as a one-seed draw under the same rejection
     import b3rep.factory as factory_mod
     victim = random_simple_gamma(ALPHA3, 3).rep.A.tobytes()
-    real = factory_mod.word_span_dims
+    real = factory_mod._spin_certified
     stacks = []
 
     def reject_victim(A, B, tol):
-        dims = np.array(real(A, B, tol))
+        simple = np.array(real(A, B, tol))
         stacks.append(A.shape[:-2])
-        for i, a in enumerate(A.reshape(-1, *A.shape[-2:])):
+        for i, a in enumerate(A):
             if a.tobytes() == victim:
-                dims.reshape(-1)[i] = 0
-        return dims
+                simple[i] = False
+        return simple
 
-    monkeypatch.setattr(factory_mod, "word_span_dims", reject_victim)
+    monkeypatch.setattr(factory_mod, "_spin_certified", reject_victim)
     seeds = list(range(6))
     drawn = random_simples_gamma(ALPHA3, seeds)
     assert stacks == [(6,), (1,)]
@@ -350,6 +357,121 @@ def test_word_span_of_two_simples_at_distant_moduli():
     spec = SemisimpleSpec((SpecEntry(alpha, ONE, 1, "p"),
                            SpecEntry(alpha, ExactScalar.from_rational(2), 1, "q")))
     assert word_span_dim(assemble(spec, seed=0)) == 2 * alpha.n ** 2
+
+
+# ---------------------------------------------------------------------------
+# spin certificate
+# ---------------------------------------------------------------------------
+
+def certified(reps):
+    """The certificate of a stack of two or more pairs, which always
+    takes the spin test."""
+    assert len(reps) >= 2
+    return _spin_certified(np.stack([r.A for r in reps]), np.stack([r.B for r in reps]))
+
+
+def conjugates(rep, rng):
+    """rep, a unitary conjugate and an oblique conjugate of it."""
+    n = rep.n
+    u = _random_unitary(n, rng)
+    p = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return [rep] + [RepPair(g @ rep.A @ np.linalg.inv(g), g @ rep.B @ np.linalg.inv(g), B3)
+                    for g in (u, p)]
+
+
+def test_span_dims_of_a_vector_is_its_submodule():
+    # S1 + S2: a vector of one summand spins to that summand, a vector
+    # with a part in each to the whole sum
+    d1, d2 = 3, 4
+    spec = SemisimpleSpec((SpecEntry(balanced(d1), ONE, 1, "p"),
+                           SpecEntry(balanced(d2), ZETA, 1, "q")))
+    rep = assemble(spec, seed=1)
+    x = np.random.default_rng(5).standard_normal(d1 + d2) + 0j
+    starts = np.stack([np.r_[x[:d1], np.zeros(d2)], np.r_[np.zeros(d1), x[d1:]], x])
+    dims = _span_dims(np.stack([rep.A] * 3), np.stack([rep.B] * 3), starts[..., None])
+    assert dims.tolist() == [d1, d2, d1 + d2]
+
+
+def test_spin_certificate_matches_burnside_on_generic_pairs():
+    # every eigenvalue-multiplicity type with n <= 7, simple or not
+    not_simple = 0
+    for n in range(1, 8):
+        for alpha in dimension_vectors(n):
+            reps = [generic_pair(alpha, np.random.default_rng(seed)) for seed in range(5)]
+            expected = [burnside_simple(rep) for rep in reps]
+            assert certified(reps).tolist() == expected, alpha
+            not_simple += expected.count(False)
+    assert not_simple > 3000
+
+
+def test_spin_certificate_matches_burnside_on_simple_types():
+    # 20 generic pairs of every simple type with d <= 10, against the
+    # Burnside test run on the stack
+    for d in range(1, 11):
+        for alpha in enumerate_simple_gamma(d):
+            rng = np.random.default_rng([d, alpha.a, alpha.x, alpha.y])
+            reps = [generic_pair(alpha, rng) for _ in range(20)]
+            spans = word_span_dims(np.stack([r.A for r in reps]), np.stack([r.B for r in reps]))
+            assert certified(reps).tolist() == (spans == d * d).tolist(), alpha
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 4), (2, 3), (5, 5), (6, 2)])
+def test_spin_certificate_refuses_sums(d1, d2):
+    rng = np.random.default_rng(d1 * 10 + d2)
+    split = SemisimpleSpec((SpecEntry(balanced(d1), ONE, 1, "p"),
+                            SpecEntry(balanced(d2), ZETA, 1, "q")))
+    reps = conjugates(assemble(split, seed=d1), rng)
+    if d1 == d2:
+        doubled = SemisimpleSpec((SpecEntry(balanced(d1), ONE, 2, "s"),))
+        reps += conjugates(assemble(doubled, seed=d1), rng)
+    assert not any(burnside_simple(rep) for rep in reps)
+    assert not certified(reps).any()
+
+
+def test_spin_certificate_refuses_non_split_extensions():
+    # 0 -> W -> E -> V -> 0 for adjacent characters V, W, in both orders:
+    # E is upper triangular with a cocycle (D_X, D_Y) that is no coboundary
+    rng = np.random.default_rng(11)
+    reps = []
+    for i in range(6):
+        for v, w in ((i, (i + 1) % 6), ((i + 1) % 6, i)):
+            V, W = one_dim_rep(v), one_dim_rep(w)
+            M = cocycle_matrix(V, W, GAMMA)
+            kernel = np.linalg.svd(M)[2].conj()[np.linalg.matrix_rank(M):]
+            dx, dy = kernel[0]
+            E = RepPair(np.array([[W.A[0, 0], dx], [0, V.A[0, 0]]]),
+                        np.array([[W.B[0, 0], dy], [0, V.B[0, 0]]]), GAMMA)
+            assert validate_rep(E, GAMMA)
+            # the algebra of a non-split extension is the upper triangle
+            assert word_span_dim(E) == 3
+            reps += conjugates(E, rng)
+    assert not certified(reps).any()
+
+
+def test_spin_certificate_refuses_through_the_gap_rule():
+    # S + S, and S + S rescaled by a fifth root of unity: the second is a
+    # sum of non-isomorphic simples whose A B agree, so both spins of an
+    # eigenvector fill C^n and only the gap rule refuses it
+    rng = np.random.default_rng(3)
+    alpha = balanced(5)
+    fifth = ExactScalar(Fraction(1), Fraction(1, 5))
+    for spec in (SemisimpleSpec((SpecEntry(alpha, ONE, 2, "s"),)),
+                 SemisimpleSpec((SpecEntry(alpha, ONE, 1, "s"), SpecEntry(alpha, fifth, 1, "s")))):
+        reps = conjugates(assemble(spec, seed=2), rng)
+        assert not any(burnside_simple(rep) for rep in reps)
+        assert not certified(reps).any()
+        for rep in reps:
+            W = rep.A @ rep.B
+            evals = np.linalg.eigvals(W)
+            gaps = np.abs(evals[:, None] - evals[None, :]) + np.diag([np.inf] * rep.n)
+            assert gaps.min(axis=1).max() <= np.sqrt(DEFAULT_TOL.rel_tol) * np.abs(W).max()
+    # on the unitary conjugate of the second sum both spins are full
+    rep = reps[1]
+    R = np.linalg.eig(rep.A @ rep.B)[1]
+    v, u = R[:, 0], np.linalg.inv(R)[0].conj()
+    spins = _span_dims(np.stack([rep.A, rep.A.conj().T]), np.stack([rep.B, rep.B.conj().T]),
+                       np.stack([v, u])[..., None])
+    assert spins.tolist() == [rep.n, rep.n]
 
 
 # ---------------------------------------------------------------------------
