@@ -38,18 +38,21 @@ _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
-# Memory of analyze --verify in bytes, 32 d^4 + 64 n^2, for a largest
-# summand of dimension d and a total dimension n.  With one large summand
-# it bounds the arrays of the run: the tangent stage of that summand sets
-# their peak (its reduced K x d^2 system, K <= d^2 / 2, with the copies
-# its build and SVD make), the spin-certified draw holds O(d^2), and
-# 64 n^2 is the dense assembled pair with its copy.  One balanced simple,
-# fresh processes, d = 24 / 28 / 32: tracemalloc peak 6.2 / 10.7 / 17.7 MB
-# (about 17 d^4) against an estimate of 10.6 / 19.7 / 33.6 MB; peak RSS
-# above the 34 MB of the imported package 14 / 21 / 31 MB, about 5 MB of
-# it a fixed cost that a d = 4 run pays too.  The full cross systems of
-# two large summands are not counted: two of dimension 24 took 66 MB
-# above import against an estimate of 11 MB.
+# Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
+# every ordered pair of summands whose scalars have equal lambda^6, and
+# 64 n^2 for the dense assembled pair with its copy.  A pair of summands
+# at equal c is ranked on a reduced K x N system with K, N <= d_V d_W
+# (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copy in
+# the stacked SVD; a pair at distinct c builds none.  Summed over a group
+# of equal c that is (sum d^2)^2, and for one summand 32 d^4 + 64 n^2.
+# Fresh processes, tracemalloc peak / peak RSS above the 34 MB of the
+# imported package: one balanced simple at d = 24 / 28 / 32, 2.9 / 4.4 /
+# 6.8 MB and 8 / 11 / 14 MB (about 5 MB of it a fixed cost that a d = 4
+# run pays too) against an estimate of 10.7 / 19.7 / 33.6 MB; two of
+# d = 24 at lambda = 1 and e^(2 pi i/7), 4.7 and 10 MB against 21.4 MB;
+# at 1 and zeta6, 8.3 and 13 MB against 42.6 MB.  Pairs of summands below
+# the reduced system's crossover, ranked on the full system, are not
+# counted.
 # Without --force it may use what one summand of dimension 32 needs.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
 
@@ -122,13 +125,24 @@ def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
             "--verify takes scalar moduli whose sixth power is a normal float "
             f"only, in [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]"
         )
-    need = 32 * max(e.dim for e in spec.entries) ** 4 + 64 * spec.n ** 2
+    need = _verify_bytes(spec)
     if need > _VERIFY_BUDGET and not force:
         raise InvalidSpec(
             f"--verify on this spec needs about {need / 1e6:.0f} MB "
-            f"(32 d^4 + 64 n^2 bytes); above {_VERIFY_BUDGET / 1e6:.0f} MB "
-            "it needs --force"
+            f"(32 (sum d^2)^2 per group of equal lambda^6, + 64 n^2 bytes); "
+            f"above {_VERIFY_BUDGET / 1e6:.0f} MB it needs --force"
         )
+
+
+def _verify_bytes(spec: SemisimpleSpec) -> int:
+    """The memory estimate of ``analyze --verify`` on the spec (see
+    ``_VERIFY_BUDGET``): entries are grouped by lambda^6, equal when the
+    moduli agree and six times the angles agree mod 1."""
+    groups: dict[tuple, int] = {}
+    for e in spec.entries:
+        key = (e.lam.r, 6 * e.lam.q % 1)
+        groups[key] = groups.get(key, 0) + e.dim ** 2
+    return 32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2
 
 
 def cmd_analyze(args) -> int:

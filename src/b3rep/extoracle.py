@@ -37,13 +37,12 @@ systems are ranked on unit-scaled stacks (``_unit_scaled``), so that no
 threshold depends on the moduli of the pairs.  The single-pair functions
 are the one-element case.
 
-A self block V whose A^2 is a scalar c also has a reduced cocycle system
-(``self_cocycle_dims_numeric``).  In the eigen-splitting of A = s(P+ - P-),
-s^2 = c, the D_X equation is solvable on the (+,+) and (-,-) blocks and
-void on the mixed ones, which leaves a K x d^2 system on D_Y alone,
-K = 2 m+ m- <= d^2 / 2, built by ``_system`` from rectangular factors.
-It replaces the d^2 x 2d^2 system of a large simple, whose SVD dominates
-the tangent oracle.
+A pair of blocks (V, W) whose A^2 and B^3 are scalars on each side also
+has a reduced cocycle system (``reduced_cocycle_dims_numeric``), self
+pairs included.  Split by the eigenspaces of A and of B, it is empty at
+distinct scalars (dim Z = n_V n_W), and K x N with K, N <= n_V n_W
+(N about n_V n_W / 3) at equal ones, in place of the n_V n_W x 2 n_V n_W
+system whose SVD dominates the tangent oracle on large summands.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import B3, GAMMA
+from .constants import B3, GAMMA, OMEGA
 from .errors import ToleranceAmbiguity
 
 
@@ -260,68 +259,110 @@ def cocycle_dim_numeric(V, W, group_kind: str = B3,
     return cocycle_dims_numeric([(V, W)], group_kind, tol)[0]
 
 
-def _eigen_bases(A: np.ndarray, tol: ToleranceConfig):
-    """(L+, R+, L-, R-) for a matrix with A^2 = c I at rel_tol (by
-    ``_row_defect``): the rows Vh[:m] and the columns U[:, :m] of the SVD
-    of each eigenprojector (I +- A/s)/2, s^2 = c, which span its row and
-    column spaces; None when A^2 is not scalar.  The nonzero singular
-    values of an idempotent are at least 1, so those of size >= 1/2
-    count its rank m."""
-    n = A.shape[-1]
-    a2 = A @ A
-    c = np.trace(a2) / n
-    if not _row_defect(a2, c * np.eye(n)) <= tol.rel_tol:
-        return None
-    bases = []
-    for sign in (1, -1):
-        u, sing, vh = np.linalg.svd((np.eye(n) + sign * A / np.sqrt(complex(c))) / 2)
-        m = int((sing >= 0.5).sum())
-        bases += [vh[:m], u[:, :m]]
-    return bases
+def same_scalar(x: complex, y: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether two nonzero scalars are equal at rel_tol, scale-free:
+    |x - y| <= rel_tol max(|x|, |y|).  Raises ToleranceAmbiguity when
+    |x - y| lies within a factor 10 of that threshold, the window in which
+    ``_ranks`` flags a singular value."""
+    gap, threshold = abs(x - y), tol.rel_tol * max(abs(x), abs(y))
+    if threshold / 10.0 < gap < threshold * 10.0:
+        raise ToleranceAmbiguity(
+            "two scalars within a factor 10 of the equality threshold; "
+            "re-randomize the instances"
+        )
+    return gap <= threshold
 
 
-def self_cocycle_dims_numeric(reps, tol: ToleranceConfig = DEFAULT_TOL) -> list[int | None]:
-    """Dimension of the braid cocycle space Z(V, V) for each of a list of
-    pairs V, from a reduced system; None for a pair whose A^2 is not a
-    scalar at rel_tol, which needs the full ``cocycle_dims_numeric``.
+def _power_scalar(M: np.ndarray, power: int, tol: ToleranceConfig):
+    """c when M^power = c I at rel_tol (by ``_row_defect``), else None."""
+    P = M @ M if power == 2 else M @ M @ M
+    c = np.trace(P) / len(P)
+    return c if _row_defect(P, c * np.eye(len(P))) <= tol.rel_tol else None
 
-    With A^2 = c I write A = s(P+ - P-), s^2 = c, P+- = (I +- A/s)/2.  In
-    the splitting M = sum P^e M P^f, X -> XA + AX multiplies block (e, f)
-    by (e + f)s.  So the cocycle equation fixes D_X on the (+,+) and (-,-)
-    blocks from D_Y, leaves it free on the mixed blocks, K = 2 m+ m-
-    dimensions, and asks P^e (D_Y B^2 + B D_Y B + B^2 D_Y) P^f = 0 there.
-    With L_e and R_f from ``_eigen_bases`` that is the K x d^2 system
 
-        C: D_Y -> L_e (D_Y B^2 + B D_Y B + B^2 D_Y) R_f,  (e, f) = (+,-), (-,+),
+def _eigenbases(A: np.ndarray, B: np.ndarray, s: complex, t: complex) -> list:
+    """(rows, columns) for the eigenprojectors of A = s(P+ - P-) and of
+    B = t(Q_0 + w Q_1 + w^2 Q_2), w = e^(2 pi i/3), in the order P+, P-,
+    Q_0, Q_1, Q_2: the rows Vh[:m] and the columns U[:, :m] of the SVD of
+    each projector, which span its row and column spaces.  P+- =
+    (I +- A/s)/2 and Q_i = (I + M_i + M_i^2)/3 with M_i = B/(t w^i).  The
+    nonzero singular values of an idempotent are at least 1, so those of
+    size >= 1/2 count its rank m."""
+    eye = np.eye(len(A))
+    w = OMEGA ** -np.arange(3)[:, None, None]
+    M = B / t
+    projectors = np.concatenate([(eye + np.array([1, -1])[:, None, None] * (A / s)) / 2,
+                                 (eye + w * M + w ** 2 * (M @ M)) / 3])
+    u, sing, vh = np.linalg.svd(projectors)
+    return [(rows[:m], cols[:, :m]) for rows, cols, m in zip(vh, u, (sing >= 0.5).sum(-1))]
 
-    and dim Z = K + d^2 - rank C.  C has about a quarter of the entries of
-    the d^2 x 2d^2 cocycle system.  The projectors come from A itself; A
-    need not be normal.  Each pair is unit-scaled by ``_unit_scaled``
-    first, and the systems of one shape go through one stacked SVD, each
-    against its own threshold.
+
+def reduced_cocycle_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int | None]:
+    """Dimension of the braid cocycle space Z(V, W) for each of a list of
+    pairs (V, W), self pairs V is W included, from a reduced system; None
+    for a pair that needs the full ``cocycle_dims_numeric``: one whose A^2
+    or, at equal A^2, whose B^3 is not a scalar at rel_tol, or whose B^3
+    scalars differ.
+
+    Each pair is unit-scaled by ``_unit_scaled`` first.  With A^2 = c I
+    write A = s(P+ - P-), s^2 = c, P+- = (I +- A/s)/2.  In the splitting
+    M = sum P_W^e M P_V^f, X -> X A_V + A_W X multiplies block (e, f) by
+    e s_W + f s_V.
+
+    * Distinct c (c_V != c_W, decided by ``same_scalar``): no factor
+      vanishes, so D_X is fixed by D_Y and dim Z = n_V n_W, with no system
+      to rank.
+    * Equal c (take s_V = s_W): D_X is fixed on the (+,+) and (-,-)
+      blocks, free on the mixed ones, K = m+_W m-_V + m-_W m+_V dimensions,
+      where P^e (D_Y B_V^2 + B_W D_Y B_V + B_W^2 D_Y) P^f = 0 is asked.
+      B^3 = c' I as well, so B = t(Q_0 + w Q_1 + w^2 Q_2), w = e^(2 pi i/3),
+      and that map multiplies the B-block (i, j) of D_Y by
+      t^2 (w^2i + w^(i+j) + w^2j), which is 0 for i != j.  Only the
+      diagonal B-blocks Q_i^W D_Y Q_i^V = U_i^W E_i Vh_i^V reach the
+      constraints, E_i of shape b_i^W x b_i^V, so with the bases of
+      ``_eigenbases`` the rank of the constraints is that of the K x N
+      system
+
+          C: (E_i) -> L_e (sum_i U_i^W E_i Vh_i^V) R_f,  (e, f) = (+,-), (-,+),
+
+      N = sum_i b_i^W b_i^V, about n_V n_W / 3, and dim Z = K + n_V n_W - rank C.
+
+    The projectors come from A and B themselves, which need not be normal.
+    The systems of one shape go through one stacked SVD, each against its
+    own threshold.
 
     Raises ToleranceAmbiguity when a singular value of any system falls
-    within a factor 10 of that system's rank threshold.
+    within a factor 10 of that system's rank threshold, or two scalars
+    within a factor 10 of ``same_scalar``'s.
     """
-    dims: list[int | None] = [None] * len(reps)
+    dims: list[int | None] = [None] * len(pairs)
     by_shape: dict[tuple[int, int], list] = {}
-    for i, rep in enumerate(reps):
-        stack = PairStack(rep.A[None], rep.B[None])
-        scaled, _ = _unit_scaled(stack, stack)
-        A, B = scaled.A[0], scaled.B[0]
-        bases = _eigen_bases(A, tol)
-        if bases is None:
+    for i, (V, W) in enumerate(pairs):
+        v, w = _unit_scaled(PairStack(V.A[None], V.B[None]), PairStack(W.A[None], W.B[None]))
+        sides = [(v.A[0], v.B[0])] if V is W else [(v.A[0], v.B[0]), (w.A[0], w.B[0])]
+        a = [_power_scalar(A, 2, tol) for A, _ in sides]
+        if None in a:
             continue
-        l_plus, r_plus, l_minus, r_minus = bases
-        b2 = B @ B
-        system = np.concatenate([_system([(L, b2 @ R), (L @ B, B @ R), (L @ b2, R)])
-                                 for L, R in ((l_plus, r_minus), (l_minus, r_plus))])
+        if not same_scalar(a[0], a[-1], tol):
+            dims[i] = V.n * W.n
+            continue
+        b = [_power_scalar(B, 3, tol) for _, B in sides]
+        if None in b or not same_scalar(b[0], b[-1], tol):
+            continue
+        s, t = np.sqrt(complex(a[0])), complex(b[0]) ** (1 / 3)
+        bases = [_eigenbases(A, B, s, t) for A, B in sides]
+        (_, r_plus), (_, r_minus), *b_v = bases[0]
+        (l_plus, _), (l_minus, _), *b_w = bases[-1]
+        system = np.concatenate([
+            np.concatenate([_system([(L @ u, vh @ R)]) for (_, u), (vh, _) in zip(b_w, b_v)],
+                           axis=-1)
+            for L, R in ((l_plus, r_minus), (l_minus, r_plus))])
         by_shape.setdefault(system.shape, []).append((i, system))
-    for (k, n2), members in by_shape.items():
+    for (k, _), members in by_shape.items():
         indices, systems = zip(*members)
         ranks = _checked(*_ranks(np.stack(systems), tol))
         for i, rank in zip(indices, ranks):
-            dims[i] = k + n2 - int(rank)
+            dims[i] = k + pairs[i][0].n * pairs[i][1].n - int(rank)
     return dims
 
 

@@ -10,7 +10,8 @@ simplicity is then certified by a two-sided spin test in O(n^3)
 (``_spin_certified``): one eigenvector of A B and one of its adjoint must
 each spin to all of C^n.  The Burnside span test (``word_span_dims``,
 ``burnside_simple``), which grows the word span of {A, B} one word
-length at a time and asks for the full matrix algebra in O(n^6), stays
+length at a time, on each eigenspace group of the central element A^2 on
+its own, and asks for the full matrix algebra in O(n^6), stays
 as the independent oracle the tests compare the certificate against;
 both run on the same span engine (``_span_dims``).  Draws of one type
 come in stacks (``random_simples_gamma``), each seeded on its own, so a
@@ -31,8 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import B3, GAMMA, OMEGA
-from .errors import GenerationFailed, InvalidSpec, IsomorphicDistinctEntries, NotSimpleDimension
-from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
+from .errors import (
+    GenerationFailed,
+    InvalidSpec,
+    IsomorphicDistinctEntries,
+    NotSimpleDimension,
+    ToleranceAmbiguity,
+)
+from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect, same_scalar
 from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
@@ -174,8 +181,65 @@ def word_span_dims(A: np.ndarray, B: np.ndarray,
                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Dimension of the linear span of all words in {A, B} (at most n^2)
     for each pair of a stack, A and B of shape (k, n, n), or for one pair
-    of shape (n, n): the ``_span_dims`` of the identity."""
-    return _span_dims(A, B, np.eye(A.shape[-1], dtype=complex), tol)
+    of shape (n, n): the ``_span_dims`` of the identity, summed over the
+    blocks of ``_central_blocks`` where it splits the pair.
+
+    The spectral projectors of the central element A^2 = B^3 lie in the
+    algebra the words span, and are central there, so that algebra is the
+    direct sum of the algebras of the blocks.  Spanning each block on its
+    own keeps every word on the scale of its own block: in one span, a
+    word with a factors A and b factors B grows as |lambda|^(3a + 2b) on
+    each block, and the relative threshold drops the part of the smaller
+    block once the moduli differ enough.
+    """
+    one = A.ndim == 2
+    stack_a, stack_b = (A[None], B[None]) if one else (A, B)
+    dims = np.zeros(len(stack_a), dtype=np.intp)
+    whole = []
+    for i, (a, b) in enumerate(zip(stack_a, stack_b)):
+        blocks = _central_blocks(a, b, tol)
+        if blocks is None:
+            whole.append(i)
+        else:
+            dims[i] = sum(int(_span_dims(x, y, np.eye(len(x), dtype=complex), tol))
+                          for x, y in blocks)
+    if whole:
+        dims[whole] = _span_dims(stack_a[whole], stack_b[whole],
+                                 np.eye(A.shape[-1], dtype=complex), tol)
+    return dims[0] if one else dims
+
+
+def _central_blocks(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
+    """The diagonal blocks (A_g, B_g) of T^-1 A T and T^-1 B T, with T the
+    eigenvectors of A^2 ordered by group, one group per distinct
+    eigenvalue c by ``same_scalar``.  None, for the single span, when A^2
+    has one group, when two of its eigenvalues fall in the ambiguity
+    window, when T is singular at rel_tol (A^2 not diagonalizable), or
+    when T does not split A and B into blocks at rel_tol (by
+    ``_row_defect``: A^2 not central)."""
+    c, T = np.linalg.eig(A @ A)
+    groups: list[list[int]] = []
+    try:
+        for i, ci in enumerate(c):
+            for group in groups:
+                if same_scalar(c[group[0]], ci, tol):
+                    group.append(i)
+                    break
+            else:
+                groups.append([i])
+    except ToleranceAmbiguity:
+        return None
+    sing = np.linalg.svd(T, compute_uv=False)
+    if len(groups) < 2 or sing[-1] <= tol.rel_tol * sing[0]:
+        return None
+    T = T[:, np.concatenate(groups)]
+    label = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    inside = label[:, None] == label[None, :]
+    split = [np.linalg.solve(T, M @ T) for M in (A, B)]
+    if not all(_row_defect(M, M * inside) <= tol.rel_tol for M in split):
+        return None
+    return [(split[0][np.ix_(g, g)], split[1][np.ix_(g, g)])
+            for g in (label == k for k in range(len(groups)))]
 
 
 def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
@@ -337,7 +401,7 @@ def _spin_certified(A: np.ndarray, B: np.ndarray,
     """
     k, n = A.shape[:2]
     if k == 1 and n < SPIN_MIN_DIM:
-        return word_span_dims(A, B, tol) == n * n
+        return _span_dims(A, B, np.eye(n, dtype=complex), tol) == n * n
     W = A @ B
     evals, R = np.linalg.eig(W)
     dist = np.abs(evals[:, :, None] - evals[:, None, :])

@@ -292,6 +292,32 @@ def test_analyze_verify_size_guard_counts_the_total_dimension(
             main(list(argv))
 
 
+@pytest.mark.parametrize("angles, force, refused", [
+    (("0", "1/7"), (), False),
+    (("0", "1/6"), (), True),
+    (("0", "1/6"), ("--force",), False),
+    (("1/12", "1/4"), (), True),
+])
+def test_analyze_verify_size_guard_groups_equal_scalars(
+        tmp_path, capsys, monkeypatch, angles, force, refused):
+    # two balanced simples of dimension 24: at distinct lambda^6 each
+    # summand counts its own reduced system, 2 * 32 * 24^4 bytes; at equal
+    # lambda^6 (angles differing by a sixth of a turn) the cross systems
+    # count too, 32 * (2 * 24^2)^2 bytes, above the budget
+    refuse_assembly(monkeypatch)
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [12, 12, 8, 8, 8], "lambda": {"r": "1", "q": q}, "instance": f"s{i}"}
+        for i, q in enumerate(angles)]}))
+    argv = ("analyze", "--spec", str(path), "--verify", *force)
+    if refused:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "43 MB" in err and "--force" in err
+    else:
+        with pytest.raises(Assembled):
+            main(list(argv))
+
+
 def scaled_spec(*entries):
     return {"entries": [
         {"alpha": alpha, "lambda": {"r": r, "q": "0"}, "instance": f"s{i}"}

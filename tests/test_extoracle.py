@@ -37,7 +37,7 @@ from b3rep.extoracle import (
     commutant_matrix,
     ext_dims_numeric,
     hom_dims_numeric,
-    self_cocycle_dims_numeric,
+    reduced_cocycle_dims_numeric,
 )
 from b3rep.factory import _random_unitary, random_simples_gamma
 
@@ -345,7 +345,7 @@ def test_coboundary_defect_of_a_small_broken_pair_next_to_a_large_one(modulus):
 
 
 # ---------------------------------------------------------------------------
-# the reduced self-block cocycle system
+# the reduced cocycle system of a pair of blocks
 # ---------------------------------------------------------------------------
 
 REDUCED_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar(Fraction(3, 2), Fraction(1, 7)),
@@ -353,13 +353,18 @@ REDUCED_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar(Fraction(3, 2), Fracti
                    ExactScalar.from_rational(Fraction(1, 10 ** 30)))
 
 
-@pytest.mark.parametrize("d", range(4, 9))
+def self_pairs(reps):
+    return [(v, v) for v in reps]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
 def test_reduced_self_cocycles_match_the_full_system(d):
     reps = [scale_rep(inst.rep, lam)
             for alpha in enumerate_simple_gamma(d)
             for inst in random_simples_gamma(alpha, range(3))
             for lam in REDUCED_SCALARS]
-    assert self_cocycle_dims_numeric(reps) == cocycle_dims_numeric([(v, v) for v in reps])
+    assert reduced_cocycle_dims_numeric(self_pairs(reps)) == \
+        cocycle_dims_numeric(self_pairs(reps))
 
 
 def test_reduced_self_cocycles_of_dense_semisimple_blocks():
@@ -377,7 +382,8 @@ def test_reduced_self_cocycles_of_dense_semisimple_blocks():
         rep = assemble(SemisimpleSpec(tuple(SpecEntry(*e) for e in entries)), seed=seed)
         u = _random_unitary(rep.n, np.random.default_rng(seed))
         reps.append(RepPair(u @ rep.A @ u.conj().T, u @ rep.B @ u.conj().T, B3))
-    assert self_cocycle_dims_numeric(reps) == [cocycle_dim_numeric(v, v) for v in reps]
+    assert reduced_cocycle_dims_numeric(self_pairs(reps)) == \
+        [cocycle_dim_numeric(v, v) for v in reps]
 
 
 def test_reduced_self_cocycles_need_no_normal_A():
@@ -387,12 +393,12 @@ def test_reduced_self_cocycles_need_no_normal_A():
     G = np.eye(6) + 0.5 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     G_inv = np.linalg.inv(G)
     v = RepPair(G @ inst.rep.A @ G_inv, G @ inst.rep.B @ G_inv, B3)
-    assert self_cocycle_dims_numeric([v]) == cocycle_dims_numeric([(v, v)]) \
+    assert reduced_cocycle_dims_numeric([(v, v)]) == cocycle_dims_numeric([(v, v)]) \
         == [cocycle_dim_numeric(inst.rep, inst.rep)]
     # a real pair whose A^2 = -I has a negative real scalar
     rotation = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
     real = RepPair(rotation, -np.eye(4), B3)
-    assert self_cocycle_dims_numeric([real]) == cocycle_dims_numeric([(real, real)])
+    assert reduced_cocycle_dims_numeric([(real, real)]) == cocycle_dims_numeric([(real, real)])
 
 
 def test_reduced_self_cocycles_refuse_a_non_scalar_square():
@@ -403,16 +409,109 @@ def test_reduced_self_cocycles_refuse_a_non_scalar_square():
     A[:2, :2], A[2:, 2:] = inst.rep.A, scaled.A
     B[:2, :2], B[2:, 2:] = inst.rep.B, scaled.B
     v = RepPair(A, B, B3)
-    assert self_cocycle_dims_numeric([inst.rep, v]) == \
-        [cocycle_dim_numeric(inst.rep, inst.rep), None]
+    assert reduced_cocycle_dims_numeric([(inst.rep, inst.rep), (v, v), (v, inst.rep)]) == \
+        [cocycle_dim_numeric(inst.rep, inst.rep), None, None]
 
 
 def test_reduced_self_cocycles_raise_on_an_ambiguous_threshold():
     inst = random_simple_gamma(GammaDimVector(3, 2, 2, 2, 1), seed=0)
-    assert self_cocycle_dims_numeric([inst.rep]) == [cocycle_dim_numeric(inst.rep, inst.rep)]
+    pair = [(inst.rep, inst.rep)]
+    assert reduced_cocycle_dims_numeric(pair) == [cocycle_dim_numeric(inst.rep, inst.rep)]
     loose = ToleranceConfig(rel_tol=0.9, abs_floor=1e-13)
     with pytest.raises(ToleranceAmbiguity):
-        self_cocycle_dims_numeric([inst.rep], loose)
+        reduced_cocycle_dims_numeric(pair, loose)
+
+
+CROSS_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar.zeta6(2), ExactScalar.zeta6(3),
+                 ExactScalar(1, Fraction(1, 7)), ExactScalar(Fraction(3, 2), Fraction(1, 7)),
+                 ExactScalar(Fraction(3, 2), Fraction(9, 14)),
+                 ExactScalar.from_rational(10 ** 30),
+                 ExactScalar.from_rational(Fraction(1, 10 ** 30)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduced_cross_cocycles_match_the_full_system(seed):
+    # random pairs of simples of dimension <= 8 at random scalars: equal
+    # c where the scalars differ by a sixth root of unity, distinct else
+    rng = np.random.default_rng(seed)
+    simples = [alpha for d in range(1, 9) for alpha in enumerate_simple_gamma(d)]
+    pairs = []
+    for _ in range(60):
+        v, w = (scale_rep(random_simple_gamma(simples[rng.integers(len(simples))],
+                                              int(rng.integers(10 ** 6))).rep,
+                          CROSS_SCALARS[rng.integers(len(CROSS_SCALARS))])
+                for _ in range(2))
+        pairs.append((v, w))
+    expected = [cocycle_dim_numeric(v, w) for v, w in pairs]
+    assert reduced_cocycle_dims_numeric(pairs) == expected
+    equal_c = [i for i, (v, w) in enumerate(pairs)
+               if np.isclose(np.trace(v.A @ v.A) / v.n, np.trace(w.A @ w.A) / w.n)]
+    assert 10 < len(equal_c) < 50
+    assert any(expected[i] > v.n * w.n for i in equal_c for v, w in [pairs[i]])
+
+
+def test_reduced_cross_cocycles_at_distinct_scalars_rank_nothing(monkeypatch):
+    # c_V != c_W: D_X is fixed by D_Y, so dim Z = n_V n_W with no SVD
+    v = random_simple_gamma(GammaDimVector(3, 3, 2, 2, 2), seed=1).rep
+    w = scale_rep(random_simple_gamma(GammaDimVector(2, 2, 2, 1, 1), seed=2).rep,
+                  ExactScalar(1, Fraction(1, 7)))
+    far = scale_rep(v, ExactScalar.from_rational(10 ** 30))
+    pairs = [(v, w), (w, v), (v, far), (far, w)]
+    expected = [cocycle_dim_numeric(*pair) for pair in pairs]
+    assert expected == [24, 24, 36, 24]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a system was ranked")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert reduced_cocycle_dims_numeric(pairs) == expected
+
+
+def test_reduced_cocycles_of_dense_conjugates():
+    # a simple against its unitary and oblique conjugates (isomorphic, so
+    # one more cocycle than coboundaries), and against a twist of them
+    inst = random_simple_gamma(GammaDimVector(4, 3, 3, 2, 2), seed=6)
+    rng = np.random.default_rng(6)
+    u = _random_unitary(7, rng)
+    g = np.eye(7) + 0.5 * rng.standard_normal((7, 7)) / np.sqrt(7)
+    reps = [inst.rep] + [RepPair(h @ inst.rep.A @ np.linalg.inv(h),
+                                 h @ inst.rep.B @ np.linalg.inv(h), B3) for h in (u, g)]
+    reps += [scale_rep(rep, ExactScalar.zeta6(1)) for rep in reps]
+    pairs = [(v, w) for v in reps for w in reps]
+    assert reduced_cocycle_dims_numeric(pairs) == [cocycle_dim_numeric(v, w) for v, w in pairs]
+
+
+def test_reduced_cocycles_of_non_split_extensions():
+    # 0 -> W -> E -> V -> 0 for adjacent characters: A^2 = B^3 = I on E,
+    # which is not semisimple, so Z(E, X) and Z(X, E) differ for some X;
+    # a system that mixed up the row and column bases would swap them
+    extensions = []
+    for i in range(6):
+        for v, w in ((i, (i + 1) % 6), ((i + 1) % 6, i)):
+            V, W = one_dim_rep(v), one_dim_rep(w)
+            M = cocycle_matrix(V, W, GAMMA)
+            dx, dy = np.linalg.svd(M)[2].conj()[np.linalg.matrix_rank(M):][0]
+            extensions.append(RepPair(np.array([[W.A[0, 0], dx], [0, V.A[0, 0]]]),
+                                      np.array([[W.B[0, 0], dy], [0, V.B[0, 0]]]), B3))
+    chars = [RepPair(one_dim_rep(u).A, one_dim_rep(u).B, B3) for u in range(6)]
+    pairs = [pair for e in extensions for x in chars + extensions for pair in ((e, x), (x, e))]
+    expected = [cocycle_dim_numeric(v, w) for v, w in pairs]
+    assert expected[0::2] != expected[1::2]
+    assert reduced_cocycle_dims_numeric(pairs) == expected
+
+
+def test_reduced_cross_cocycles_raise_near_equal_scalars():
+    # c_W = c_V (1 + 3 rel_tol): within a factor 10 of the equality
+    # threshold, so neither branch is safe
+    v = random_simple_gamma(GammaDimVector(3, 3, 2, 2, 2), seed=3).rep
+    r = 1 + Fraction(1, 2 * 10 ** 8)      # r^6 = 1 + 3e-8 to first order
+    w = scale_rep(v, ExactScalar.from_rational(r))
+    with pytest.raises(ToleranceAmbiguity):
+        reduced_cocycle_dims_numeric([(v, w)])
+    far = scale_rep(v, ExactScalar.from_rational(1 + Fraction(1, 10 ** 7)))
+    near = scale_rep(v, ExactScalar.from_rational(1 + Fraction(1, 10 ** 11)))
+    assert reduced_cocycle_dims_numeric([(v, far), (v, near)]) == \
+        [36, cocycle_dim_numeric(v, near)] == [36, cocycle_dim_numeric(v, v)]
 
 
 def test_cocycle_space_of_braid_relation_contains_boundaries():

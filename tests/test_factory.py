@@ -36,6 +36,7 @@ from b3rep import (
 )
 from b3rep.extoracle import cocycle_matrix
 from b3rep.factory import (
+    _central_blocks,
     _random_unitary,
     _span_dims,
     _spin_certified,
@@ -347,16 +348,54 @@ def test_word_span_of_two_unlinked_simples(alphas, moduli, angles, seed):
     assert word_span_dim(assemble(spec, seed=seed)) == sum(a.n ** 2 for a in alphas)
 
 
-@pytest.mark.xfail(strict=True, reason="relative threshold loses the smaller block "
-                   "when the moduli of two summands differ")
 def test_word_span_of_two_simples_at_distant_moduli():
     # a word with a factors A and b factors B is 2^(3a + 2b) times larger on
-    # the second block; once that passes 1 / rel_tol the first block's part
-    # of a candidate falls under the threshold and is dropped
+    # the second block; in one span the first block's part of a candidate
+    # fell under the relative threshold once that passed 1 / rel_tol (70
+    # instead of 72); spanned block by block, each keeps its own scale
     alpha = GammaDimVector(3, 3, 3, 2, 1)
     spec = SemisimpleSpec((SpecEntry(alpha, ONE, 1, "p"),
                            SpecEntry(alpha, ExactScalar.from_rational(2), 1, "q")))
     assert word_span_dim(assemble(spec, seed=0)) == 2 * alpha.n ** 2
+
+
+def test_word_span_of_two_simples_at_random_moduli():
+    # 600 pairs of simples of dimension <= 6 at distinct moduli in [1/2, 5/2]:
+    # one span over both blocks came out short in 85 of them
+    rng = np.random.default_rng(600)
+    simples = [alpha for d in range(1, 7) for alpha in enumerate_simple_gamma(d)]
+    short = []
+    for _ in range(600):
+        alphas = [simples[rng.integers(len(simples))] for _ in range(2)]
+        moduli = rng.choice(len(MODULI), 2, replace=False)
+        spec = SemisimpleSpec(tuple(
+            SpecEntry(alpha, ExactScalar(MODULI[r], Fraction(int(rng.integers(7)), 7)), 1, iid)
+            for alpha, r, iid in zip(alphas, moduli, "pq")))
+        if word_span_dim(assemble(spec, seed=int(rng.integers(2 ** 32)))) \
+                != sum(a.n ** 2 for a in alphas):
+            short.append(spec.to_json())
+    assert short == []
+
+
+def test_word_span_keeps_one_span_when_a_squared_does_not_split():
+    # A^2 = B^3 = diag(1, 1, 64, 64) conjugated by a unitary splits into
+    # its two blocks
+    inst = random_simple_gamma(ALPHA2, seed=2)
+    scaled = scale_rep(inst.rep, ExactScalar.from_rational(2))
+    A, B = (u @ np.block([[X, np.zeros((2, 2))], [np.zeros((2, 2)), Y]]) @ u.conj().T
+            for u in [_random_unitary(4, np.random.default_rng(2))]
+            for X, Y in ((inst.rep.A, scaled.A), (inst.rep.B, scaled.B)))
+    assert [len(a) for a, _ in _central_blocks(A, B, DEFAULT_TOL)] == [2, 2]
+    assert int(word_span_dims(A, B)) == 8
+    # A^2 with a Jordan block is not diagonalizable, and its eigenvectors
+    # would flatten that block; it keeps the single span, which counts the
+    # three powers of A
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    assert _central_blocks(A, A, DEFAULT_TOL) is None
+    assert int(word_span_dims(A, A)) == 3
+    # A^2 that is not central: B does not keep the eigenspaces of A^2
+    B = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    assert _central_blocks(np.diag([1.0, 1.0, 2.0]), B, DEFAULT_TOL) is None
 
 
 # ---------------------------------------------------------------------------

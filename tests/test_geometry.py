@@ -293,26 +293,31 @@ def full_shapes(monkeypatch):
     return shapes
 
 
-def test_self_blocks_from_dimension_four_take_the_reduced_system(full_shapes):
-    # every pair but the self pair of the 5-dimensional class
-    big = GammaDimVector(3, 2, 2, 2, 1)
-    spec = spec_of(entry(big, ExactScalar(Fraction(3, 2), Fraction(1, 7)), iid="b"),
-                   entry(DIM3, iid="c"), entry(A0, iid="a"))
+def test_pairs_from_forty_cells_take_the_reduced_system(full_shapes):
+    # n_V n_W >= 40: the self pair of the 7-dimensional class and its
+    # cross pairs with the 6-dimensional one, whose scalar differs by a
+    # sixth root of unity (equal c); every other pair is ranked in full
+    lam = ExactScalar(Fraction(3, 2), Fraction(1, 7))
+    spec = spec_of(entry(GammaDimVector(4, 3, 3, 2, 2), lam, iid="b"),
+                   entry(GammaDimVector(3, 3, 2, 2, 2), lam * ExactScalar.zeta6(1), iid="c"),
+                   entry(DIM3, iid="d"), entry(A0, iid="a"))
     assert tangent_dim_numeric(assemble(spec, seed=1)) == tangent_dim_formula(spec)
-    assert sorted(full_shapes) == [(1, 1), (1, 3), (1, 5), (3, 1), (3, 3), (3, 5),
-                                   (5, 1), (5, 3)]
+    assert sorted(full_shapes) == [(1, 1), (1, 3), (1, 6), (1, 7), (3, 1), (3, 3), (3, 6),
+                                   (3, 7), (6, 1), (6, 3), (6, 6), (7, 1), (7, 3)]
 
 
 def test_dense_conjugate_of_mixed_moduli_takes_the_full_system(full_shapes):
     # A^2 of the conjugate is not scalar (lambda^6 = 1 and 3^6 / 2^6), so
-    # its one block is ranked on the full n^2 x 2n^2 system
+    # its one block is ranked on the full n^2 x 2n^2 system: below the
+    # crossover at n = 6, and refused by the reduced system at n = 7
     for seed in range(3):
-        spec = spec_of(entry(GammaDimVector(2, 2, 2, 1, 1), iid="p"),
-                       entry(DIM2, ExactScalar(Fraction(3, 2), 0), iid="q"))
-        conj = _unitary_conjugate(assemble(spec, seed=seed), seed)
-        full_shapes.clear()
-        assert tangent_dim_numeric(conj) == tangent_dim_formula(spec)
-        assert full_shapes == [(6, 6)]
+        for extra in ((), (entry(A0, ExactScalar(Fraction(5, 4), 0), iid="r"),)):
+            spec = spec_of(entry(GammaDimVector(2, 2, 2, 1, 1), iid="p"),
+                           entry(DIM2, ExactScalar(Fraction(3, 2), 0), iid="q"), *extra)
+            conj = _unitary_conjugate(assemble(spec, seed=seed), seed)
+            full_shapes.clear()
+            assert tangent_dim_numeric(conj) == tangent_dim_formula(spec)
+            assert full_shapes == [(spec.n, spec.n)]
 
 
 def test_block_detection_and_classes_on_hand_built_pair():
