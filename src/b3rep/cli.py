@@ -19,12 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
 from .constants import B3
 from .factory import SemisimpleSpec, derived_seed, validate_rep
 from .geometry import (
+    FULL_STACK_CELLS,
+    REDUCED_MIN_CELLS,
     analyze,
     assemble_and_measure,
     enumerate_component_signatures,
@@ -39,8 +42,9 @@ _COMPONENT_CAP = 20
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
 # Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
-# every ordered pair of summands whose scalars have equal lambda^6, and
-# 64 n^2 for the dense assembled pair with its copy.  A pair of summands
+# every ordered pair of summands whose scalars have equal lambda^6,
+# 64 n^2 for the dense assembled pair with its copy, and the full systems
+# of the pairs of small summands (last paragraph).  A pair of summands
 # at equal c is ranked on a reduced K x N system with K, N <= d_V d_W
 # (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copy in
 # the stacked SVD; a pair at distinct c builds none.  Summed over a group
@@ -50,9 +54,17 @@ _COPIES_CAP = 10_000
 # 6.8 MB and 8 / 11 / 14 MB (about 5 MB of it a fixed cost that a d = 4
 # run pays too) against an estimate of 10.7 / 19.7 / 33.6 MB; two of
 # d = 24 at lambda = 1 and e^(2 pi i/7), 4.7 and 10 MB against 21.4 MB;
-# at 1 and zeta6, 8.3 and 13 MB against 42.6 MB.  Pairs of summands below
-# the reduced system's crossover, ranked on the full system, are not
-# counted.
+# at 1 and zeta6, 8.3 and 13 MB against 42.6 MB.
+#
+# Ordered pairs of summands below the reduced system's crossover are
+# ranked on the full system, in chunks of at most FULL_STACK_CELLS cells
+# (d_V d_W)^2: 96 bytes a cell of one chunk (84-101 measured, with the
+# build copies), and 256 bytes a pair for the pair lists, which are not
+# chunked (about 220 measured).  Tracemalloc peaks in-process after a
+# first run: 40 summands (2,1;1,1,1) at distinct moduli, n = 120, 2.4 MB
+# against 3.0 MB; 100 of them, n = 300, 8.5 MB against 10.2 MB; 300
+# one-dimensional summands at distinct moduli 26.3 MB against 30.4 MB.
+#
 # Without --force it may use what one summand of dimension 32 needs.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
 
@@ -128,21 +140,27 @@ def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
     need = _verify_bytes(spec)
     if need > _VERIFY_BUDGET and not force:
         raise InvalidSpec(
-            f"--verify on this spec needs about {need / 1e6:.0f} MB "
-            f"(32 (sum d^2)^2 per group of equal lambda^6, + 64 n^2 bytes); "
-            f"above {_VERIFY_BUDGET / 1e6:.0f} MB it needs --force"
+            f"--verify on this spec needs about {need / 1e6:.0f} MB by the memory "
+            f"estimate; above {_VERIFY_BUDGET / 1e6:.0f} MB it needs --force"
         )
 
 
 def _verify_bytes(spec: SemisimpleSpec) -> int:
     """The memory estimate of ``analyze --verify`` on the spec (see
     ``_VERIFY_BUDGET``): entries are grouped by lambda^6, equal when the
-    moduli agree and six times the angles agree mod 1."""
+    moduli agree and six times the angles agree mod 1.  The ordered pairs
+    of entries below ``REDUCED_MIN_CELLS`` count 256 bytes each, and their
+    cells up to one chunk of ``FULL_STACK_CELLS``."""
     groups: dict[tuple, int] = {}
     for e in spec.entries:
         key = (e.lam.r, 6 * e.lam.q % 1)
         groups[key] = groups.get(key, 0) + e.dim ** 2
-    return 32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2
+    dims = Counter(e.dim for e in spec.entries)
+    small = [(c * c2, (d * d2) ** 2) for d, c in dims.items() for d2, c2 in dims.items()
+             if d * d2 < REDUCED_MIN_CELLS]
+    cells = sum(count * pair_cells for count, pair_cells in small)
+    return (32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2
+            + 96 * min(cells, FULL_STACK_CELLS) + 256 * sum(count for count, _ in small))
 
 
 def cmd_analyze(args) -> int:

@@ -5,17 +5,20 @@ Matrix pairs come in two relation kinds: ``Gamma`` pairs satisfy
 A^2 = B^3 = 1, ``B3`` pairs only A^2 = B^3.  A generic simple of a given
 dimension vector is built by conjugating the exact eigenvalue diagonals
 by independent random unitaries (orthonormalized Gaussian matrices), so
-conditioning stays near 1 and numerical ranks are unambiguous;
-simplicity is then certified by a two-sided spin test in O(n^3)
-(``_spin_certified``): one eigenvector of A B and one of its adjoint must
-each spin to all of C^n.  The Burnside span test (``word_span_dims``,
-``burnside_simple``), which grows the word span of {A, B} one word
-length at a time, on each eigenspace group of the central element A^2 on
-its own, and asks for the full matrix algebra in O(n^6), stays
-as the independent oracle the tests compare the certificate against;
-both run on the same span engine (``_span_dims``).  Draws of one type
-come in stacks (``random_simples_gamma``), each seeded on its own, so a
-stack costs a few numpy calls per level instead of a few per draw.
+conditioning stays near 1 and numerical ranks are unambiguous.  Every
+draw of dimension >= 2 is certified simple by a two-sided spin test in
+O(n^3) (``_spin_certified``): one eigenvector of A B and one of its
+adjoint must each spin to all of C^n.  The Burnside span test
+(``word_span_dims``, ``burnside_simple``), which grows the word span of
+{A, B} one word length at a time, on each eigenspace group of the
+central element A^2 on its own, and asks for the full matrix algebra in
+O(n^6), stays as the independent oracle the tests compare the
+certificate against; both run on the same span engine (``_span_dims``).
+Draws of one type come in stacks (``random_simples_gamma``), each seeded
+on its own, and are certified by two stacked spins, right and left, so
+a stack costs a few numpy calls per level instead of a few per draw.
+``assemble`` and the suites draw every instance they need in one stack
+per type (``_draw_simples``).
 
 A ``SemisimpleSpec`` is the symbolic side of a semisimple module: an
 ordered list of (dimension vector, exact scalar, multiplicity, instance
@@ -54,14 +57,6 @@ ONE_DIM_CHARACTERS = (
 )
 
 _RETRY_LIMIT = 16
-
-#: Smallest dimension at which a lone pair is certified by the spin test.
-#: Below it the spin's fixed cost (eig, solve, a stacked span of two)
-#: loses to the word span: one draw took 0.16 / 0.37 / 0.51 / 0.99 ms by
-#: the word span and 0.25 / 0.48 / 0.64 / 0.93 ms by the spin at d = 2 /
-#: 3 / 4 / 5 (medians of 15 alternated, one BLAS thread, 2 cores).
-#: Stacks of two or more draws were faster by the spin from d = 2 on.
-SPIN_MIN_DIM = 5
 
 
 def derived_seed(*parts) -> int:
@@ -390,18 +385,14 @@ def _spin_certified(A: np.ndarray, B: np.ndarray,
     or has mu as an eigenvalue on the quotient; then U's orthogonal
     complement, invariant under A^H and B^H, holds u.  So the pair is
     simple iff v spins to all of C^n under (A, B) and u under
-    (A^H, B^H); both spins go through one ``_span_dims`` stack.  mu
-    counts as simple when its gap exceeds sqrt(rel_tol) max|W|, which
-    keeps the eigenvector error, about eps / gap, far below rel_tol.  A
-    pair without such an eigenvalue, such as a doubled simple, is
-    reported not simple.
-
-    A lone pair of dimension below ``SPIN_MIN_DIM`` takes the word span
-    instead, which is faster there and gives the same verdict.
+    (A^H, B^H).  The right spins of the stack go through one
+    ``_span_dims`` call and the left spins through another, so a lone
+    pair takes the single-pair engine.  mu counts as simple when its gap
+    exceeds sqrt(rel_tol) max|W|, which keeps the eigenvector error,
+    about eps / gap, far below rel_tol.  A pair without such an
+    eigenvalue, such as a doubled simple, is reported not simple.
     """
     k, n = A.shape[:2]
-    if k == 1 and n < SPIN_MIN_DIM:
-        return _span_dims(A, B, np.eye(n, dtype=complex), tol) == n * n
     W = A @ B
     evals, R = np.linalg.eig(W)
     dist = np.abs(evals[:, :, None] - evals[:, None, :])
@@ -411,17 +402,16 @@ def _spin_certified(A: np.ndarray, B: np.ndarray,
     clear = gap.max(axis=1) > np.sqrt(tol.rel_tol) * np.abs(W).max(axis=(1, 2))
     rows = np.arange(k)
     v, u = R[rows, :, j], np.linalg.inv(R)[rows, j].conj()
-    dims = _span_dims(np.concatenate([A, A.conj().swapaxes(1, 2)]),
-                      np.concatenate([B, B.conj().swapaxes(1, 2)]),
-                      np.concatenate([v, u])[..., None], tol)
-    return clear & (dims[:k] == n) & (dims[k:] == n)
+    right = _span_dims(A, B, v[..., None], tol)
+    left = _span_dims(A.conj().swapaxes(1, 2), B.conj().swapaxes(1, 2), u[..., None], tol)
+    return clear & (right == n) & (left == n)
 
 
 @dataclass(eq=False)
 class SimpleInstance:
-    """A generic simple module of a given type, certified by the spin
-    test and reproducible from its seed.  ``attempts`` counts how many
-    draws the certificate rejected plus one."""
+    """A generic simple module of a given type, reproducible from its
+    seed, and certified by the spin test when its dimension is >= 2.
+    ``attempts`` counts how many draws the certificate rejected plus one."""
 
     alpha: GammaDimVector
     seed: int
@@ -434,13 +424,14 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
                          tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
     """Generic simple pairs of type alpha, one per seed: exact eigenvalue
     diagonals conjugated by seeded random unitaries, retried (bounded)
-    until ``_spin_certified`` certifies them simple.
+    until ``_spin_certified`` certifies them simple; a 1 x 1 pair is
+    simple as drawn, with nothing to certify.
 
     Each draw has its own generator, seeded from (alpha, seed, attempt),
     so an instance does not depend on the other seeds of the call.  The
     draws of one attempt go through one stacked QR, one stacked
-    conjugation and one stacked certificate; only the seeds it rejected
-    are drawn again, at the next attempt.
+    conjugation and one stacked certificate (a right and a left spin);
+    only the seeds it rejected are drawn again, at the next attempt.
     """
     if not is_simple_gamma(alpha):
         raise NotSimpleDimension(f"{alpha} is not a simple dimension vector")
@@ -457,6 +448,7 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
         if n == 1:
             A = diag_a[None].repeat(len(pending), axis=0)
             B = diag_b[None].repeat(len(pending), axis=0)
+            simple = np.ones(len(pending), dtype=bool)
         else:
             # per draw: real and imaginary parts of p's Gaussian, then q's
             gauss = np.stack([
@@ -468,7 +460,7 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
             p, q = _unitaries(gauss[:, 0::2] + 1j * gauss[:, 1::2]).swapaxes(0, 1)
             A = p @ diag_a @ p.conj().swapaxes(-1, -2)
             B = q @ diag_b @ q.conj().swapaxes(-1, -2)
-        simple = _spin_certified(A, B, tol)
+            simple = _spin_certified(A, B, tol)
         for i, a, b, ok in zip(pending, A, B, simple):
             if ok:
                 found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA),
@@ -483,14 +475,21 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
 
 
 def random_simple_gamma(alpha: GammaDimVector, seed: int,
-                        instance_id: str | None = None,
                         tol: ToleranceConfig = DEFAULT_TOL) -> SimpleInstance:
     """Generic simple pair of type alpha: the ``random_simples_gamma``
-    of one seed, under the given instance id (default ``alpha@seed``)."""
+    of one seed."""
     inst, = random_simples_gamma(alpha, [seed], tol)
-    if instance_id is not None:
-        inst.instance_id = instance_id
     return inst
+
+
+def _draw_simples(seeds: dict, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+    """Instances for a dict {(alpha, label): seed}, by (alpha, label):
+    one stacked ``random_simples_gamma`` per type."""
+    by_type: dict[GammaDimVector, dict] = {}
+    for key, seed in seeds.items():
+        by_type.setdefault(key[0], {})[key] = seed
+    return {key: inst for alpha, group in by_type.items()
+            for key, inst in zip(group, random_simples_gamma(alpha, group.values(), tol))}
 
 
 @functools.lru_cache(maxsize=256)
@@ -653,20 +652,14 @@ def assemble(spec: SemisimpleSpec, seed: int = 0,
              tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
     """Block-diagonal realization of a spec: for each entry, ``mult``
     identical copies of the rescaled simple block, in entry order.
-    Equal instance ids reuse the same underlying block."""
-    cache: dict[tuple[str, GammaDimVector], SimpleInstance] = {}
+    Equal instance ids (and types) reuse the same underlying block, drawn
+    from ``derived_seed("assemble", seed, instance_id)``; the blocks of
+    one type are drawn, and certified, in one stack (``_draw_simples``)."""
+    drawn = _draw_simples({(e.alpha, e.instance_id): derived_seed("assemble", seed, e.instance_id)
+                           for e in spec.entries}, tol)
     blocks_a, blocks_b = [], []
     for entry in spec.entries:
-        key = (entry.instance_id, entry.alpha)
-        if key not in cache:
-            cache[key] = random_simple_gamma(
-                entry.alpha,
-                derived_seed("assemble", seed, entry.instance_id),
-                instance_id=entry.instance_id,
-                tol=tol,
-            )
-        scaled = scale_rep(cache[key].rep, entry.lam)
-        for _ in range(entry.mult):
-            blocks_a.append(scaled.A)
-            blocks_b.append(scaled.B)
+        scaled = scale_rep(drawn[entry.alpha, entry.instance_id].rep, entry.lam)
+        blocks_a += [scaled.A] * entry.mult
+        blocks_b += [scaled.B] * entry.mult
     return RepPair(_block_diag(blocks_a), _block_diag(blocks_b), B3)

@@ -199,6 +199,15 @@ def _tangent_dim(quiver: LocalQuiver) -> int:
 #: analyze-blocks (summands of dimension <= 3) stays on the full system.
 REDUCED_MIN_CELLS = 40
 
+#: Most cells (n_V n_W)^2, summed over its pairs, of one stacked call of
+#: ``cocycle_dims_numeric`` in ``tangent_dim_numeric``: the systems of one
+#: shape are ranked in chunks of at most this many cells, so many small
+#: summands do not hold all their full systems at once.  A chunk holds
+#: about 1.6 MB with its build copies; 2^12 to 2^16 took the same time on
+#: 40 and 100 summands (2,1;1,1,1), and every shape of a point with
+#: n <= 28 and summands of dimension <= 3 (analyze-blocks) fits one chunk.
+FULL_STACK_CELLS = 2 ** 14
+
 
 def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Tangent-space dimension measured from the matrices: the kernel
@@ -221,8 +230,9 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     system, split by the eigenspaces of A and of B, with K <= n_V n_W and
     N about n_V n_W / 3.  Every other pair, and a pair that function
     refuses (A^2 or B^3 not scalar on a block), goes to the
-    ``cocycle_dims_numeric`` call of its shape, each system against its
-    own threshold.  Dense input, such as a unitary conjugate of an
+    ``cocycle_dims_numeric`` calls of its shape, in chunks of at most
+    FULL_STACK_CELLS cells (n_V n_W)^2, each system against its own
+    threshold.  Dense input, such as a unitary conjugate of an
     assembled pair, is one block; when its summands have different
     lambda^6 its rank comes from one SVD of the full n^2 x 2n^2 system.
 
@@ -241,9 +251,11 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
             by_shape.setdefault((pair[0].n, pair[1].n), []).append((pair, count))
         else:
             total += count * z
-    for members in by_shape.values():
-        shape_pairs, counts = zip(*members)
-        total += sum(c * z for c, z in zip(counts, cocycle_dims_numeric(shape_pairs, B3, tol)))
+    for (n_v, n_w), members in by_shape.items():
+        step = max(1, FULL_STACK_CELLS // (n_v * n_w) ** 2)
+        for start in range(0, len(members), step):
+            shape_pairs, counts = zip(*members[start:start + step])
+            total += sum(c * z for c, z in zip(counts, cocycle_dims_numeric(shape_pairs, B3, tol)))
     return total
 
 

@@ -27,10 +27,10 @@ from .extoracle import (
 from .factory import (
     SemisimpleSpec,
     SpecEntry,
+    _draw_simples,
     _random_unitary,
     derived_seed,
     entries_isomorphic,
-    random_simples_gamma,
     scale_rep,
     validate_rep,
 )
@@ -40,12 +40,10 @@ from .geometry import (
     ext_b3_spec,
     gln_embed,
     gln_retract,
-    tangent_dim_formula,
     tangent_dim_numeric,
 )
 from .lattice import (
     EULER_MATRIX_HEX,
-    GammaDimVector,
     HexDimVector,
     enumerate_hex,
     enumerate_simple_gamma,
@@ -103,36 +101,23 @@ class SuiteResult:
         }
 
 
-def _draw(keys, seed: int, tol: ToleranceConfig) -> dict:
-    """Instances for (alpha, label) keys, each from the seed
-    ``derived_seed("verify", label, seed)``: one stacked
-    ``random_simples_gamma`` per type."""
-    labels_by_type: dict[GammaDimVector, list] = {}
-    for alpha, label in dict.fromkeys(keys):
-        labels_by_type.setdefault(alpha, []).append(label)
-    drawn = {}
-    for alpha, labels in labels_by_type.items():
-        seeds = [derived_seed("verify", label, seed) for label in labels]
-        for label, inst in zip(labels, random_simples_gamma(alpha, seeds, tol)):
-            drawn[alpha, label] = inst
-    return drawn
-
-
 def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
                        singles=()) -> tuple[dict, dict]:
     """Two independent instances for each (alpha, beta, trial) request;
     for equal types of dimension >= 2 the draw is retried, with a bumped
     label, until the modules are non-isomorphic (Hom = 0).  Each round
-    is one ``_draw`` and one stacked Hom rank per dimension.  The
-    (alpha, label) keys of ``singles`` are drawn with the first round.
-    Returns the pairs by request and the single instances by key."""
+    is one ``_draw_simples``, seeded ``derived_seed("verify", label,
+    seed)``, and one stacked Hom rank per dimension.  The (alpha, label)
+    keys of ``singles`` are drawn with the first round.  Returns the
+    pairs by request and the single instances by key."""
     pairs, drawn_singles = {}, {}
     pending = list(dict.fromkeys(requests))
     for bump in range(8):
         keys = [key for alpha, beta, trial in pending
                 for key in ((alpha, ("pair-a", alpha, beta, trial, bump)),
                             (beta, ("pair-b", alpha, beta, trial, bump)))]
-        drawn = _draw([*keys, *(singles if bump == 0 else ())], seed, tol)
+        drawn = _draw_simples({key: derived_seed("verify", key[1], seed)
+                               for key in [*keys, *(singles if bump == 0 else ())]}, tol)
         if bump == 0:
             drawn_singles = {key: drawn[key] for key in singles}
         for req, a_key, b_key in zip(pending, keys[0::2], keys[1::2]):
@@ -419,11 +404,10 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
         valid = validate_rep(rep, B3, tol)
         result.record(bool(valid), valid.residuals.get("relation_A2_B3", 0.0),
                       f"assembled pair invalid for {spec.to_json()}")
-        formula = tangent_dim_formula(spec)
+        report = analyze(spec)
+        formula, comp, verdict = report.tangent_dim, report.component_dim, report.smooth
         result.record(measured == formula, measured - formula,
                       f"tangent mismatch {measured} != {formula} for {spec.to_json()}")
-        report = analyze(spec)
-        comp, verdict = report.component_dim, report.smooth
         result.record(verdict == (measured == comp), 0,
                       f"smooth verdict {verdict} but tangent {measured}, "
                       f"component {comp} for {spec.to_json()}")

@@ -1,12 +1,14 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from b3rep.cli import main
+from b3rep.cli import _verify_bytes, main
 from b3rep.errors import ToleranceAmbiguity
+from b3rep.factory import SemisimpleSpec
 
 SINGULAR_SPEC = {
     "entries": [
@@ -316,6 +318,28 @@ def test_analyze_verify_size_guard_groups_equal_scalars(
     else:
         with pytest.raises(Assembled):
             main(list(argv))
+
+
+def test_analyze_verify_memory_estimate_bounds_many_small_summands(tmp_path, capsys):
+    # 40 summands (2,1;1,1,1) at distinct moduli: their 1600 ordered pairs
+    # are ranked on full 9 x 18 systems, which the estimate must count.
+    # A first run pays the one-off import of numpy.random, not counted.
+    warm = tmp_path / "warm.json"
+    warm.write_text(json.dumps(big_summand_spec([2, 1, 1, 1, 1])))
+    assert run(capsys, "analyze", "--spec", str(warm), "--verify")[0] == 0
+    spec = {"entries": [
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": f"{64 + i}/64", "q": "0"}, "instance": f"s{i}"}
+        for i in range(40)]}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(spec))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["verification"]["matches_formula"]
+    assert peak <= _verify_bytes(SemisimpleSpec.from_json(spec))
 
 
 def scaled_spec(*entries):

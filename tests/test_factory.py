@@ -158,6 +158,24 @@ def test_dimension_one_has_no_freedom():
     assert np.array_equal(inst.rep.B, np.array([[1.0 + 0j]]))
 
 
+def test_one_dimensional_draws_take_no_certificate(monkeypatch):
+    # a 1 x 1 pair is simple: the draw is its eigenvalues, at the first
+    # attempt, with no call of the certificate
+    import b3rep.factory as factory_mod
+
+    def no_certificate(A, B, tol):
+        raise AssertionError("a one-dimensional draw was certified")
+
+    monkeypatch.setattr(factory_mod, "_spin_certified", no_certificate)
+    for alpha in enumerate_simple_gamma(1):
+        for inst in [*random_simples_gamma(alpha, range(4)), random_simple_gamma(alpha, 9)]:
+            assert inst.attempts == 1
+            assert inst.rep.A.shape == (1, 1) and validate_rep(inst.rep, GAMMA)
+    characters = SemisimpleSpec(tuple(SpecEntry(alpha, ONE, 1, f"c{i}")
+                                      for i, alpha in enumerate(enumerate_simple_gamma(1))))
+    assert assemble(characters, seed=3).n == 6
+
+
 def test_seeded_instance_of_dimension_two():
     inst = random_simple_gamma(ALPHA2, seed=42)
     assert eigenvalue_multiset(inst.rep.A) == eigenvalue_multiset(np.diag([1.0, -1.0]))
@@ -196,8 +214,8 @@ def test_first_try_success_rate():
 
 
 def test_generation_failure_is_loud(monkeypatch):
-    # every draw goes through the stacked certificate; one that never
-    # certifies a draw exhausts the retries
+    # every draw of dimension >= 2 goes through the stacked certificate;
+    # one that never certifies a draw exhausts the retries
     import b3rep.factory as factory_mod
     monkeypatch.setattr(factory_mod, "_spin_certified",
                         lambda A, B, tol: np.zeros(len(A), dtype=bool))
@@ -403,10 +421,12 @@ def test_word_span_keeps_one_span_when_a_squared_does_not_split():
 # ---------------------------------------------------------------------------
 
 def certified(reps):
-    """The certificate of a stack of two or more pairs, which always
-    takes the spin test."""
-    assert len(reps) >= 2
-    return _spin_certified(np.stack([r.A for r in reps]), np.stack([r.B for r in reps]))
+    """The certificate of a stack of pairs, after checking that each pair
+    alone, on the single-pair span engine, gets the same verdict."""
+    stacked = _spin_certified(np.stack([r.A for r in reps]), np.stack([r.B for r in reps]))
+    alone = [bool(_spin_certified(r.A[None], r.B[None])[0]) for r in reps]
+    assert stacked.tolist() == alone
+    return stacked
 
 
 def conjugates(rep, rng):
@@ -718,6 +738,64 @@ def test_assemble_block_eigenvalues():
     got_b = eigenvalue_multiset(rep.B)
     expected_b = eigenvalue_multiset(4.0 * np.diag([1.0 + 0j, OMEGA, OMEGA ** 2]))
     assert np.allclose(got_b, expected_b, atol=1e-6)
+
+
+def test_assemble_draws_one_stack_per_type(monkeypatch):
+    # repeated types, a shared instance id and a multiplicity: one
+    # random_simples_gamma call per type, and each block is the one-seed
+    # draw of its entry's instance, rescaled
+    import b3rep.factory as factory_mod
+    real = factory_mod.random_simples_gamma
+    calls = []
+
+    def spy(alpha, seeds, tol=DEFAULT_TOL):
+        calls.append((alpha, len(list(seeds))))
+        return real(alpha, seeds, tol)
+
+    two = ExactScalar.from_rational(2)
+    spec = SemisimpleSpec((
+        SpecEntry(ALPHA2, ONE, 1, "a"), SpecEntry(ALPHA3, ONE, 2, "b"),
+        SpecEntry(ALPHA2, ZETA, 1, "c"), SpecEntry(ALPHA2, two, 1, "a"),
+        SpecEntry(ALPHA3, two, 1, "d"), SpecEntry(GammaDimVector(1, 0, 1, 0, 0), ONE, 3, "e"),
+    ))
+    monkeypatch.setattr(factory_mod, "random_simples_gamma", spy)
+    rep = assemble(spec, seed=5)
+    monkeypatch.undo()
+    assert calls == [(ALPHA2, 2), (ALPHA3, 2), (GammaDimVector(1, 0, 1, 0, 0), 1)]
+    pos = 0
+    for entry in spec.entries:
+        block = scale_rep(random_simple_gamma(
+            entry.alpha, derived_seed("assemble", 5, entry.instance_id)).rep, entry.lam)
+        for _ in range(entry.mult):
+            end = pos + entry.dim
+            assert np.array_equal(rep.A[pos:end, pos:end], block.A)
+            assert np.array_equal(rep.B[pos:end, pos:end], block.B)
+            pos = end
+    assert pos == rep.n
+
+
+def test_no_draw_spans_the_words(monkeypatch):
+    # every certificate is a spin of one vector: no draw path starts the
+    # span engine at the identity, as the word span does, lone draws of
+    # small dimension included
+    import b3rep.factory as factory_mod
+    from b3rep.verify import run_suite
+    real = factory_mod._span_dims
+    starts = []
+
+    def spy(A, B, X0, tol=DEFAULT_TOL):
+        starts.append(X0.shape)
+        return real(A, B, X0, tol)
+
+    monkeypatch.setattr(factory_mod, "_span_dims", spy)
+    for d in range(2, 7):
+        random_simple_gamma(balanced(d), seed=d)
+        random_simples_gamma(balanced(d), range(3))
+    assemble(SemisimpleSpec((SpecEntry(ALPHA2, ONE, 1, "a"), SpecEntry(ALPHA3, ZETA, 2, "b"),
+                             SpecEntry(ALPHA2, ZETA, 1, "c"))), seed=1)
+    assert run_suite("ext", n=2, trials=1).ok
+    assert len(starts) > 20
+    assert all(shape[-1] == 1 for shape in starts), starts
 
 
 def test_derived_seed_is_stable():
