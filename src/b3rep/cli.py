@@ -19,15 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
 from .constants import B3
 from .factory import SemisimpleSpec, derived_seed, validate_rep
 from .geometry import (
-    FULL_STACK_CELLS,
-    REDUCED_MIN_CELLS,
     analyze,
     assemble_and_measure,
     enumerate_component_signatures,
@@ -42,28 +39,33 @@ _COMPONENT_CAP = 20
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
 # Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
-# every ordered pair of summands whose scalars have equal lambda^6,
-# 64 n^2 for the dense assembled pair with its copy, and the full systems
-# of the pairs of small summands (last paragraph).  A pair of summands
+# every ordered pair of summands whose scalars have equal lambda^6, 64 n^2
+# for the dense assembled pair with its copy, and 128 bytes per ordered
+# pair of distinct entries (second paragraph).  A pair of summands
 # at equal c is ranked on a reduced K x N system with K, N <= d_V d_W
-# (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copy in
-# the stacked SVD; a pair at distinct c builds none.  Summed over a group
-# of equal c that is (sum d^2)^2, and for one summand 32 d^4 + 64 n^2.
-# Fresh processes, tracemalloc peak / peak RSS above the 34 MB of the
-# imported package: one balanced simple at d = 24 / 28 / 32, 2.9 / 4.4 /
-# 6.8 MB and 8 / 11 / 14 MB (about 5 MB of it a fixed cost that a d = 4
-# run pays too) against an estimate of 10.7 / 19.7 / 33.6 MB; two of
-# d = 24 at lambda = 1 and e^(2 pi i/7), 4.7 and 10 MB against 21.4 MB;
-# at 1 and zeta6, 8.3 and 13 MB against 42.6 MB.
+# (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copies
+# while it is built and ranked; a pair at distinct c builds none.  Summed
+# over a group of equal c that is (sum d^2)^2, and for one summand
+# 32 d^4 + 64 n^2.  Fresh processes, tracemalloc peak / peak RSS above
+# the 34 MB of the imported package: one balanced simple at d = 24 / 28 /
+# 32, 2.9 / 4.5 / 6.8 MB and 8 / 10 / 13 MB (about 5 MB of it a fixed cost
+# that a d = 4 run pays too) against an estimate of 10.7 / 19.7 / 33.6 MB;
+# two of d = 24 at lambda = 1 and e^(2 pi i/7), 4.8 and 10 MB against
+# 21.4 MB; at 1 and zeta6, 8.4 and 14 MB against 42.6 MB.
 #
-# Ordered pairs of summands below the reduced system's crossover are
-# ranked on the full system, in chunks of at most FULL_STACK_CELLS cells
-# (d_V d_W)^2: 96 bytes a cell of one chunk (84-101 measured, with the
-# build copies), and 256 bytes a pair for the pair lists, which are not
-# chunked (about 220 measured).  Tracemalloc peaks in-process after a
-# first run: 40 summands (2,1;1,1,1) at distinct moduli, n = 120, 2.4 MB
-# against 3.0 MB; 100 of them, n = 300, 8.5 MB against 10.2 MB; 300
-# one-dimensional summands at distinct moduli 26.3 MB against 30.4 MB.
+# The local quiver holds an arrow for every ordered pair of entries, and
+# the report and its JSON text hold them again: about 110 bytes a pair,
+# counted as 128.  validate_rep forms A^2 and B^3 a block of
+# rows at a time, so beside the pair it holds no more than the copy of A
+# or B its singular values need.  Tracemalloc peaks in-process after a
+# first run, against the estimate: 40 summands (2,1;1,1,1) at distinct
+# moduli, n = 120, 1.13 MB against 1.23 MB (in assemble); 100 of them,
+# n = 300, 6.3 MB against 7.3 MB; the 40 at angles k/6 (one group of equal
+# lambda^6), 2.8 MB against 5.3 MB (in the tangent oracle); 100 and 300
+# one-dimensional summands at distinct moduli, 1.8 MB against 1.9 MB and
+# 12.9 MB against 17.3 MB (in the JSON output); 724 copies of one
+# character, 33.7 MB against 33.5 MB (in assemble, which holds the pair
+# and its copy; validate_rep peaks at 28.4 MB).
 #
 # Without --force it may use what one summand of dimension 32 needs.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
@@ -148,19 +150,14 @@ def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
 def _verify_bytes(spec: SemisimpleSpec) -> int:
     """The memory estimate of ``analyze --verify`` on the spec (see
     ``_VERIFY_BUDGET``): entries are grouped by lambda^6, equal when the
-    moduli agree and six times the angles agree mod 1.  The ordered pairs
-    of entries below ``REDUCED_MIN_CELLS`` count 256 bytes each, and their
-    cells up to one chunk of ``FULL_STACK_CELLS``."""
+    moduli agree and six times the angles agree mod 1, and each ordered
+    pair of distinct entries counts 128 bytes."""
     groups: dict[tuple, int] = {}
     for e in spec.entries:
         key = (e.lam.r, 6 * e.lam.q % 1)
         groups[key] = groups.get(key, 0) + e.dim ** 2
-    dims = Counter(e.dim for e in spec.entries)
-    small = [(c * c2, (d * d2) ** 2) for d, c in dims.items() for d2, c2 in dims.items()
-             if d * d2 < REDUCED_MIN_CELLS]
-    cells = sum(count * pair_cells for count, pair_cells in small)
-    return (32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2
-            + 96 * min(cells, FULL_STACK_CELLS) + 256 * sum(count for count, _ in small))
+    k = len(spec.entries)
+    return 32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2 + 128 * k * (k - 1)
 
 
 def cmd_analyze(args) -> int:

@@ -37,12 +37,14 @@ systems are ranked on unit-scaled stacks (``_unit_scaled``), so that no
 threshold depends on the moduli of the pairs.  The single-pair functions
 are the one-element case.
 
-A pair of blocks (V, W) whose A^2 and B^3 are scalars on each side also
-has a reduced cocycle system (``reduced_cocycle_dims_numeric``), self
-pairs included.  Split by the eigenspaces of A and of B, it is empty at
-distinct scalars (dim Z = n_V n_W), and K x N with K, N <= n_V n_W
-(N about n_V n_W / 3) at equal ones, in place of the n_V n_W x 2 n_V n_W
-system whose SVD dominates the tangent oracle on large summands.
+The diagonal blocks of a pair have their own route, ``block_cocycle_dims``:
+the matrix of cocycle dimensions of every ordered pair of blocks, self
+pairs included.  Each block whose A^2 and B^3 are scalars is analysed
+once; split by the eigenspaces of A and of B, a pair of such blocks has
+no system at distinct scalars (dim Z = n_V n_W, counted) and a K x N one
+with K, N <= n_V n_W (N about n_V n_W / 3) at equal ones, in place of the
+n_V n_W x 2 n_V n_W system.  Only a block whose A^2 or B^3 is not scalar,
+such as dense input of mixed lambda^6, takes the full system.
 """
 
 from __future__ import annotations
@@ -215,12 +217,13 @@ def _peak(M: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     return np.where(peak > 0, peak, 1.0)
 
 
-def _row_defect(X: np.ndarray, Y: np.ndarray) -> float:
+def _row_defect(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Largest max|X_i - Y_i| / max(max|X_i|, max|Y_i|) over the rows i:
-    the defect of X = Y, each row on its own scale; nan if one overflowed."""
-    defect = np.abs(X - Y).max(axis=1)
-    scale = np.maximum(np.abs(X).max(axis=1), np.abs(Y).max(axis=1))
-    return float((defect / np.where(scale > 0, scale, 1.0)).max())
+    the defect of X = Y, each row on its own scale, for each matrix of a
+    stack (..., m, n); nan if a row overflowed."""
+    defect = np.abs(X - Y).max(axis=-1)
+    scale = np.maximum(np.abs(X).max(axis=-1), np.abs(Y).max(axis=-1))
+    return (defect / np.where(scale > 0, scale, 1.0)).max(axis=-1)
 
 
 def _unit_scaled(V: PairStack, W: PairStack) -> tuple[PairStack, PairStack]:
@@ -259,119 +262,178 @@ def cocycle_dim_numeric(V, W, group_kind: str = B3,
     return cocycle_dims_numeric([(V, W)], group_kind, tol)[0]
 
 
-def same_scalar(x: complex, y: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether two nonzero scalars are equal at rel_tol, scale-free:
-    |x - y| <= rel_tol max(|x|, |y|).  Raises ToleranceAmbiguity when
-    |x - y| lies within a factor 10 of that threshold, the window in which
-    ``_ranks`` flags a singular value."""
-    gap, threshold = abs(x - y), tol.rel_tol * max(abs(x), abs(y))
-    if threshold / 10.0 < gap < threshold * 10.0:
-        raise ToleranceAmbiguity(
-            "two scalars within a factor 10 of the equality threshold; "
-            "re-randomize the instances"
-        )
-    return gap <= threshold
+def scalar_groups(c, t, tol: ToleranceConfig = DEFAULT_TOL) -> list[list[int]]:
+    """Indices of the nonzero values c_i t_i^6 (t_i > 0) in groups of equal
+    values, in order of first appearance: each value joins the first group
+    whose first member it equals.  x and y are equal when |x - y| <=
+    rel_tol max(|x|, |y|), scale-free; c_i t_i^6 and c_j t_j^6 are compared
+    as c_i (t_i / t_j)^6 and c_j for t_i <= t_j, so no sixth power of a
+    large or small t is formed (t = 1 compares plain scalars).  Raises
+    ToleranceAmbiguity when |x - y| lies within a factor 10 of the
+    threshold, the window in which ``_ranks`` flags a singular value."""
+    c, t = np.asarray(c).tolist(), np.asarray(t).tolist()
+    groups: list[list[int]] = []
+    for i, (ci, ti) in enumerate(zip(c, t)):
+        for group in groups:
+            cj, tj = c[group[0]], t[group[0]]
+            x, y = (ci * (ti / tj) ** 6, cj) if ti <= tj else (ci, cj * (tj / ti) ** 6)
+            gap, threshold = abs(x - y), tol.rel_tol * max(abs(x), abs(y))
+            if threshold / 10.0 < gap < threshold * 10.0:
+                raise ToleranceAmbiguity(
+                    "two scalars within a factor 10 of the equality threshold; "
+                    "re-randomize the instances"
+                )
+            if gap <= threshold:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
-def _power_scalar(M: np.ndarray, power: int, tol: ToleranceConfig):
-    """c when M^power = c I at rel_tol (by ``_row_defect``), else None."""
-    P = M @ M if power == 2 else M @ M @ M
-    c = np.trace(P) / len(P)
-    return c if _row_defect(P, c * np.eye(len(P))) <= tol.rel_tol else None
+def _relation_scaled(V: PairStack) -> tuple[PairStack, np.ndarray]:
+    """Each element as (A/t^3, B/t^2), t = max(max|A|^(1/3), max|B|^(1/2)),
+    and t: entries bounded by 1, and A^2 - B^3 divided by t^6, so the
+    braid relation holds or fails on the scale of the element itself."""
+    t = np.maximum(np.cbrt(_peak(V.A)), np.sqrt(_peak(V.B)))
+    return PairStack(V.A / t ** 3, V.B / t ** 2), t
 
 
-def _eigenbases(A: np.ndarray, B: np.ndarray, s: complex, t: complex) -> list:
-    """(rows, columns) for the eigenprojectors of A = s(P+ - P-) and of
-    B = t(Q_0 + w Q_1 + w^2 Q_2), w = e^(2 pi i/3), in the order P+, P-,
-    Q_0, Q_1, Q_2: the rows Vh[:m] and the columns U[:, :m] of the SVD of
-    each projector, which span its row and column spaces.  P+- =
-    (I +- A/s)/2 and Q_i = (I + M_i + M_i^2)/3 with M_i = B/(t w^i).  The
-    nonzero singular values of an idempotent are at least 1, so those of
-    size >= 1/2 count its rank m."""
-    eye = np.eye(len(A))
-    w = OMEGA ** -np.arange(3)[:, None, None]
-    M = B / t
-    projectors = np.concatenate([(eye + np.array([1, -1])[:, None, None] * (A / s)) / 2,
-                                 (eye + w * M + w ** 2 * (M @ M)) / 3])
-    u, sing, vh = np.linalg.svd(projectors)
-    return [(rows[:m], cols[:, :m]) for rows, cols, m in zip(vh, u, (sing >= 0.5).sum(-1))]
+#: The eigenprojectors P+, P-, Q_0, Q_1, Q_2 of a pair with A^2 = B^3 = I
+#: as combinations of I, A, B and B^2: P+- = (I +- A)/2 and
+#: Q_i = (I + w^-i B + w^-2i B^2)/3, w = e^(2 pi i/3).
+_PROJECTORS = np.array([[1 / 2, 1 / 2, 0, 0], [1 / 2, -1 / 2, 0, 0],
+                        *[[1 / 3, 0, OMEGA ** -i / 3, OMEGA ** (-2 * i) / 3] for i in range(3)]])
 
 
-def reduced_cocycle_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int | None]:
-    """Dimension of the braid cocycle space Z(V, W) for each of a list of
-    pairs (V, W), self pairs V is W included, from a reduced system; None
-    for a pair that needs the full ``cocycle_dims_numeric``: one whose A^2
-    or, at equal A^2, whose B^3 is not a scalar at rel_tol, or whose B^3
-    scalars differ.
+def _kron_factors(A: np.ndarray, B: np.ndarray):
+    """For a stack of blocks (k, d, d) with A^2 = B^3 = I: G = (L_e U_i)
+    and H = ((Vh_i R_f)^T) of ``block_cocycle_dims``, the labels e of their
+    rows and i of their columns, and the ranks (m+, m-, b_0, b_1, b_2) of
+    the eigenprojectors (``_PROJECTORS``) of each block, whose bases are
+    zero-padded to the widest of the stack."""
+    k, d = A.shape[:2]
+    powers = np.stack([A, B, B @ B], axis=1).reshape(k, 3, d * d)
+    u, sing, vh = np.linalg.svd((_PROJECTORS[:, 1:] @ powers).reshape(k, 5, d, d)
+                                + _PROJECTORS[:, :1, None] * np.eye(d))
+    ranks = (sing >= 0.5).sum(-1)
+    keep = np.arange(d) < ranks[..., None]
+    rows, cols = vh * keep[..., None], u * keep[..., None, :]
+    # the projector and the position of each basis vector, padded
+    j, pos = np.nonzero(np.arange(d) < ranks.max(0)[:, None])
+    e, r, i, c = j[j < 2], pos[j < 2], j[j >= 2] - 2, pos[j >= 2]
+    G = (rows[:, :2, None] @ cols[:, None, 2:])[:, e[:, None], i, r[:, None], c]
+    H = (rows[:, None, 2:] @ cols[:, :2, None])[:, e[:, None], i, c, r[:, None]]
+    return G, H, e, i, ranks
 
-    Each pair is unit-scaled by ``_unit_scaled`` first.  With A^2 = c I
-    write A = s(P+ - P-), s^2 = c, P+- = (I +- A/s)/2.  In the splitting
-    M = sum P_W^e M P_V^f, X -> X A_V + A_W X multiplies block (e, f) by
-    e s_W + f s_V.
 
-    * Distinct c (c_V != c_W, decided by ``same_scalar``): no factor
-      vanishes, so D_X is fixed by D_Y and dim Z = n_V n_W, with no system
-      to rank.
-    * Equal c (take s_V = s_W): D_X is fixed on the (+,+) and (-,-)
-      blocks, free on the mixed ones, K = m+_W m-_V + m-_W m+_V dimensions,
-      where P^e (D_Y B_V^2 + B_W D_Y B_V + B_W^2 D_Y) P^f = 0 is asked.
-      B^3 = c' I as well, so B = t(Q_0 + w Q_1 + w^2 Q_2), w = e^(2 pi i/3),
-      and that map multiplies the B-block (i, j) of D_Y by
-      t^2 (w^2i + w^(i+j) + w^2j), which is 0 for i != j.  Only the
-      diagonal B-blocks Q_i^W D_Y Q_i^V = U_i^W E_i Vh_i^V reach the
-      constraints, E_i of shape b_i^W x b_i^V, so with the bases of
-      ``_eigenbases`` the rank of the constraints is that of the K x N
-      system
+def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The k x k matrix of braid cocycle dimensions dim Z(V_i -> V_j) of a
+    list of k blocks (matrix pairs of any sizes), self pairs included.
 
-          C: (E_i) -> L_e (sum_i U_i^W E_i Vh_i^V) R_f,  (e, f) = (+,-), (-,+),
+    On a block with A^2 = B^3 = c I write A = s(P+ - P-), s^2 = c, and
+    B = t(Q_0 + w Q_1 + w^2 Q_2), t^3 = c, w = e^(2 pi i/3).  In the
+    splitting M = sum P_W^e M P_V^f, X -> X A_V + A_W X multiplies block
+    (e, f) by e s_W + f s_V.  At distinct c no factor vanishes, D_X is
+    fixed by D_Y, and dim Z = n_V n_W.  At equal c (s_V = s_W, t_V = t_W)
+    D_X is free on the K = m+_W m-_V + m-_W m+_V mixed dimensions, where
+    P^e (D_Y B_V^2 + B_W D_Y B_V + B_W^2 D_Y) P^f = 0 is asked.  That map
+    kills the B-blocks Q_i^W D_Y Q_j^V with i != j, so with
+    Q_i^W D_Y Q_i^V = U_i^W E_i Vh_i^V the constraints have the rank of the
+    K x N system C: (E_i) -> L_e (sum_i U_i^W E_i Vh_i^V) R_f, e != f,
+    N = sum_i b_i^W b_i^V (about n_V n_W / 3), and
+    dim Z = K + n_V n_W - rank C.  The rows L_e, Vh_i and the columns R_f,
+    U_i span the row and column spaces of the eigenprojectors: their
+    leading singular vectors, counted by the singular values >= 1/2 (those
+    of an idempotent are 0 or at least 1).
 
-      N = sum_i b_i^W b_i^V, about n_V n_W / 3, and dim Z = K + n_V n_W - rank C.
+    Each block is relation-scaled (``_relation_scaled``) and analysed
+    once, in one stack per size: its scalar check and its eigenprojector
+    bases, from one stacked SVD.  The blocks are grouped by c
+    (``scalar_groups``); a pair in different groups counts n_V n_W.  Each
+    block of a group takes the roots s and t of the group's first member,
+    carried to its own scale, so that the labels of the projectors agree.
+    The system of a pair is a set of entries of kron(G_W, H_V),
+    G = (L_e U_i) and H = ((Vh_i R_f)^T), with each projector's basis
+    zero-padded to the widest of its size, which keeps the rank: one
+    gather builds the systems of all pairs of one group and of sizes
+    (n_W, n_V), and one ``_ranks`` call ranks all systems of one shape,
+    each against its own threshold.  The projectors come from A and B
+    themselves, which need not be normal.
 
-    The projectors come from A and B themselves, which need not be normal.
-    The systems of one shape go through one stacked SVD, each against its
-    own threshold.
+    A block on which A^2 or B^3 is not c I at rel_tol (by ``_row_defect``),
+    c the scalar of A^2, is paired with every block on the full system
+    (``cocycle_dims_numeric``).
 
     Raises ToleranceAmbiguity when a singular value of any system falls
     within a factor 10 of that system's rank threshold, or two scalars
-    within a factor 10 of ``same_scalar``'s.
+    within a factor 10 of ``scalar_groups``'s.
     """
-    dims: list[int | None] = [None] * len(pairs)
+    k = len(blocks)
+    # int32 holds every dimension, at most 2 n_V n_W, in half the bytes
+    sizes = np.array([b.n for b in blocks], dtype=np.int32)
+    dims = sizes[:, None] * sizes
+    by_size: dict[int, list[int]] = {}
+    for i, d in enumerate(sizes.tolist()):
+        by_size.setdefault(d, []).append(i)
+    c, t, scale = np.empty(k, complex), np.empty(k, complex), np.empty(k)
+    scalar = np.empty(k, dtype=bool)
+    scaled = {}
+    for d, members in by_size.items():
+        V, tau = _relation_scaled(PairStack(np.stack([blocks[i].A for i in members]),
+                                            np.stack([blocks[i].B for i in members])))
+        powers = np.stack([V.A @ V.A, V.B @ V.B @ V.B], axis=1)
+        ca, cb = np.trace(powers, axis1=-2, axis2=-1).T / d
+        scalar[members] = ((_row_defect(powers, ca[:, None, None, None] * np.eye(d))
+                            <= tol.rel_tol).all(-1) & (np.abs(ca) > tol.abs_floor))
+        c[members], t[members], scale[members], scaled[d] = ca, cb ** (1 / 3), tau.ravel(), V
+    # the roots s of c and t of each group's first member, carried to the
+    # scale of each member: one labelling of the eigenvalues for the group
+    found = np.flatnonzero(scalar)
+    group, first = np.full(k, -1), np.arange(k)
+    for g, members in enumerate(scalar_groups(c[found], scale[found], tol)):
+        group[found[members]], first[found[members]] = g, found[members[0]]
+    rel = scale[first] / scale
+    s, t = np.sqrt(c[first]) * rel ** 3, t[first] * rel ** 2
+    # per size: the factors of every block with scalar A^2 = B^3
+    sides = {}
+    for d, members in by_size.items():
+        inside = scalar[members]
+        members = np.array(members)[inside]
+        if len(members):
+            sides[d] = (members, *_kron_factors(scaled[d].A[inside] / s[members, None, None],
+                                                scaled[d].B[inside] / t[members, None, None]))
+    # the systems of every pair of one group and of sizes (n_W, n_V), in one gather
     by_shape: dict[tuple[int, int], list] = {}
-    for i, (V, W) in enumerate(pairs):
-        v, w = _unit_scaled(PairStack(V.A[None], V.B[None]), PairStack(W.A[None], W.B[None]))
-        sides = [(v.A[0], v.B[0])] if V is W else [(v.A[0], v.B[0]), (w.A[0], w.B[0])]
-        a = [_power_scalar(A, 2, tol) for A, _ in sides]
-        if None in a:
-            continue
-        if not same_scalar(a[0], a[-1], tol):
-            dims[i] = V.n * W.n
-            continue
-        b = [_power_scalar(B, 3, tol) for _, B in sides]
-        if None in b or not same_scalar(b[0], b[-1], tol):
-            continue
-        s, t = np.sqrt(complex(a[0])), complex(b[0]) ** (1 / 3)
-        bases = [_eigenbases(A, B, s, t) for A, B in sides]
-        (_, r_plus), (_, r_minus), *b_v = bases[0]
-        (l_plus, _), (l_minus, _), *b_w = bases[-1]
-        system = np.concatenate([
-            np.concatenate([_system([(L @ u, vh @ R)]) for (_, u), (vh, _) in zip(b_w, b_v)],
-                           axis=-1)
-            for L, R in ((l_plus, r_minus), (l_minus, r_plus))])
-        by_shape.setdefault(system.shape, []).append((i, system))
-    for (k, _), members in by_shape.items():
-        indices, systems = zip(*members)
-        ranks = _checked(*_ranks(np.stack(systems), tol))
-        for i, rank in zip(indices, ranks):
-            dims[i] = k + pairs[i][0].n * pairs[i][1].n - int(rank)
+    for n_v, (v_members, _, H, f, i_v, ranks_v) in sides.items():
+        for n_w, (w_members, G, _, e, i_w, ranks_w) in sides.items():
+            pv, pw = np.nonzero(group[v_members][:, None] == group[w_members][None, :])
+            if not len(pv):
+                continue
+            gv, gw = v_members[pv], w_members[pw]
+            # K free entries of D_X and the n_V n_W of D_Y, less the rank of C
+            free = ranks_w[pw, 0] * ranks_v[pv, 1] + ranks_w[pw, 1] * ranks_v[pv, 0] + n_v * n_w
+            # rows (a, b) of kron(G_W, H_V) with e_a != f_b, columns with i_a = i_b
+            row_w, row_v = np.nonzero(e[:, None] != f[None, :])
+            col_w, col_v = np.nonzero(i_w[:, None] == i_v[None, :])
+            if not (len(row_w) and len(col_w)):
+                dims[gv, gw] = free
+                continue
+            system = (G[pw[:, None, None], row_w[:, None], col_w]
+                      * H[pv[:, None, None], row_v[:, None], col_v])
+            by_shape.setdefault(system.shape[1:], []).append((gv, gw, free, system))
+    for members in by_shape.values():
+        gv, gw, free, systems = (np.concatenate(part) if len(part) > 1 else part[0]
+                                 for part in zip(*members))
+        dims[gv, gw] = free - _checked(*_ranks(systems, tol))
+    # blocks without scalar A^2 = B^3: the full system against every block
+    by_sizes: dict[tuple[int, int], list] = {}
+    for i, j in zip(*np.nonzero(~scalar[:, None] | ~scalar)):
+        by_sizes.setdefault((sizes[i], sizes[j]), []).append((i, j))
+    for pairs in by_sizes.values():
+        dims[tuple(zip(*pairs))] = cocycle_dims_numeric(
+            [(blocks[i], blocks[j]) for i, j in pairs], B3, tol)
     return dims
-
-
-def _relation_scaled(V: PairStack) -> PairStack:
-    """Each element as (A/t^3, B/t^2), t = max(max|A|^(1/3), max|B|^(1/2)):
-    entries bounded by 1, and A^2 - B^3 divided by t^6, so the braid
-    relation holds or fails on the scale of the element itself."""
-    t = np.maximum(np.cbrt(_peak(V.A)), np.sqrt(_peak(V.B)))
-    return PairStack(V.A / t ** 3, V.B / t ** 2)
 
 
 def coboundary_defects_numeric(pairs, group_kind: str = B3,
@@ -390,7 +452,7 @@ def coboundary_defects_numeric(pairs, group_kind: str = B3,
     to them."""
     V, W = _stacks(pairs, group_kind)
     if group_kind == B3:
-        V, W = _relation_scaled(V), _relation_scaled(W)
+        (V, _), (W, _) = _relation_scaled(V), _relation_scaled(W)
     terms = (_peak(V.A) + _peak(W.A)) ** 2 + (_peak(V.B) + _peak(W.B)) ** 3
     product = cocycle_matrix(V, W, group_kind) @ commutant_matrix(V, W)
     ranks, _ = _ranks(product / terms, tol)

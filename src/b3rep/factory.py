@@ -42,7 +42,7 @@ from .errors import (
     NotSimpleDimension,
     ToleranceAmbiguity,
 )
-from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect, same_scalar
+from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect, scalar_groups
 from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
@@ -133,21 +133,33 @@ def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> R
     decided it.  A or B is invertible when its singular-value ratio,
     after each row is divided by its largest modulus, exceeds rel_tol.
     The relation holds when ``_row_defect`` of (A^2, B^3) for B3, or of
-    (A^2, I) and (B^3, I) for Gamma, is at most rel_tol."""
-    a2, b3 = V.A @ V.A, V.B @ V.B @ V.B
-    if kind == GAMMA:
-        relations = {"relation_A2": (a2, np.eye(V.n)), "relation_B3": (b3, np.eye(V.n))}
-    elif kind == B3:
-        relations = {"relation_A2_B3": (a2, b3)}
-    else:
+    (A^2, I) and (B^3, I) for Gamma, is at most rel_tol.  The relation
+    products are formed a block of rows at a time, an eighth of the rows
+    or 2^12 entries if that is more, so A^2 and B^3 are never held whole
+    and take less memory than the row-scaled copy of A or B that the
+    singular values need."""
+    if kind not in (GAMMA, B3):
         raise ValueError(f"unknown relation kind {kind!r}")
     residuals = {}
     for name, M in (("A", V.A), ("B", V.B)):
         sing = np.linalg.svd(M / _peak(M, axis=-1), compute_uv=False)
         residuals[f"min_singular_ratio_{name}"] = float(sing[-1] / sing[0]) if sing[0] > 0 else 0.0
     invertible = all(ratio > tol.rel_tol for ratio in residuals.values())
-    residuals.update((key, _row_defect(X, Y)) for key, (X, Y) in relations.items())
-    ok = invertible and all(residuals[key] <= tol.rel_tol for key in relations)
+    names = ("relation_A2", "relation_B3") if kind == GAMMA else ("relation_A2_B3",)
+    step = max(-(-V.n // 8), 2 ** 12 // V.n)
+    starts = range(0, V.n, step)
+    defects = np.empty((len(starts), len(names)))
+    for block, start in enumerate(starts):
+        rows = slice(start, start + step)
+        a2, b3 = V.A[rows] @ V.A, V.B[rows] @ V.B @ V.B
+        if kind == GAMMA:
+            one = np.eye(len(a2), V.n, start)
+            defects[block] = _row_defect(a2, one), _row_defect(b3, one)
+        else:
+            defects[block] = _row_defect(a2, b3)
+    # ndarray.max, unlike max, keeps the nan of an overflowed block
+    residuals.update(zip(names, defects.max(axis=0).tolist()))
+    ok = invertible and all(residuals[name] <= tol.rel_tol for name in names)
     return RepValidation(ok, kind, residuals)
 
 
@@ -207,21 +219,14 @@ def word_span_dims(A: np.ndarray, B: np.ndarray,
 def _central_blocks(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
     """The diagonal blocks (A_g, B_g) of T^-1 A T and T^-1 B T, with T the
     eigenvectors of A^2 ordered by group, one group per distinct
-    eigenvalue c by ``same_scalar``.  None, for the single span, when A^2
+    eigenvalue c by ``scalar_groups``.  None, for the single span, when A^2
     has one group, when two of its eigenvalues fall in the ambiguity
     window, when T is singular at rel_tol (A^2 not diagonalizable), or
     when T does not split A and B into blocks at rel_tol (by
     ``_row_defect``: A^2 not central)."""
     c, T = np.linalg.eig(A @ A)
-    groups: list[list[int]] = []
     try:
-        for i, ci in enumerate(c):
-            for group in groups:
-                if same_scalar(c[group[0]], ci, tol):
-                    group.append(i)
-                    break
-            else:
-                groups.append([i])
+        groups = scalar_groups(c, [1.0] * len(c), tol)
     except ToleranceAmbiguity:
         return None
     sing = np.linalg.svd(T, compute_uv=False)

@@ -34,12 +34,7 @@ from .errors import (
     ToleranceAmbiguity,
     WitnessUnavailable,
 )
-from .extoracle import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    cocycle_dims_numeric,
-    reduced_cocycle_dims_numeric,
-)
+from .extoracle import DEFAULT_TOL, ToleranceConfig, block_cocycle_dims
 from .factory import RepPair, SemisimpleSpec, SpecEntry, assemble, entries_isomorphic
 from .constants import B3
 from .lattice import (
@@ -187,28 +182,6 @@ def _tangent_dim(quiver: LocalQuiver) -> int:
     )
 
 
-#: Smallest n_V n_W of a block pair ranked by ``reduced_cocycle_dims_numeric``.
-#: Per pair, medians of 41 alternated calls (one BLAS thread, 2 cores), the
-#: reduced path against the full system: self pairs at d = 4 / 5 / 6 / 7 / 8
-#: took 394 / 549 / 626 / 700 / 771 us against 240 / 407 / 614 / 928 /
-#: 1444 us; cross pairs at equal c took 976 / 1289 / 908 / 860 us against
-#: 280 / 673 / 833 / 884 us at (16, 1) / (19, 2) / (9, 5) / (8, 6), and at
-#: distinct c 118-156 us against the full system's 238-905 us.  Below it
-#: the fixed cost of the reduction (scalar checks and the SVDs of five
-#: eigenprojectors a side) outweighs the smaller SVD, and every pair of
-#: analyze-blocks (summands of dimension <= 3) stays on the full system.
-REDUCED_MIN_CELLS = 40
-
-#: Most cells (n_V n_W)^2, summed over its pairs, of one stacked call of
-#: ``cocycle_dims_numeric`` in ``tangent_dim_numeric``: the systems of one
-#: shape are ranked in chunks of at most this many cells, so many small
-#: summands do not hold all their full systems at once.  A chunk holds
-#: about 1.6 MB with its build copies; 2^12 to 2^16 took the same time on
-#: 40 and 100 summands (2,1;1,1,1), and every shape of a point with
-#: n <= 28 and summands of dimension <= 3 (analyze-blocks) fits one chunk.
-FULL_STACK_CELLS = 2 ** 14
-
-
 def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Tangent-space dimension measured from the matrices: the kernel
     dimension of the linearized relation
@@ -217,46 +190,28 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
 
     which is the cocycle space Z^1(V, V) of the braid relation.
 
-    The kernel is taken per ordered pair of block classes, self pairs
-    included.  When A and B share a block-diagonal zero pattern, the
-    linearized relation is block diagonal up to a permutation of rows and
-    columns, and its block (i, j) is the cocycle system from the j-th
-    diagonal block of V to the i-th, so dim Z is the sum of the blocks'
-    cocycle dimensions.  Exactly equal diagonal blocks (repeated summands)
-    form one class, whose systems are solved once and counted by
-    multiplicity.  A pair with n_V n_W >= REDUCED_MIN_CELLS goes to
-    ``reduced_cocycle_dims_numeric``: at distinct A^2 scalars its dimension
-    is n_V n_W with no system to rank, and at equal ones it ranks a K x N
-    system, split by the eigenspaces of A and of B, with K <= n_V n_W and
-    N about n_V n_W / 3.  Every other pair, and a pair that function
-    refuses (A^2 or B^3 not scalar on a block), goes to the
-    ``cocycle_dims_numeric`` calls of its shape, in chunks of at most
-    FULL_STACK_CELLS cells (n_V n_W)^2, each system against its own
-    threshold.  Dense input, such as a unitary conjugate of an
+    When A and B share a block-diagonal zero pattern, the linearized
+    relation is block diagonal up to a permutation of rows and columns,
+    and its block (i, j) is the cocycle system from the j-th diagonal
+    block of V to the i-th, so dim Z is the sum of the blocks' cocycle
+    dimensions.  Exactly equal diagonal blocks (repeated summands) form
+    one class, counted by multiplicity: dim Z = e^T Z e, with e the class
+    counts and Z the matrix of ``block_cocycle_dims`` over the classes.
+    There a pair of classes at distinct lambda^6 counts n_V n_W with no
+    system to rank, and a pair at equal lambda^6 ranks a K x N system,
+    split by the eigenspaces of A and of B, with K <= n_V n_W and N about
+    n_V n_W / 3.  Dense input, such as a unitary conjugate of an
     assembled pair, is one block; when its summands have different
-    lambda^6 its rank comes from one SVD of the full n^2 x 2n^2 system.
+    lambda^6, A^2 is not scalar on it and its rank comes from one SVD of
+    the full n^2 x 2n^2 system.
 
     Raises ToleranceAmbiguity when a rank threshold is not clean.
     """
     classes = _block_classes(V)
-    pairs = [((dom, cod), c_dom * c_cod) for cod, c_cod in classes for dom, c_dom in classes]
-    large = [i for i, ((dom, cod), _) in enumerate(pairs)
-             if dom.n * cod.n >= REDUCED_MIN_CELLS]
-    reduced = dict(zip(large, reduced_cocycle_dims_numeric([pairs[i][0] for i in large], tol)))
-    total = 0
-    by_shape: dict[tuple[int, int], list] = {}
-    for i, (pair, count) in enumerate(pairs):
-        z = reduced.get(i)
-        if z is None:
-            by_shape.setdefault((pair[0].n, pair[1].n), []).append((pair, count))
-        else:
-            total += count * z
-    for (n_v, n_w), members in by_shape.items():
-        step = max(1, FULL_STACK_CELLS // (n_v * n_w) ** 2)
-        for start in range(0, len(members), step):
-            shape_pairs, counts = zip(*members[start:start + step])
-            total += sum(c * z for c, z in zip(counts, cocycle_dims_numeric(shape_pairs, B3, tol)))
-    return total
+    # int32 like the matrix, so the product casts no k x k copy; no partial
+    # sum exceeds 2 n^2, which int32 holds for n < 32768
+    counts = np.array([count for _, count in classes], dtype=np.int32)
+    return int(counts @ block_cocycle_dims([rep for rep, _ in classes], tol) @ counts)
 
 
 def _diagonal_blocks(V: RepPair) -> list[slice]:

@@ -93,9 +93,13 @@ class ExactScalar:
 
 def ratio_in_mu6(lam: ExactScalar, mu: ExactScalar) -> bool:
     """Exact test for lam / mu being a sixth root of unity."""
-    return (lam / mu).in_mu6()
+    return mu6_exponent(lam, mu) is not None
 
 
 def mu6_exponent(lam: ExactScalar, mu: ExactScalar) -> int | None:
-    """k in Z6 with lam / mu = exp(2*pi*i*k/6), or None."""
+    """k in Z6 with lam / mu = exp(2*pi*i*k/6), or None.  A ratio in mu6
+    needs equal moduli, which are compared first: most pairs of a spec
+    differ there, and skip the exact quotient."""
+    if lam.r != mu.r:
+        return None
     return (lam / mu).mu6_exponent()

@@ -30,14 +30,15 @@ from b3rep import (
     random_simple_gamma,
     scale_rep,
 )
+from b3rep import extoracle
 from b3rep.extoracle import (
     PairStack,
     _ranks,
+    block_cocycle_dims,
     cocycle_matrix,
     commutant_matrix,
     ext_dims_numeric,
     hom_dims_numeric,
-    reduced_cocycle_dims_numeric,
 )
 from b3rep.factory import _random_unitary, random_simples_gamma
 
@@ -345,7 +346,7 @@ def test_coboundary_defect_of_a_small_broken_pair_next_to_a_large_one(modulus):
 
 
 # ---------------------------------------------------------------------------
-# the reduced cocycle system of a pair of blocks
+# the reduced cocycle systems of a list of blocks
 # ---------------------------------------------------------------------------
 
 REDUCED_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar(Fraction(3, 2), Fraction(1, 7)),
@@ -357,14 +358,18 @@ def self_pairs(reps):
     return [(v, v) for v in reps]
 
 
+def self_dims(reps):
+    """dim Z(V, V) of each block, each analysed on its own."""
+    return [int(block_cocycle_dims([v])[0, 0]) for v in reps]
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_reduced_self_cocycles_match_the_full_system(d):
     reps = [scale_rep(inst.rep, lam)
             for alpha in enumerate_simple_gamma(d)
             for inst in random_simples_gamma(alpha, range(3))
             for lam in REDUCED_SCALARS]
-    assert reduced_cocycle_dims_numeric(self_pairs(reps)) == \
-        cocycle_dims_numeric(self_pairs(reps))
+    assert self_dims(reps) == cocycle_dims_numeric(self_pairs(reps))
 
 
 def test_reduced_self_cocycles_of_dense_semisimple_blocks():
@@ -382,7 +387,7 @@ def test_reduced_self_cocycles_of_dense_semisimple_blocks():
         rep = assemble(SemisimpleSpec(tuple(SpecEntry(*e) for e in entries)), seed=seed)
         u = _random_unitary(rep.n, np.random.default_rng(seed))
         reps.append(RepPair(u @ rep.A @ u.conj().T, u @ rep.B @ u.conj().T, B3))
-    assert reduced_cocycle_dims_numeric(self_pairs(reps)) == \
+    assert np.diagonal(block_cocycle_dims(reps)).tolist() == \
         [cocycle_dim_numeric(v, v) for v in reps]
 
 
@@ -393,33 +398,51 @@ def test_reduced_self_cocycles_need_no_normal_A():
     G = np.eye(6) + 0.5 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     G_inv = np.linalg.inv(G)
     v = RepPair(G @ inst.rep.A @ G_inv, G @ inst.rep.B @ G_inv, B3)
-    assert reduced_cocycle_dims_numeric([(v, v)]) == cocycle_dims_numeric([(v, v)]) \
+    assert self_dims([v]) == cocycle_dims_numeric([(v, v)]) \
         == [cocycle_dim_numeric(inst.rep, inst.rep)]
     # a real pair whose A^2 = -I has a negative real scalar
     rotation = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
     real = RepPair(rotation, -np.eye(4), B3)
-    assert reduced_cocycle_dims_numeric([(real, real)]) == cocycle_dims_numeric([(real, real)])
+    assert self_dims([real]) == cocycle_dims_numeric([(real, real)])
 
 
-def test_reduced_self_cocycles_refuse_a_non_scalar_square():
-    # A^2 = diag(1, 1, 64, 64): two moduli in one block
+@pytest.fixture
+def full_shapes(monkeypatch):
+    """(n_V, n_W) of each pair that block_cocycle_dims ranks on the full
+    cocycle system."""
+    shapes = []
+    full = extoracle.cocycle_dims_numeric
+
+    def spy(pairs, kind, tol):
+        shapes.extend((v.n, w.n) for v, w in pairs)
+        return full(pairs, kind, tol)
+
+    monkeypatch.setattr(extoracle, "cocycle_dims_numeric", spy)
+    return shapes
+
+
+def test_reduced_self_cocycles_refuse_a_non_scalar_square(full_shapes):
+    # A^2 = diag(1, 1, 64, 64): two moduli in one block, whose pairs with
+    # every block, itself included, take the full system
     inst = random_simple_gamma(GammaDimVector(1, 1, 1, 1, 0), seed=2)
     scaled = scale_rep(inst.rep, ExactScalar.from_rational(2))
     A, B = np.zeros((4, 4), complex), np.zeros((4, 4), complex)
     A[:2, :2], A[2:, 2:] = inst.rep.A, scaled.A
     B[:2, :2], B[2:, 2:] = inst.rep.B, scaled.B
     v = RepPair(A, B, B3)
-    assert reduced_cocycle_dims_numeric([(inst.rep, inst.rep), (v, v), (v, inst.rep)]) == \
-        [cocycle_dim_numeric(inst.rep, inst.rep), None, None]
+    blocks = [inst.rep, v]
+    expected = [[cocycle_dim_numeric(x, y) for y in blocks] for x in blocks]
+    full_shapes.clear()
+    assert block_cocycle_dims(blocks).tolist() == expected
+    assert sorted(full_shapes) == [(2, 4), (4, 2), (4, 4)]
 
 
 def test_reduced_self_cocycles_raise_on_an_ambiguous_threshold():
     inst = random_simple_gamma(GammaDimVector(3, 2, 2, 2, 1), seed=0)
-    pair = [(inst.rep, inst.rep)]
-    assert reduced_cocycle_dims_numeric(pair) == [cocycle_dim_numeric(inst.rep, inst.rep)]
+    assert self_dims([inst.rep]) == [cocycle_dim_numeric(inst.rep, inst.rep)]
     loose = ToleranceConfig(rel_tol=0.9, abs_floor=1e-13)
     with pytest.raises(ToleranceAmbiguity):
-        reduced_cocycle_dims_numeric(pair, loose)
+        block_cocycle_dims([inst.rep], loose)
 
 
 CROSS_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar.zeta6(2), ExactScalar.zeta6(3),
@@ -443,15 +466,34 @@ def test_reduced_cross_cocycles_match_the_full_system(seed):
                 for _ in range(2))
         pairs.append((v, w))
     expected = [cocycle_dim_numeric(v, w) for v, w in pairs]
-    assert reduced_cocycle_dims_numeric(pairs) == expected
+    assert [block_cocycle_dims([v, w])[0, 1] for v, w in pairs] == expected
     equal_c = [i for i, (v, w) in enumerate(pairs)
                if np.isclose(np.trace(v.A @ v.A) / v.n, np.trace(w.A @ w.A) / w.n)]
     assert 10 < len(equal_c) < 50
     assert any(expected[i] > v.n * w.n for i in equal_c for v, w in [pairs[i]])
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_reduced_cross_cocycles_share_the_roots_of_their_group(seed):
+    # lambda^6 = -1: the computed scalars of a block and of its complex
+    # conjugate lie on either side of the branch cut, so their own
+    # principal roots s and t differ in sign and by a cube root of unity;
+    # each block takes its group's roots, or the labels of its
+    # eigenprojectors would not match those of the other blocks
+    rng = np.random.default_rng(seed)
+    simples = [alpha for d in range(2, 6) for alpha in enumerate_simple_gamma(d)]
+    reps = [scale_rep(random_simple_gamma(simples[rng.integers(len(simples))],
+                                          int(rng.integers(10 ** 6))).rep,
+                      ExactScalar(1, Fraction(1, 12) + Fraction(int(rng.integers(6)), 6)))
+            for _ in range(3)]
+    reps += [RepPair(v.A.conj(), v.B.conj(), B3) for v in reps]
+    assert block_cocycle_dims(reps).tolist() == \
+        [[cocycle_dim_numeric(v, w) for w in reps] for v in reps]
+
+
 def test_reduced_cross_cocycles_at_distinct_scalars_rank_nothing(monkeypatch):
-    # c_V != c_W: D_X is fixed by D_Y, so dim Z = n_V n_W with no SVD
+    # c_V != c_W: D_X is fixed by D_Y, so dim Z = n_V n_W with no system;
+    # only the self pair of each block is ranked
     v = random_simple_gamma(GammaDimVector(3, 3, 2, 2, 2), seed=1).rep
     w = scale_rep(random_simple_gamma(GammaDimVector(2, 2, 2, 1, 1), seed=2).rep,
                   ExactScalar(1, Fraction(1, 7)))
@@ -459,12 +501,17 @@ def test_reduced_cross_cocycles_at_distinct_scalars_rank_nothing(monkeypatch):
     pairs = [(v, w), (w, v), (v, far), (far, w)]
     expected = [cocycle_dim_numeric(*pair) for pair in pairs]
     assert expected == [24, 24, 36, 24]
+    ranked = []
+    ranks = extoracle._ranks
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("a system was ranked")
+    def spy(M, tol):
+        ranked.append(len(M))
+        return ranks(M, tol)
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    assert reduced_cocycle_dims_numeric(pairs) == expected
+    monkeypatch.setattr(extoracle, "_ranks", spy)
+    dims = block_cocycle_dims([v, w, far])
+    assert [dims[0, 1], dims[1, 0], dims[0, 2], dims[2, 1]] == expected
+    assert sum(ranked) == 3
 
 
 def test_reduced_cocycles_of_dense_conjugates():
@@ -477,8 +524,8 @@ def test_reduced_cocycles_of_dense_conjugates():
     reps = [inst.rep] + [RepPair(h @ inst.rep.A @ np.linalg.inv(h),
                                  h @ inst.rep.B @ np.linalg.inv(h), B3) for h in (u, g)]
     reps += [scale_rep(rep, ExactScalar.zeta6(1)) for rep in reps]
-    pairs = [(v, w) for v in reps for w in reps]
-    assert reduced_cocycle_dims_numeric(pairs) == [cocycle_dim_numeric(v, w) for v, w in pairs]
+    assert block_cocycle_dims(reps).tolist() == \
+        [[cocycle_dim_numeric(v, w) for w in reps] for v in reps]
 
 
 def test_reduced_cocycles_of_non_split_extensions():
@@ -494,10 +541,13 @@ def test_reduced_cocycles_of_non_split_extensions():
             extensions.append(RepPair(np.array([[W.A[0, 0], dx], [0, V.A[0, 0]]]),
                                       np.array([[W.B[0, 0], dy], [0, V.B[0, 0]]]), B3))
     chars = [RepPair(one_dim_rep(u).A, one_dim_rep(u).B, B3) for u in range(6)]
-    pairs = [pair for e in extensions for x in chars + extensions for pair in ((e, x), (x, e))]
-    expected = [cocycle_dim_numeric(v, w) for v, w in pairs]
+    blocks = chars + extensions
+    pairs = [pair for e in range(6, len(blocks)) for x in range(len(blocks))
+             for pair in ((e, x), (x, e))]
+    expected = [cocycle_dim_numeric(blocks[v], blocks[w]) for v, w in pairs]
     assert expected[0::2] != expected[1::2]
-    assert reduced_cocycle_dims_numeric(pairs) == expected
+    dims = block_cocycle_dims(blocks)
+    assert [dims[v, w] for v, w in pairs] == expected
 
 
 def test_reduced_cross_cocycles_raise_near_equal_scalars():
@@ -507,11 +557,12 @@ def test_reduced_cross_cocycles_raise_near_equal_scalars():
     r = 1 + Fraction(1, 2 * 10 ** 8)      # r^6 = 1 + 3e-8 to first order
     w = scale_rep(v, ExactScalar.from_rational(r))
     with pytest.raises(ToleranceAmbiguity):
-        reduced_cocycle_dims_numeric([(v, w)])
+        block_cocycle_dims([v, w])
     far = scale_rep(v, ExactScalar.from_rational(1 + Fraction(1, 10 ** 7)))
     near = scale_rep(v, ExactScalar.from_rational(1 + Fraction(1, 10 ** 11)))
-    assert reduced_cocycle_dims_numeric([(v, far), (v, near)]) == \
-        [36, cocycle_dim_numeric(v, near)] == [36, cocycle_dim_numeric(v, v)]
+    dims = block_cocycle_dims([v, far, near])
+    assert [dims[0, 1], dims[0, 2]] == [36, cocycle_dim_numeric(v, near)] \
+        == [36, cocycle_dim_numeric(v, v)]
 
 
 def test_cocycle_space_of_braid_relation_contains_boundaries():

@@ -1,5 +1,6 @@
 """Smoothness verdicts, local quivers, dimensions, witnesses, GL_n maps."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from b3rep import (
     tangent_dim_numeric,
     validate_rep,
 )
-from b3rep import geometry
+from b3rep import extoracle, geometry
 from b3rep.geometry import _block_classes, _diagonal_blocks, assemble_and_measure
 
 ONE = ExactScalar.one()
@@ -283,33 +284,41 @@ def full_shapes(monkeypatch):
     """(n_V, n_W) of each pair that tangent_dim_numeric ranks on the full
     cocycle system."""
     shapes = []
-    full = geometry.cocycle_dims_numeric
+    full = extoracle.cocycle_dims_numeric
 
     def spy(pairs, kind, tol):
         shapes.extend((v.n, w.n) for v, w in pairs)
         return full(pairs, kind, tol)
 
-    monkeypatch.setattr(geometry, "cocycle_dims_numeric", spy)
+    monkeypatch.setattr(extoracle, "cocycle_dims_numeric", spy)
     return shapes
 
 
-def test_pairs_from_forty_cells_take_the_reduced_system(full_shapes):
-    # n_V n_W >= 40: the self pair of the 7-dimensional class and its
-    # cross pairs with the 6-dimensional one, whose scalar differs by a
-    # sixth root of unity (equal c); every other pair is ranked in full
+def test_assembled_blocks_take_no_full_system(full_shapes):
+    # A^2 = B^3 is scalar on every block of an assembled pair, so every
+    # pair of blocks, small or large, is counted (distinct lambda^6) or
+    # ranked on its reduced system (equal lambda^6): the 7- and
+    # 6-dimensional classes at scalars a sixth root of unity apart, six
+    # 3-dimensional ones at the sixth roots of unity, and small summands
+    # at moduli up to 10^100, whose A^2 overflows unless each block is
+    # scaled first, with its A and B scaled alike to keep A^2 = B^3
     lam = ExactScalar(Fraction(3, 2), Fraction(1, 7))
-    spec = spec_of(entry(GammaDimVector(4, 3, 3, 2, 2), lam, iid="b"),
-                   entry(GammaDimVector(3, 3, 2, 2, 2), lam * ExactScalar.zeta6(1), iid="c"),
-                   entry(DIM3, iid="d"), entry(A0, iid="a"))
-    assert tangent_dim_numeric(assemble(spec, seed=1)) == tangent_dim_formula(spec)
-    assert sorted(full_shapes) == [(1, 1), (1, 3), (1, 6), (1, 7), (3, 1), (3, 3), (3, 6),
-                                   (3, 7), (6, 1), (6, 3), (6, 6), (7, 1), (7, 3)]
+    specs = [spec_of(entry(GammaDimVector(4, 3, 3, 2, 2), lam, iid="b"),
+                     entry(GammaDimVector(3, 3, 2, 2, 2), lam * ExactScalar.zeta6(1), iid="c"),
+                     entry(DIM3, iid="d"), entry(A0, iid="a")),
+             spec_of(*[entry(DIM3, ExactScalar.zeta6(k), iid=f"s{k}") for k in range(6)],
+                     entry(DIM2, mult=2, iid="t")),
+             spec_of(entry(DIM2, ONE, iid="p"), entry(DIM3, scalar(10 ** 100), iid="q"),
+                     entry(DIM3, scalar(10 ** 80), iid="r"),
+                     entry(A0, scalar(Fraction(1, 10 ** 30)), iid="a"))]
+    for seed, spec in enumerate(specs):
+        assert tangent_dim_numeric(assemble(spec, seed=seed)) == tangent_dim_formula(spec)
+    assert full_shapes == []
 
 
 def test_dense_conjugate_of_mixed_moduli_takes_the_full_system(full_shapes):
     # A^2 of the conjugate is not scalar (lambda^6 = 1 and 3^6 / 2^6), so
-    # its one block is ranked on the full n^2 x 2n^2 system: below the
-    # crossover at n = 6, and refused by the reduced system at n = 7
+    # its one block is ranked on the full n^2 x 2n^2 system, at n = 6 and 7
     for seed in range(3):
         for extra in ((), (entry(A0, ExactScalar(Fraction(5, 4), 0), iid="r"),)):
             spec = spec_of(entry(GammaDimVector(2, 2, 2, 1, 1), iid="p"),
@@ -395,6 +404,23 @@ def test_tangent_numeric_on_a_large_point_of_small_summands():
     rep = assemble(spec, seed=3)
     assert tangent_dim_numeric(rep) == tangent_dim_formula(spec)
     assert tangent_dim_formula(spec) > component_dim(spec)
+
+
+def test_tangent_numeric_on_many_summands_at_distinct_moduli():
+    # 300 one-dimensional summands at distinct moduli: every cross pair is
+    # counted with no system and no list of pairs, so the oracle holds
+    # little beyond the 300 x 300 matrix of cocycle dimensions; with a
+    # full system for each of the 90000 pairs it peaked at 21 MB
+    spec = spec_of(*(entry(A0, scalar(Fraction(64 + i, 64)), iid=f"s{i}") for i in range(300)))
+    rep = assemble(spec, seed=0)
+    tracemalloc.start()
+    try:
+        measured = tangent_dim_numeric(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measured == tangent_dim_formula(spec) == 300 ** 2
+    assert peak <= 10 ** 6
 
 
 def test_assemble_and_measure_redraws_on_ambiguity():

@@ -70,6 +70,20 @@ def test_ratio_in_mu6_and_exponent():
     assert mu6_exponent(ExactScalar.from_rational(2), ExactScalar.one()) is None
 
 
+def test_mu6_exponent_of_different_moduli_forms_no_quotient(monkeypatch):
+    # a ratio in mu6 needs equal moduli, so the exact quotient, which
+    # dominated analyze on many summands at distinct moduli, is skipped
+    def no_quotient(self, other):
+        raise AssertionError("an exact quotient was formed")
+
+    monkeypatch.setattr(ExactScalar, "__truediv__", no_quotient)
+    lam = ExactScalar(Fraction(3, 2), Fraction(1, 6))
+    for mu in (ExactScalar.one(), ExactScalar(Fraction(3, 2) + Fraction(1, 10 ** 20), 0),
+               ExactScalar(Fraction(2, 3), Fraction(1, 6))):
+        assert mu6_exponent(lam, mu) is None and mu6_exponent(mu, lam) is None
+        assert not ratio_in_mu6(lam, mu)
+
+
 def test_json_round_trip():
     lam = ExactScalar(Fraction(3, 2), Fraction(5, 6))
     data = lam.to_json()
