@@ -40,8 +40,9 @@ _COMPONENT_CAP = 20
 _COPIES_CAP = 10_000
 # Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
 # every ordered pair of summands whose scalars have equal lambda^6, 64 n^2
-# for the dense assembled pair with its copy, and 128 bytes per ordered
-# pair of distinct entries (second paragraph).  A pair of summands
+# for the dense assembled pair (32 n^2) and what validate_rep holds beside
+# it, and 128 bytes per ordered pair of distinct entries (second
+# paragraph).  A pair of summands
 # at equal c is ranked on a reduced K x N system with K, N <= d_V d_W
 # (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copies
 # while it is built and ranked; a pair at distinct c builds none.  Summed
@@ -55,17 +56,18 @@ _COPIES_CAP = 10_000
 #
 # The local quiver holds an arrow for every ordered pair of entries, and
 # the report and its JSON text hold them again: about 110 bytes a pair,
-# counted as 128.  validate_rep forms A^2 and B^3 a block of
+# counted as 128.  assemble builds the pair once, read-only, and RepPair
+# adopts it without a copy.  validate_rep forms A^2 and B^3 a block of
 # rows at a time, so beside the pair it holds no more than the copy of A
 # or B its singular values need.  Tracemalloc peaks in-process after a
 # first run, against the estimate: 40 summands (2,1;1,1,1) at distinct
-# moduli, n = 120, 1.13 MB against 1.23 MB (in assemble); 100 of them,
-# n = 300, 6.3 MB against 7.3 MB; the 40 at angles k/6 (one group of equal
-# lambda^6), 2.8 MB against 5.3 MB (in the tangent oracle); 100 and 300
-# one-dimensional summands at distinct moduli, 1.8 MB against 1.9 MB and
+# moduli, n = 120, 0.95 MB against 1.22 MB; 100 of them, n = 300, 4.8 MB
+# against 7.3 MB; the 40 at angles k/6 (one group of equal lambda^6),
+# 2.6 MB against 5.3 MB (in the tangent oracle); 100 and 300
+# one-dimensional summands at distinct moduli, 1.7 MB against 1.9 MB and
 # 12.9 MB against 17.3 MB (in the JSON output); 724 copies of one
-# character, 33.7 MB against 33.5 MB (in assemble, which holds the pair
-# and its copy; validate_rep peaks at 28.4 MB).
+# character, 25.4 MB against 33.5 MB (in validate_rep: the 16.8 MB pair
+# and 8.5 MB beside it; assemble peaks at 16.8 MB).
 #
 # Without --force it may use what one summand of dimension 32 needs.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
@@ -149,15 +151,11 @@ def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
 
 def _verify_bytes(spec: SemisimpleSpec) -> int:
     """The memory estimate of ``analyze --verify`` on the spec (see
-    ``_VERIFY_BUDGET``): entries are grouped by lambda^6, equal when the
-    moduli agree and six times the angles agree mod 1, and each ordered
-    pair of distinct entries counts 128 bytes."""
-    groups: dict[tuple, int] = {}
-    for e in spec.entries:
-        key = (e.lam.r, 6 * e.lam.q % 1)
-        groups[key] = groups.get(key, 0) + e.dim ** 2
-    k = len(spec.entries)
-    return 32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2 + 128 * k * (k - 1)
+    ``_VERIFY_BUDGET``): (sum d^2)^2 cells over each of the spec's
+    ``lambda6_classes``, and 128 bytes for each ordered pair of distinct
+    entries."""
+    cells = sum(sum(spec.entries[i].dim ** 2 for i in cls) ** 2 for cls in spec.lambda6_classes)
+    return 32 * cells + 64 * spec.n ** 2 + 128 * spec.k * (spec.k - 1)
 
 
 def cmd_analyze(args) -> int:

@@ -175,24 +175,19 @@ def commutant_matrix(V, W) -> np.ndarray:
                            _system([(iw, V.B)], [(W.B, iv)])], axis=-2)
 
 
-def hom_dims_numeric(pairs, group_kind: str = B3,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+def hom_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Dimension of the intertwiner space Hom(V, W) for each of a list
     of equal-shape pairs (V, W), from the unit-scaled commutant system.
-
-    The linear condition is the same for both relation kinds; the kind
-    argument only enforces that quotient-case Hom is asked of matrix
-    pairs tagged as satisfying A^2 = B^3 = 1.
-    """
-    V, W = _stacks(pairs, group_kind)
+    The linear condition is the same for both relation kinds, so it
+    takes pairs of either."""
+    V, W = _stacks(pairs, B3)
     ranks, _ = _ranks(commutant_matrix(*_unit_scaled(V, W)), tol)
     return (V.n * W.n - ranks).tolist()
 
 
-def hom_dim_numeric(V, W, group_kind: str = B3,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def hom_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the intertwiner space Hom(V, W)."""
-    return hom_dims_numeric([(V, W)], group_kind, tol)[0]
+    return hom_dims_numeric([(V, W)], tol)[0]
 
 
 def cocycle_matrix(V, W, group_kind: str) -> np.ndarray:

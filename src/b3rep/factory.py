@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,16 +78,13 @@ class RepPair:
     relation_kind: str = B3
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=complex)
-        B = np.array(self.B, dtype=complex)
+        A, B = _frozen(self.A), _frozen(self.B)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if B.shape != A.shape:
             raise ValueError(f"A and B must have equal shape, got {A.shape} vs {B.shape}")
         if self.relation_kind not in (GAMMA, B3):
             raise ValueError(f"unknown relation kind {self.relation_kind!r}")
-        A.setflags(write=False)
-        B.setflags(write=False)
         self.A = A
         self.B = B
 
@@ -112,6 +109,15 @@ class RepPair:
                 [[complex(re, im) for re, im in row] for row in rows], dtype=complex
             )
         return cls(decode(data["A"]), decode(data["B"]), data["relation"])
+
+
+def _frozen(M) -> np.ndarray:
+    """M as a read-only complex array, adopted without a copy if it is one (C-contiguous)."""
+    if not (isinstance(M, np.ndarray) and not M.flags.writeable and M.flags.c_contiguous
+            and M.dtype == complex):
+        M = np.array(M, dtype=complex)
+        M.setflags(write=False)
+    return M
 
 
 @dataclass(frozen=True)
@@ -600,22 +606,31 @@ def entries_isomorphic(e1: SpecEntry, e2: SpecEntry) -> bool:
 @dataclass(frozen=True)
 class SemisimpleSpec:
     """Symbolic semisimple module: an ordered tuple of pairwise
-    non-isomorphic entries."""
+    non-isomorphic entries, and the entry indices of each class of equal
+    lambda^6, keyed exactly by (modulus, 6 * angle mod 1), in order of
+    first appearance.  Entries are isomorphic, or extend each other, only
+    inside a class, so every pairwise test reads the classes."""
 
     entries: tuple[SpecEntry, ...]
+    lambda6_classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
         if not entries:
             raise InvalidSpec("spec needs at least one entry")
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if entries_isomorphic(entries[i], entries[j]):
-                    raise IsomorphicDistinctEntries(
-                        f"entries {i + 1} and {j + 1} are isomorphic; "
-                        "merge them into one entry's multiplicity"
-                    )
+        classes: dict[tuple, list[int]] = {}
+        for i, e in enumerate(entries):
+            classes.setdefault((e.lam.r, 6 * e.lam.q % 1), []).append(i)
+        clash = min(((i, j) for cls in classes.values()
+                     for n, i in enumerate(cls) for j in cls[n + 1:]
+                     if entries_isomorphic(entries[i], entries[j])), default=None)
+        if clash:
+            raise IsomorphicDistinctEntries(
+                f"entries {clash[0] + 1} and {clash[1] + 1} are isomorphic; "
+                "merge them into one entry's multiplicity"
+            )
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "lambda6_classes", tuple(map(tuple, classes.values())))
 
     @property
     def n(self) -> int:
@@ -650,6 +665,7 @@ def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
         k = m.shape[0]
         out[pos:pos + k, pos:pos + k] = m
         pos += k
+    out.setflags(write=False)  # so that a RepPair adopts it without a copy
     return out
 
 

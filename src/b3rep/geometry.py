@@ -139,13 +139,14 @@ class LocalQuiver:
 
 def local_quiver(spec: SemisimpleSpec) -> LocalQuiver:
     """Local quiver of the spec: loops count self-extensions plus one,
-    cross arrows the pairwise extension dimensions.  The arrow matrix is
-    symmetric, so each pair is computed once and mirrored."""
+    cross arrows the pairwise extension dimensions, computed once per pair
+    inside each of ``lambda6_classes`` and mirrored; across classes, 0."""
     entries = spec.entries
     arrows = [[0] * len(entries) for _ in entries]
-    for i, ei in enumerate(entries):
-        for j in range(i, len(entries)):
-            arrows[i][j] = arrows[j][i] = ext_b3_spec(ei, entries[j])
+    for cls in spec.lambda6_classes:
+        for n, i in enumerate(cls):
+            for j in cls[n:]:
+                arrows[i][j] = arrows[j][i] = ext_b3_spec(entries[i], entries[j])
     return LocalQuiver(entries, tuple(tuple(row) for row in arrows))
 
 
@@ -194,7 +195,7 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     relation is block diagonal up to a permutation of rows and columns,
     and its block (i, j) is the cocycle system from the j-th diagonal
     block of V to the i-th, so dim Z is the sum of the blocks' cocycle
-    dimensions.  Exactly equal diagonal blocks (repeated summands) form
+    dimensions.  Byte-equal diagonal blocks (repeated summands) form
     one class, counted by multiplicity: dim Z = e^T Z e, with e the class
     counts and Z the matrix of ``block_cocycle_dims`` over the classes.
     There a pair of classes at distinct lambda^6 counts n_V n_W with no
@@ -228,18 +229,17 @@ def _diagonal_blocks(V: RepPair) -> list[slice]:
 
 
 def _block_classes(V: RepPair) -> list[list]:
-    """Diagonal blocks of V as [pair, count] classes, exactly equal blocks
-    merged into one class, in order of first appearance."""
-    classes: list[list] = []
+    """Diagonal blocks of V as [pair, count] classes, byte-equal blocks
+    merged into one class (keyed on their bytes), in order of first appearance."""
+    classes: dict[tuple[bytes, bytes], list] = {}
     for blk in _diagonal_blocks(V):
         a, b = V.A[blk, blk], V.B[blk, blk]
-        for cls in classes:
-            if np.array_equal(cls[0].A, a) and np.array_equal(cls[0].B, b):
-                cls[1] += 1
-                break
+        key = (a.tobytes(), b.tobytes())
+        if key in classes:
+            classes[key][1] += 1
         else:
-            classes.append([RepPair(a, b, V.relation_kind), 1])
-    return classes
+            classes[key] = [RepPair(a, b, V.relation_kind), 1]
+    return list(classes.values())
 
 
 #: Assemblies tried before a measurement that keeps hitting an ambiguous
@@ -342,9 +342,8 @@ def _witnesses(spec: SemisimpleSpec, failures: list[dict]) -> list[ComponentSign
     for failure in failures:
         if failure["kind"] == "cross_ext":
             i, j = (t - 1 for t in failure["entries"])
+            # ext > 0, so the scalars share lambda^6
             k = mu6_exponent(entries[j].lam, entries[i].lam)
-            if k is None:
-                continue
             merged = entries[i].alpha + twist_gamma(entries[j].alpha, k)
             if not is_simple_gamma(merged):
                 raise B3RepError(

@@ -129,8 +129,7 @@ def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
                 linked.setdefault(alpha.n, []).append(req)
         pending = []
         for same_n in linked.values():
-            homs = hom_dims_numeric([(s.rep, t.rep) for s, t in map(pairs.get, same_n)],
-                                    GAMMA, tol)
+            homs = hom_dims_numeric([(s.rep, t.rep) for s, t in map(pairs.get, same_n)], tol)
             pending += [req for req, hom in zip(same_n, homs) if hom != 0]
         if not pending:
             return pairs, drawn_singles
@@ -341,10 +340,9 @@ def verify_gln(max_n: int = 4, trials: int = 50, seed: int = 0,
     return result
 
 
-def random_spec(n: int, seed: int = 0,
-                lambda_pool: tuple[ExactScalar, ...] = LAMBDA_POOL) -> SemisimpleSpec:
+def random_spec(n: int, seed: int = 0) -> SemisimpleSpec:
     """Deterministic random semisimple spec of total dimension n:
-    random simple types, scalars from the pool, occasional higher
+    random simple types, scalars from ``LAMBDA_POOL``, occasional higher
     multiplicities and occasional reuse of an instance id with a
     different scalar."""
     rng = np.random.default_rng(derived_seed("spec", seed, n))
@@ -360,7 +358,7 @@ def random_spec(n: int, seed: int = 0,
             mult = int(rng.integers(2, remaining // dim + 1))
         simples = enumerate_simple_gamma(dim)
         alpha = simples[rng.integers(len(simples))]
-        lam = lambda_pool[rng.integers(len(lambda_pool))]
+        lam = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
         if entries and rng.random() < 0.15:
             donor = entries[rng.integers(len(entries))]
             if donor.alpha.n == dim and donor.lam != lam:
@@ -371,14 +369,12 @@ def random_spec(n: int, seed: int = 0,
                     continue
         candidate = SpecEntry(alpha, lam, mult, f"s{fresh}")
         fresh += 1
-        merged = False
         for idx, existing in enumerate(entries):
             if entries_isomorphic(candidate, existing):
                 entries[idx] = SpecEntry(existing.alpha, existing.lam,
                                          existing.mult + mult, existing.instance_id)
-                merged = True
                 break
-        if not merged:
+        else:
             entries.append(candidate)
         remaining -= dim * mult
     return SemisimpleSpec(tuple(entries))

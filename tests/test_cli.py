@@ -342,6 +342,59 @@ def test_analyze_verify_memory_estimate_bounds_many_small_summands(tmp_path, cap
     assert peak <= _verify_bytes(SemisimpleSpec.from_json(spec))
 
 
+def parent_verify_bytes(spec):
+    """The estimate as it was first written, with its own lambda^6 key."""
+    groups = {}
+    for e in spec.entries:
+        key = (e.lam.r, 6 * e.lam.q % 1)
+        groups[key] = groups.get(key, 0) + e.dim ** 2
+    k = len(spec.entries)
+    return 32 * sum(g ** 2 for g in groups.values()) + 64 * spec.n ** 2 + 128 * k * (k - 1)
+
+
+def test_verify_bytes_reads_the_specs_lambda6_classes():
+    from b3rep.verify import random_spec
+    specs = [random_spec(n, seed) for n in (4, 8, 12) for seed in range(10)]
+    specs.append(SemisimpleSpec.from_json({"entries": [
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": r, "q": q}, "mult": m, "instance": f"s{i}"}
+        for i, (r, q, m) in enumerate([("1", "0", 1), ("2", "1/6", 1), ("1", "1/7", 2),
+                                       ("1", "1/2", 1), ("2", "0", 3), ("1", "1/7", 1),
+                                       ("1", "13/42", 1), ("3/2", "0", 1)])]}))
+    assert len(specs[-1].lambda6_classes) == 4
+    assert sum(len(spec.lambda6_classes) > 1 for spec in specs) > 10
+    for spec in specs:
+        assert _verify_bytes(spec) == parent_verify_bytes(spec)
+
+
+def test_plain_analyze_of_many_one_dimensional_summands(tmp_path, capsys, monkeypatch):
+    # 1000 one-dimensional summands at distinct moduli: 1000 classes of
+    # lambda^6 of one entry each, so the quiver computes its 1000 loops and
+    # no cross pair, and the spec tests no pair for isomorphism
+    import b3rep.factory as factory_mod
+    import b3rep.geometry as geometry_mod
+    calls = {"ext": 0, "isomorphic": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(geometry_mod, "ext_b3_spec", counted("ext", geometry_mod.ext_b3_spec))
+    monkeypatch.setattr(factory_mod, "entries_isomorphic",
+                        counted("isomorphic", factory_mod.entries_isomorphic))
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": str(i + 1), "q": "0"}, "instance": f"s{i}"}
+        for i in range(1000)]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert code == 0 and err == ""
+    assert calls == {"ext": 1000, "isomorphic": 0}
+    quiver = json.loads(out)["local_quiver"]
+    assert len(quiver["vertices"]) == 1000
+    assert all(row[i] == 1 and sum(row) == 1 for i, row in enumerate(quiver["arrows"]))
+
+
 def scaled_spec(*entries):
     return {"entries": [
         {"alpha": alpha, "lambda": {"r": r, "q": "0"}, "instance": f"s{i}"}

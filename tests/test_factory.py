@@ -1,5 +1,6 @@
 """Matrix models: characters, generic simples, rescaling, assembly."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -678,6 +679,25 @@ def test_spec_rejects_isomorphic_duplicates():
         ))
 
 
+def test_spec_names_the_first_isomorphic_pair_across_classes():
+    # two isomorphic pairs in two classes of lambda^6: entries 4 and 5 in
+    # the class that appears first, entries 2 and 3 in the other
+    a0 = GammaDimVector(1, 0, 1, 0, 0)
+    two = ExactScalar.from_rational(2)
+    entries = (SpecEntry(ALPHA2, ONE, 1, "x"), SpecEntry(a0, two, 1, "p"),
+               SpecEntry(a0, two, 1, "q"), SpecEntry(ALPHA3, ZETA, 1, "t"),
+               SpecEntry(ALPHA3, ZETA, 2, "t"))
+    with pytest.raises(IsomorphicDistinctEntries, match="entries 2 and 3 are"):
+        SemisimpleSpec(entries)
+    with pytest.raises(IsomorphicDistinctEntries, match="entries 3 and 4 are"):
+        SemisimpleSpec(entries[:2] + entries[3:])
+    spec = SemisimpleSpec(entries[:2] + entries[3:4])
+    assert spec.lambda6_classes == ((0, 2), (1,))
+    # the classes are derived data: not part of equality or the repr
+    assert spec == SemisimpleSpec.from_json(spec.to_json())
+    assert "lambda6_classes" not in repr(spec)
+
+
 def test_spec_json_round_trip():
     spec = SemisimpleSpec((
         SpecEntry(ALPHA2, ExactScalar(Fraction(3, 2), Fraction(0)), 2, "s1"),
@@ -715,7 +735,7 @@ def test_assemble_multiplicity_two_blocks_are_identical():
     assert np.array_equal(rep.B[:2, :2], rep.B[2:, 2:])
     assert validate_rep(rep, B3)
     # endomorphisms of a double of one simple form a 2x2 matrix algebra
-    assert hom_dim_numeric(rep, rep, B3) == 4
+    assert hom_dim_numeric(rep, rep) == 4
 
 
 def test_assemble_shares_blocks_by_instance_id():
@@ -796,6 +816,37 @@ def test_no_draw_spans_the_words(monkeypatch):
     assert run_suite("ext", n=2, trials=1).ok
     assert len(starts) > 20
     assert all(shape[-1] == 1 for shape in starts), starts
+
+
+def test_rep_pair_adopts_read_only_complex_arrays_only():
+    frozen = np.eye(3, dtype=complex)
+    frozen.setflags(write=False)
+    assert RepPair(frozen, frozen).A is frozen
+    # a writeable array is copied, so later writes do not reach the pair
+    writeable = np.eye(3, dtype=complex)
+    pair = RepPair(writeable, frozen)
+    writeable[0, 0] = 5
+    assert pair.A[0, 0] == 1 and not pair.A.flags.writeable
+    # so are real and strided arrays, read-only or not
+    real = np.eye(3)
+    real.setflags(write=False)
+    assert RepPair(real, real).A.dtype == complex
+    assert RepPair(frozen[::2, ::2], frozen[::2, ::2]).A.flags.c_contiguous
+
+
+def test_assemble_holds_the_dense_pair_once():
+    # 724 copies of one character: the pair is 32 n^2 bytes; with a copy
+    # of it beside the freshly built blocks assemble peaked at 64 n^2
+    spec = SemisimpleSpec((SpecEntry(GammaDimVector(1, 0, 1, 0, 0), ONE, 724, "c"),))
+    assemble(spec, seed=0)
+    tracemalloc.start()
+    try:
+        rep = assemble(spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n == 724 and not rep.A.flags.writeable and not rep.B.flags.writeable
+    assert peak <= 40 * rep.n ** 2
 
 
 def test_derived_seed_is_stable():

@@ -1,5 +1,6 @@
 """Smoothness verdicts, local quivers, dimensions, witnesses, GL_n maps."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -156,6 +157,38 @@ def test_analyze_computes_each_entry_pair_once(monkeypatch):
     assert analyze(spec).to_json() == expected
     assert len(calls) == spec.k * (spec.k + 1) // 2
     assert len(set(map(frozenset, calls))) == len(calls)
+
+
+def test_analyze_computes_pairs_inside_each_lambda6_class_only(monkeypatch):
+    # three classes of lambda^6, interleaved: modulus 1 at angles k/6,
+    # modulus 2, and modulus 1 at angles 1/7 + k/6
+    seventh = ExactScalar(Fraction(1), Fraction(1, 7))
+    spec = spec_of(entry(DIM3, iid="a"), entry(A0, TWO, iid="b"),
+                   entry(DIM3, seventh, iid="c"), entry(DIM3, ExactScalar.zeta6(1), iid="d"),
+                   entry(DIM2, TWO * ExactScalar.zeta6(1), iid="e"),
+                   entry(DIM2, seventh * ExactScalar.zeta6(2), iid="f"),
+                   entry(DIM2, ExactScalar.zeta6(2), mult=2, iid="g"),
+                   entry(A1, seventh * ExactScalar.zeta6(1), iid="h"))
+    assert spec.lambda6_classes == ((0, 3, 6), (1, 4), (2, 5, 7))
+    # the all-pairs quiver, as every pair of entries defines it
+    reference = [[ext_b3_spec(e1, e2) for e2 in spec.entries] for e1 in spec.entries]
+    assert any(reference[i][j] for i in range(spec.k) for j in range(i))
+    calls = []
+    real = geometry.ext_b3_spec
+
+    def counted(e1, e2):
+        calls.append((e1, e2))
+        return real(e1, e2)
+
+    monkeypatch.setattr(geometry, "ext_b3_spec", counted)
+    report = analyze(spec)
+    assert [list(row) for row in report.local_quiver.arrows] == reference
+    assert len(calls) == 6 + 3 + 6 < spec.k * (spec.k + 1) // 2
+    monkeypatch.undo()
+    quiver = geometry.LocalQuiver(spec.entries, tuple(map(tuple, reference)))
+    assert report.tangent_dim == geometry._tangent_dim(quiver)
+    assert list(report.failed_conditions) == geometry._failed_conditions(quiver)
+    assert report.to_json() == analyze(spec).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +437,25 @@ def test_tangent_numeric_on_a_large_point_of_small_summands():
     rep = assemble(spec, seed=3)
     assert tangent_dim_numeric(rep) == tangent_dim_formula(spec)
     assert tangent_dim_formula(spec) > component_dim(spec)
+
+
+def test_block_classes_take_one_pass_over_distinct_blocks():
+    # 3000 distinct 1 x 1 blocks: a scan of every class found so far took
+    # 2 s on 1000 blocks and grows as the square; A and B share one array
+    # to halve the memory
+    diag = np.zeros((3000, 3000), dtype=complex)
+    np.fill_diagonal(diag, np.arange(1, 3001))
+    diag.setflags(write=False)
+    start = time.perf_counter()
+    classes = _block_classes(RepPair(diag, diag, B3))
+    assert time.perf_counter() - start < 2
+    assert [(rep.A[0, 0], count) for rep, count in classes] == \
+        [(complex(v), 1) for v in range(1, 3001)]
+    # byte-equal blocks still merge, in order of first appearance
+    repeated = np.diag(np.array([2, 1, 2, 3, 1, 2], dtype=complex))
+    classes = _block_classes(RepPair(repeated, 2 * repeated, B3))
+    assert [(rep.A[0, 0], rep.B[0, 0], count) for rep, count in classes] == \
+        [(2, 4, 3), (1, 2, 2), (3, 6, 1)]
 
 
 def test_tangent_numeric_on_many_summands_at_distinct_moduli():

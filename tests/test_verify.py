@@ -156,9 +156,9 @@ def test_independent_pairs_redraw_only_the_linked_requests(monkeypatch):
     real = verify_mod.hom_dims_numeric
     rounds = []
 
-    def linked_first(pairs, kind, tol):
+    def linked_first(pairs, tol):
         rounds.append(len(pairs))
-        homs = real(pairs, kind, tol)
+        homs = real(pairs, tol)
         return [1] * len(homs) if len(rounds) == 1 else homs
 
     monkeypatch.setattr(verify_mod, "hom_dims_numeric", linked_first)
@@ -177,6 +177,6 @@ def test_independent_pairs_redraw_only_the_linked_requests(monkeypatch):
                                   derived_seed("verify", ("pair-b", a2, a1, 0, 0), 3)]
     assert singles[single].seed == derived_seed("verify", ("self", a1, 0), 3)
 
-    monkeypatch.setattr(verify_mod, "hom_dims_numeric", lambda pairs, kind, tol: [1] * len(pairs))
+    monkeypatch.setattr(verify_mod, "hom_dims_numeric", lambda pairs, tol: [1] * len(pairs))
     with pytest.raises(GenerationFailed):
         verify_mod._independent_pairs(requests, 3, DEFAULT_TOL)
