@@ -38,6 +38,11 @@ _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
 # take about 0.3 s and 52 MB, 10^5 about 2 s and 220 MB.
 _COPIES_CAP = 10_000
+# The local quiver, the report and its JSON hold an arrow for every
+# ordered pair of distinct entries, so time and memory grow with the
+# square of their count: 1000 entries take about 1.1 s and 99 MB of RSS
+# above import, 2000 about 4.3 s and 388 MB.
+_ENTRIES_CAP = 1_000
 # Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
 # every ordered pair of summands whose scalars have equal lambda^6, 64 n^2
 # for the dense assembled pair (32 n^2) and what validate_rep holds beside
@@ -172,6 +177,9 @@ def cmd_analyze(args) -> int:
         if copies > _COPIES_CAP and not args.force:
             raise InvalidSpec(f"spec has {copies} copies of simples; above "
                               f"{_COPIES_CAP} it needs --force")
+        if spec.k > _ENTRIES_CAP and not args.force:
+            raise InvalidSpec(f"spec has {spec.k} distinct entries; above "
+                              f"{_ENTRIES_CAP} it needs --force")
         tol = ToleranceConfig(rel_tol=args.tol)
         if args.verify:
             _check_verifiable(spec, args.force)
@@ -284,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--verify", action="store_true",
                       help="assemble matrices and check the tangent dimension")
     p_an.add_argument("--force", action="store_true",
-                      help=f"allow more than {_COPIES_CAP} copies of simples, and "
+                      help=f"allow more than {_COPIES_CAP} copies of simples or "
+                           f"{_ENTRIES_CAP} distinct entries, and "
                            f"--verify above {_VERIFY_BUDGET / 1e6:.0f} MB of "
                            "estimated memory")
     p_an.add_argument("--seed", type=int, default=0)

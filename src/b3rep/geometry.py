@@ -440,24 +440,56 @@ def enumerate_component_signatures(n: int) -> list[ComponentSignature]:
     return sorted(signatures, key=lambda s: (s.dimension(), s.factors))
 
 
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack of complex matrices (k, m, n), equal bit
+    for bit to ``np.linalg.norm`` of each member: that norm adds the dot
+    products of the real and of the imaginary parts with themselves, and
+    matmul takes a row times a column through the same BLAS dot."""
+    flat = np.ascontiguousarray(M, dtype=complex).reshape(len(M), -1)
+    real, imag = ((part[:, None, :] @ part[:, :, None])[:, 0, 0]
+                  for part in (flat.real, flat.imag))
+    return np.sqrt(real + imag)
+
+
+def _gln_embed(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G^3, G^2) for each matrix of a complex stack G (k, n, n); raises
+    ValueError if any member is numerically singular."""
+    if G.ndim != 3 or G.shape[1] != G.shape[2]:
+        raise ValueError(f"expected square matrices, got shape {G.shape[1:]}")
+    sing = np.linalg.svd(G, compute_uv=False)
+    if np.any(sing[:, -1] <= DEFAULT_TOL.rel_tol * sing[:, 0]):
+        raise ValueError("matrix is numerically singular")
+    B = G @ G
+    return B @ G, B
+
+
+def _gln_retract(A: np.ndarray, B: np.ndarray,
+                 tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """A B^{-1} for each pair of the stacks A and B (k, n, n); raises
+    ValueError, with the residual of the first, if any pair does not
+    commute at tolerance."""
+    comm = _frobenius(A @ B - B @ A)
+    # fmax, like max, keeps the bound 1.0 when the product is nan
+    scale = np.fmax(1.0, _frobenius(A) * _frobenius(B))
+    bad = np.flatnonzero(comm > tol.rel_tol * scale)
+    if bad.size:
+        raise ValueError(
+            f"pair does not commute (residual {comm[bad[0]]:.3e}); not in the "
+            "commuting component"
+        )
+    return A @ np.linalg.inv(B)
+
+
 def gln_embed(G: np.ndarray) -> RepPair:
     """Embed an invertible matrix as the commuting pair (G^3, G^2); its
-    image always satisfies A^2 = B^3 and AB = BA."""
-    G = np.asarray(G, dtype=complex)
-    sing = np.linalg.svd(G, compute_uv=False)
-    if sing[-1] <= DEFAULT_TOL.rel_tol * sing[0]:
-        raise ValueError("matrix is numerically singular")
-    return RepPair(G @ G @ G, G @ G, B3)
+    image always satisfies A^2 = B^3 and AB = BA.  A stack of one of
+    ``_gln_embed``: ValueError if G is numerically singular."""
+    A, B = _gln_embed(np.asarray(G, dtype=complex)[None])
+    return RepPair(A[0], B[0], B3)
 
 
 def gln_retract(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of the embedding on the commuting component: A B^{-1}.
-    Rejects pairs that do not commute at tolerance."""
-    comm = np.linalg.norm(V.A @ V.B - V.B @ V.A)
-    scale = max(1.0, float(np.linalg.norm(V.A) * np.linalg.norm(V.B)))
-    if comm > tol.rel_tol * scale:
-        raise ValueError(
-            f"pair does not commute (residual {comm:.3e}); not in the "
-            "commuting component"
-        )
-    return V.A @ np.linalg.inv(V.B)
+    """Inverse of the embedding on the commuting component: A B^{-1}.  A
+    stack of one of ``_gln_retract``: ValueError if the pair does not
+    commute at tolerance."""
+    return _gln_retract(V.A[None], V.B[None], tol)[0]

@@ -20,7 +20,6 @@ from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
     coboundary_defects_numeric,
-    ext_dim_numeric,
     ext_dims_numeric,
     hom_dims_numeric,
 )
@@ -28,18 +27,19 @@ from .factory import (
     SemisimpleSpec,
     SpecEntry,
     _draw_simples,
-    _random_unitary,
+    _unitaries,
     derived_seed,
     entries_isomorphic,
     scale_rep,
     validate_rep,
 )
 from .geometry import (
+    _frobenius,
+    _gln_embed,
+    _gln_retract,
     analyze,
     assemble_and_measure,
     ext_b3_spec,
-    gln_embed,
-    gln_retract,
     tangent_dim_numeric,
 )
 from .lattice import (
@@ -234,7 +234,11 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
 def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
     """Measured braid-case extension dimensions are symmetric:
-    ext(V, W) = ext(W, V) on sampled pairs of rescaled simples."""
+    ext(V, W) = ext(W, V) on sampled pairs of rescaled simples.
+
+    The pairs are drawn by ``_independent_pairs``, and both directions
+    of every pair are measured by ``_measure``, the stacked path of
+    ``verify_ext``: one stacked call per pair of dimensions."""
     result = SuiteResult("symmetry")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
     samples = []
@@ -246,13 +250,15 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
         mu = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
         samples.append(((alpha, beta, trial), lam, mu))
     pairs, _ = _independent_pairs([req for req, _, _ in samples], seed, tol)
+    systems = []
     for req, lam, mu in samples:
-        alpha, beta, _ = req
         s, t = pairs[req]
         v = scale_rep(s.rep, lam)
         w = scale_rep(t.rep, mu)
-        forward = ext_dim_numeric(v, w, B3, tol)
-        backward = ext_dim_numeric(w, v, B3, tol)
+        systems += [("ext", v, w, B3), ("ext", w, v, B3)]
+    values = _measure(systems, tol)
+    for ((alpha, beta, _), lam, mu), forward, backward in zip(
+            samples, values[0::2], values[1::2]):
         result.record(forward == backward, forward - backward,
                       f"ext({alpha}*{lam},{beta}*{mu}) = {forward} but "
                       f"reverse = {backward}")
@@ -314,29 +320,39 @@ def verify_gln(max_n: int = 4, trials: int = 50, seed: int = 0,
                tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
     """Round trips of the commuting-component isomorphism with the
     invertible matrices: G -> (G^3, G^2) -> G and back, plus the
-    relation and commutation residuals of the embedding."""
+    relation and commutation residuals of the embedding.
+
+    Each size n is one stack: the trials draw their matrices from their
+    own seeds, and then the unitaries, the embedding, the retraction and
+    the second embedding each run once on the stack of all trials
+    (``_gln_embed`` and ``_gln_retract``, behind ``gln_embed`` and
+    ``gln_retract``)."""
     result = SuiteResult("gln")
     for n in range(2, max_n + 1):
+        gauss, moduli = [], []
         for trial in range(trials):
             rng = np.random.default_rng(derived_seed("gln", seed, n, trial))
-            # controlled conditioning: unitary * diag(moduli in [0.8, 1.25]) * unitary
-            u = _random_unitary(n, rng)
-            w = _random_unitary(n, rng)
-            moduli = 0.8 + 0.45 * rng.random(n)
-            g = u @ np.diag(moduli.astype(complex)) @ w
-            pair = gln_embed(g)
-            rel = float(np.linalg.norm(pair.A @ pair.A - pair.B @ pair.B @ pair.B))
-            comm = float(np.linalg.norm(pair.A @ pair.B - pair.B @ pair.A))
-            result.record(rel <= 1e-12 * max(1.0, np.linalg.norm(pair.A) ** 2), rel,
-                          f"embed relation residual {rel:.2e} at n={n}")
-            result.record(comm <= 1e-12 * max(1.0, np.linalg.norm(pair.A) ** 2), comm,
-                          f"embed commutation residual {comm:.2e} at n={n}")
-            back = gln_retract(pair, tol)
-            err = float(np.linalg.norm(back - g))
-            result.record(err <= 1e-10, err, f"retract(embed(G)) error {err:.2e}")
-            again = gln_embed(back)
-            err2 = float(np.linalg.norm(again.A - pair.A) + np.linalg.norm(again.B - pair.B))
-            result.record(err2 <= 1e-10, err2, f"embed(retract(V)) error {err2:.2e}")
+            # the draws of two _random_unitary calls, then the moduli
+            gauss += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                      for _ in range(2)]
+            moduli.append(0.8 + 0.45 * rng.random(n))
+        u, w = _unitaries(np.array(gauss)).reshape(trials, 2, n, n).swapaxes(0, 1)
+        # controlled conditioning: unitary * diag(moduli in [0.8, 1.25]) * unitary
+        g = u @ (np.eye(n) * np.array(moduli, dtype=complex)[:, None, :]) @ w
+        A, B = _gln_embed(g)
+        rel = _frobenius(A @ A - B @ B @ B)
+        comm = _frobenius(A @ B - B @ A)
+        size = _frobenius(A)
+        back = _gln_retract(A, B, tol)
+        err = _frobenius(back - g)
+        again_a, again_b = _gln_embed(back)
+        err2 = _frobenius(again_a - A) + _frobenius(again_b - B)
+        for r, c, s, e, e2 in zip(*(x.tolist() for x in (rel, comm, size, err, err2))):
+            bound = 1e-12 * max(1.0, s ** 2)
+            result.record(r <= bound, r, f"embed relation residual {r:.2e} at n={n}")
+            result.record(c <= bound, c, f"embed commutation residual {c:.2e} at n={n}")
+            result.record(e <= 1e-10, e, f"retract(embed(G)) error {e:.2e}")
+            result.record(e2 <= 1e-10, e2, f"embed(retract(V)) error {e2:.2e}")
     return result
 
 

@@ -508,6 +508,25 @@ def test_analyze_copies_cap(tmp_path, capsys, mults, refused):
     assert len(json.loads(out)["signature"]) == sum(mults)
 
 
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_analyze_entries_cap(tmp_path, capsys, force):
+    # the local quiver and the report hold an arrow for every ordered pair
+    # of entries, so the cap counts distinct entries as well as copies:
+    # 1001 one-dimensional summands at distinct moduli, one copy each
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": str(i + 1), "q": "0"}, "instance": f"s{i}"}
+        for i in range(1001)]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), *force)
+    if force:
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["local_quiver"]["vertices"]) == 1001
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1001 distinct entries" in err and "--force" in err
+
+
 def test_analyze_table_output(tmp_path, capsys):
     path = tmp_path / "sing.json"
     path.write_text(json.dumps(SINGULAR_SPEC))
@@ -572,3 +591,17 @@ def test_byte_identical_output(tmp_path, capsys):
     runs = [run(capsys, "verify", "tangent", "--n", "4", "--trials", "5",
                 "--seed", "7")[1] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("suite, checks", [("gln", 600), ("symmetry", 6)])
+def test_byte_identical_verify_output(capsys, suite, checks, fmt):
+    # the stacked suites at their default sizes and a fixed seed
+    runs = [run(capsys, "verify", suite, "--seed", "11", "--format", fmt) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(out)["checks"] == checks
+    else:
+        assert out.startswith(f"suite {suite}: {checks}/{checks} checks passed")

@@ -37,7 +37,14 @@ from b3rep import (
     validate_rep,
 )
 from b3rep import extoracle, geometry
-from b3rep.geometry import _block_classes, _diagonal_blocks, assemble_and_measure
+from b3rep.geometry import (
+    _block_classes,
+    _diagonal_blocks,
+    _frobenius,
+    _gln_embed,
+    _gln_retract,
+    assemble_and_measure,
+)
 
 ONE = ExactScalar.one()
 TWO = ExactScalar.from_rational(2)
@@ -674,6 +681,26 @@ def test_gln_round_trip_random():
         pair = gln_embed(g)
         assert np.linalg.norm(pair.A @ pair.B - pair.B @ pair.A) < 1e-12
         assert np.allclose(gln_retract(pair), g, atol=1e-10)
+
+
+def test_frobenius_equals_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 8):
+        stack = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+        stack = stack @ stack
+        assert _frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
+
+
+def test_gln_stacks_raise_if_any_member_fails():
+    stack = np.array([np.eye(3), np.diag([1.0, 2.0, 0.0]), 2 * np.eye(3)], dtype=complex)
+    with pytest.raises(ValueError, match="singular"):
+        _gln_embed(stack)
+    A, B = _gln_embed(np.array([np.eye(2), np.diag([1.0, 2.0]), 2 * np.eye(2)], dtype=complex))
+    B[1] = [[1, 1], [0, 1]]
+    with pytest.raises(ValueError, match="does not commute"):
+        _gln_retract(A, B)
+    with pytest.raises(ValueError, match="singular"):
+        gln_embed(np.diag([1.0, 0.0]))
 
 
 def test_gln_retract_rejects_non_commuting():

@@ -3,6 +3,7 @@
 import inspect
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import b3rep.lattice as lattice_mod
@@ -15,9 +16,12 @@ from b3rep import (
     SemisimpleSpec,
     SuiteResult,
     derived_seed,
+    gln_embed,
+    gln_retract,
     random_spec,
     run_suite,
 )
+from b3rep.factory import _random_unitary
 
 
 @pytest.mark.parametrize("suite,kwargs", [
@@ -121,6 +125,59 @@ def test_lemma_suite_fails_on_a_mutated_form_or_map(monkeypatch, module, name, v
     monkeypatch.setattr(module, name, value)
     result = run_suite("lemma")
     assert failure in result.failures and result.checks == 374
+
+
+def reference_gln(max_n, trials, seed):
+    """The (ok, residual) records of the gln suite, one trial at a time
+    through the public single-matrix ``gln_embed`` and ``gln_retract``."""
+    records = []
+    for n in range(2, max_n + 1):
+        for trial in range(trials):
+            rng = np.random.default_rng(derived_seed("gln", seed, n, trial))
+            u = _random_unitary(n, rng)
+            w = _random_unitary(n, rng)
+            g = u @ np.diag((0.8 + 0.45 * rng.random(n)).astype(complex)) @ w
+            pair = gln_embed(g)
+            bound = 1e-12 * max(1.0, np.linalg.norm(pair.A) ** 2)
+            rel = np.linalg.norm(pair.A @ pair.A - pair.B @ pair.B @ pair.B)
+            comm = np.linalg.norm(pair.A @ pair.B - pair.B @ pair.A)
+            back = gln_retract(pair)
+            again = gln_embed(back)
+            err = np.linalg.norm(back - g)
+            err2 = np.linalg.norm(again.A - pair.A) + np.linalg.norm(again.B - pair.B)
+            records += [(rel <= bound, rel), (comm <= bound, comm),
+                        (err <= 1e-10, err), (err2 <= 1e-10, err2)]
+    return records
+
+
+@pytest.mark.parametrize("max_n", [4, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gln_suite_matches_a_per_trial_loop(monkeypatch, max_n, seed):
+    records = []
+    record = SuiteResult.record
+
+    def logged(self, ok, residual=0.0, message=""):
+        records.append((ok, residual))
+        record(self, ok, residual, message)
+
+    monkeypatch.setattr(SuiteResult, "record", logged)
+    result = run_suite("gln", n=max_n, trials=10, seed=seed)
+    expected = reference_gln(max_n, 10, seed)
+    assert result.ok and len(records) == len(expected) == 40 * (max_n - 1)
+    assert [ok for ok, _ in records] == [bool(ok) for ok, _ in expected]
+    np.testing.assert_allclose([r for _, r in records], [r for _, r in expected],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name, value, failure", [
+    ("_gln_embed", lambda G: (G @ G, G @ G @ G), "embed relation residual"),
+    ("_gln_retract", lambda A, B, tol: B @ np.linalg.inv(A), "retract(embed(G)) error"),
+])
+def test_gln_suite_fails_on_a_mutated_embed_or_retract(monkeypatch, name, value, failure):
+    monkeypatch.setattr(verify_mod, name, value)
+    result = run_suite("gln", n=3, trials=5)
+    assert result.checks == 40 and result.failed > 0
+    assert any(msg.startswith(failure) for msg in result.failures)
 
 
 def test_unknown_suite_rejected():
