@@ -7,9 +7,9 @@ A^2 = B^3 = 1.  This package classifies which semisimple points are
 smooth, entirely through integer lattice combinatorics (Euler forms of
 two small quivers, a twist action by sixth roots of unity), and holds
 every formula against numerical linear-algebra oracles built from
-explicit matrices: spin and Burnside span tests for simplicity, cocycle /
-commutant systems for extension dimensions, and the linearized relation
-for tangent spaces.
+explicit matrices: a spin test for simplicity, cocycle / commutant
+systems for extension dimensions, and the linearized relation for
+tangent spaces.
 """
 
 from .constants import B3, GAMMA, OMEGA, ZETA6
@@ -42,7 +42,6 @@ from .factory import (
     SimpleInstance,
     SpecEntry,
     assemble,
-    burnside_simple,
     derived_seed,
     entries_isomorphic,
     one_dim_rep,
@@ -50,8 +49,6 @@ from .factory import (
     random_simples_gamma,
     scale_rep,
     validate_rep,
-    word_span_dim,
-    word_span_dims,
 )
 from .geometry import (
     AnalysisReport,
@@ -101,7 +98,7 @@ __all__ = [
     "SemisimpleSpec", "SimpleInstance", "SpecEntry", "SUITE_NAMES",
     "SuiteResult", "ToleranceAmbiguity", "ToleranceConfig",
     "WitnessUnavailable", "ZETA6", "analyze", "assemble",
-    "burnside_simple", "coboundary_defects_numeric", "cocycle_dim_numeric",
+    "coboundary_defects_numeric", "cocycle_dim_numeric",
     "cocycle_dims_numeric", "component_dim", "component_signature", "derived_seed",
     "entries_isomorphic", "enumerate_component_signatures", "enumerate_hex",
     "enumerate_simple_gamma", "euler_gamma", "euler_hex", "ext_b3_spec",
@@ -112,5 +109,5 @@ __all__ = [
     "one_dim_rep", "orbit_class", "orbit_gamma", "random_simple_gamma",
     "random_simples_gamma", "random_spec", "ratio_in_mu6", "run_suite", "scale_rep",
     "simple_orbit_classes", "tangent_dim_formula", "tangent_dim_numeric",
-    "twist_gamma", "validate_rep", "word_span_dim", "word_span_dims",
+    "twist_gamma", "validate_rep",
 ]

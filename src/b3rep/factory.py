@@ -8,12 +8,9 @@ by independent random unitaries (orthonormalized Gaussian matrices), so
 conditioning stays near 1 and numerical ranks are unambiguous.  Every
 draw of dimension >= 2 is certified simple by a two-sided spin test in
 O(n^3) (``_spin_certified``): one eigenvector of A B and one of its
-adjoint must each spin to all of C^n.  The Burnside span test
-(``word_span_dims``, ``burnside_simple``), which grows the word span of
-{A, B} one word length at a time, on each eigenspace group of the
-central element A^2 on its own, and asks for the full matrix algebra in
-O(n^6), stays as the independent oracle the tests compare the
-certificate against; both run on the same span engine (``_span_dims``).
+adjoint must each spin to all of C^n, on the span engine ``_span_dims``.
+It is the package's only simplicity test; the tests hold it against the
+Burnside word span, the same engine started at the identity.
 Draws of one type come in stacks (``random_simples_gamma``), each seeded
 on its own, and are certified by two stacked spins, right and left, so
 a stack costs a few numpy calls per level instead of a few per draw.
@@ -40,9 +37,8 @@ from .errors import (
     InvalidSpec,
     IsomorphicDistinctEntries,
     NotSimpleDimension,
-    ToleranceAmbiguity,
 )
-from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect, scalar_groups
+from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
 from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
@@ -190,64 +186,6 @@ def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return _unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-def word_span_dims(A: np.ndarray, B: np.ndarray,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Dimension of the linear span of all words in {A, B} (at most n^2)
-    for each pair of a stack, A and B of shape (k, n, n), or for one pair
-    of shape (n, n): the ``_span_dims`` of the identity, summed over the
-    blocks of ``_central_blocks`` where it splits the pair.
-
-    The spectral projectors of the central element A^2 = B^3 lie in the
-    algebra the words span, and are central there, so that algebra is the
-    direct sum of the algebras of the blocks.  Spanning each block on its
-    own keeps every word on the scale of its own block: in one span, a
-    word with a factors A and b factors B grows as |lambda|^(3a + 2b) on
-    each block, and the relative threshold drops the part of the smaller
-    block once the moduli differ enough.
-    """
-    one = A.ndim == 2
-    stack_a, stack_b = (A[None], B[None]) if one else (A, B)
-    dims = np.zeros(len(stack_a), dtype=np.intp)
-    whole = []
-    for i, (a, b) in enumerate(zip(stack_a, stack_b)):
-        blocks = _central_blocks(a, b, tol)
-        if blocks is None:
-            whole.append(i)
-        else:
-            dims[i] = sum(int(_span_dims(x, y, np.eye(len(x), dtype=complex), tol))
-                          for x, y in blocks)
-    if whole:
-        dims[whole] = _span_dims(stack_a[whole], stack_b[whole],
-                                 np.eye(A.shape[-1], dtype=complex), tol)
-    return dims[0] if one else dims
-
-
-def _central_blocks(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
-    """The diagonal blocks (A_g, B_g) of T^-1 A T and T^-1 B T, with T the
-    eigenvectors of A^2 ordered by group, one group per distinct
-    eigenvalue c by ``scalar_groups``.  None, for the single span, when A^2
-    has one group, when two of its eigenvalues fall in the ambiguity
-    window, when T is singular at rel_tol (A^2 not diagonalizable), or
-    when T does not split A and B into blocks at rel_tol (by
-    ``_row_defect``: A^2 not central)."""
-    c, T = np.linalg.eig(A @ A)
-    try:
-        groups = scalar_groups(c, [1.0] * len(c), tol)
-    except ToleranceAmbiguity:
-        return None
-    sing = np.linalg.svd(T, compute_uv=False)
-    if len(groups) < 2 or sing[-1] <= tol.rel_tol * sing[0]:
-        return None
-    T = T[:, np.concatenate(groups)]
-    label = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    inside = label[:, None] == label[None, :]
-    split = [np.linalg.solve(T, M @ T) for M in (A, B)]
-    if not all(_row_defect(M, M * inside) <= tol.rel_tol for M in split):
-        return None
-    return [(split[0][np.ix_(g, g)], split[1][np.ix_(g, g)])
-            for g in (label == k for k in range(len(groups)))]
-
-
 def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
                tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Dimension of span{w X0 : w a word in A, B} (at most n m) for each
@@ -372,18 +310,6 @@ def _accept_in_order_stacked(basis, resid, live, floor, count) -> np.ndarray:
     return kept
 
 
-def word_span_dim(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the linear span of all words in {A, B}: the
-    ``word_span_dims`` of one pair."""
-    return int(word_span_dims(V.A, V.B, tol))
-
-
-def burnside_simple(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Burnside test: the module is simple iff words in A, B span the
-    full n x n matrix algebra."""
-    return word_span_dim(V, tol) == V.n * V.n
-
-
 def _spin_certified(A: np.ndarray, B: np.ndarray,
                     tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Whether each pair of a stack (k, n, n) is simple, by a two-sided
@@ -427,7 +353,6 @@ class SimpleInstance:
     alpha: GammaDimVector
     seed: int
     rep: RepPair
-    instance_id: str
     attempts: int = 1
 
 
@@ -474,8 +399,7 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
             simple = _spin_certified(A, B, tol)
         for i, a, b, ok in zip(pending, A, B, simple):
             if ok:
-                found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA),
-                                          f"{alpha}@{seeds[i]}", attempts=attempt + 1)
+                found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA), attempt + 1)
         pending = [i for i, ok in zip(pending, simple) if not ok]
     if pending:
         raise GenerationFailed(

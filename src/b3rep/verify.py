@@ -136,19 +136,29 @@ def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
     raise GenerationFailed("could not draw non-isomorphic instances")
 
 
+#: Bytes of system ``_measure`` ranks in one stacked call, counted as the
+#: 16 (2 n_V n_W)^2 bytes of a quotient cocycle system, the largest one it
+#: builds.  Every group of the default and CI sizes fits in one call; at
+#: ``verify ext --n 10`` the (10, 10) group alone holds 3.3 GB of them.
+_MEASURE_CHUNK_BYTES = 2 ** 26
+
+
 def _measure(systems, tol: ToleranceConfig) -> list[int]:
     """Values of (oracle, V, W, kind) systems, in order; the oracle is
     ext or coboundary.  One stacked call per oracle, kind and pair of
-    dimensions."""
+    dimensions, split into calls of at most ``_MEASURE_CHUNK_BYTES``."""
     oracles = {"ext": ext_dims_numeric, "coboundary": coboundary_defects_numeric}
     groups: dict[tuple, list[int]] = {}
     for idx, (oracle, V, W, kind) in enumerate(systems):
         groups.setdefault((oracle, kind, V.n, W.n), []).append(idx)
     values = [0] * len(systems)
-    for (oracle, kind, _, _), idxs in groups.items():
-        got = oracles[oracle]([systems[i][1:3] for i in idxs], kind, tol)
-        for i, value in zip(idxs, got):
-            values[i] = value
+    for (oracle, kind, n_v, n_w), idxs in groups.items():
+        step = max(1, _MEASURE_CHUNK_BYTES // (16 * (2 * n_v * n_w) ** 2))
+        for start in range(0, len(idxs), step):
+            chunk = idxs[start:start + step]
+            got = oracles[oracle]([systems[i][1:3] for i in chunk], kind, tol)
+            for i, value in zip(chunk, got):
+                values[i] = value
     return values
 
 

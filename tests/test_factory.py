@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from b3rep import (
     B3,
@@ -23,7 +21,6 @@ from b3rep import (
     SemisimpleSpec,
     SpecEntry,
     assemble,
-    burnside_simple,
     derived_seed,
     entries_isomorphic,
     enumerate_simple_gamma,
@@ -33,16 +30,13 @@ from b3rep import (
     random_simple_gamma,
     scale_rep,
     validate_rep,
-    word_span_dim,
 )
 from b3rep.extoracle import cocycle_matrix
 from b3rep.factory import (
-    _central_blocks,
     _random_unitary,
     _span_dims,
     _spin_certified,
     random_simples_gamma,
-    word_span_dims,
 )
 
 ONE = ExactScalar.one()
@@ -84,6 +78,22 @@ def generic_pair(alpha, rng):
 
     p, q = unitary(), unitary()
     return RepPair(p @ diag_a @ p.conj().T, q @ diag_b @ q.conj().T, GAMMA)
+
+
+def word_span_dims(A, B):
+    """Dimension of the span of all words in {A, B} for each pair of a
+    stack (k, n, n), or for one pair (n, n): the span engine started at
+    the identity, the Burnside oracle the spin certificate is held to."""
+    return _span_dims(A, B, np.eye(A.shape[-1], dtype=complex))
+
+
+def word_span_dim(V):
+    return int(word_span_dims(V.A, V.B))
+
+
+def burnside_simple(V):
+    """Burnside: the pair is simple iff its words span all n x n matrices."""
+    return word_span_dim(V) == V.n * V.n
 
 
 def reference_word_span_dim(V, tol=DEFAULT_TOL):
@@ -239,7 +249,7 @@ def test_simplicity_criterion_matches_burnside_sampling():
 
 
 # ---------------------------------------------------------------------------
-# Burnside span test
+# Burnside word span (the tests' oracle)
 # ---------------------------------------------------------------------------
 
 def test_burnside_on_characters_and_sums():
@@ -286,8 +296,7 @@ def test_word_span_dims_of_a_mixed_stack_match_the_reference():
 
 def same_draws(xs, ys):
     return all(x.rep.A.tobytes() == y.rep.A.tobytes() and x.rep.B.tobytes() == y.rep.B.tobytes()
-               and (x.alpha, x.seed, x.instance_id, x.attempts)
-               == (y.alpha, y.seed, y.instance_id, y.attempts)
+               and (x.alpha, x.seed, x.attempts) == (y.alpha, y.seed, y.attempts)
                for x, y in zip(xs, ys, strict=True))
 
 
@@ -346,75 +355,6 @@ def test_attempts_on_a_fixed_grid():
     grid += [(balanced(d), seed) for d in (8, 13, 16, 19) for seed in (0, 1)]
     assert [random_simple_gamma(alpha, seed).attempts for alpha, seed in grid] \
         == [1] * len(grid)
-
-
-SIMPLES_UP_TO_3 = [v for n in range(1, 4) for v in enumerate_simple_gamma(n)]
-#: moduli from 1/2 to 5/2 in steps of 1/16; distinct moduli keep the two
-#: entries non-isomorphic and without cross extensions
-MODULI = [Fraction(k, 16) for k in range(8, 41)]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(alphas=st.tuples(st.sampled_from(SIMPLES_UP_TO_3), st.sampled_from(SIMPLES_UP_TO_3)),
-       moduli=st.lists(st.sampled_from(MODULI), min_size=2, max_size=2, unique=True),
-       angles=st.tuples(st.integers(0, 6), st.integers(0, 6)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_word_span_of_two_unlinked_simples(alphas, moduli, angles, seed):
-    spec = SemisimpleSpec(tuple(
-        SpecEntry(alpha, ExactScalar(r, Fraction(k, 7)), 1, f"s{i}")
-        for i, (alpha, r, k) in enumerate(zip(alphas, moduli, angles))
-    ))
-    assert word_span_dim(assemble(spec, seed=seed)) == sum(a.n ** 2 for a in alphas)
-
-
-def test_word_span_of_two_simples_at_distant_moduli():
-    # a word with a factors A and b factors B is 2^(3a + 2b) times larger on
-    # the second block; in one span the first block's part of a candidate
-    # fell under the relative threshold once that passed 1 / rel_tol (70
-    # instead of 72); spanned block by block, each keeps its own scale
-    alpha = GammaDimVector(3, 3, 3, 2, 1)
-    spec = SemisimpleSpec((SpecEntry(alpha, ONE, 1, "p"),
-                           SpecEntry(alpha, ExactScalar.from_rational(2), 1, "q")))
-    assert word_span_dim(assemble(spec, seed=0)) == 2 * alpha.n ** 2
-
-
-def test_word_span_of_two_simples_at_random_moduli():
-    # 600 pairs of simples of dimension <= 6 at distinct moduli in [1/2, 5/2]:
-    # one span over both blocks came out short in 85 of them
-    rng = np.random.default_rng(600)
-    simples = [alpha for d in range(1, 7) for alpha in enumerate_simple_gamma(d)]
-    short = []
-    for _ in range(600):
-        alphas = [simples[rng.integers(len(simples))] for _ in range(2)]
-        moduli = rng.choice(len(MODULI), 2, replace=False)
-        spec = SemisimpleSpec(tuple(
-            SpecEntry(alpha, ExactScalar(MODULI[r], Fraction(int(rng.integers(7)), 7)), 1, iid)
-            for alpha, r, iid in zip(alphas, moduli, "pq")))
-        if word_span_dim(assemble(spec, seed=int(rng.integers(2 ** 32)))) \
-                != sum(a.n ** 2 for a in alphas):
-            short.append(spec.to_json())
-    assert short == []
-
-
-def test_word_span_keeps_one_span_when_a_squared_does_not_split():
-    # A^2 = B^3 = diag(1, 1, 64, 64) conjugated by a unitary splits into
-    # its two blocks
-    inst = random_simple_gamma(ALPHA2, seed=2)
-    scaled = scale_rep(inst.rep, ExactScalar.from_rational(2))
-    A, B = (u @ np.block([[X, np.zeros((2, 2))], [np.zeros((2, 2)), Y]]) @ u.conj().T
-            for u in [_random_unitary(4, np.random.default_rng(2))]
-            for X, Y in ((inst.rep.A, scaled.A), (inst.rep.B, scaled.B)))
-    assert [len(a) for a, _ in _central_blocks(A, B, DEFAULT_TOL)] == [2, 2]
-    assert int(word_span_dims(A, B)) == 8
-    # A^2 with a Jordan block is not diagonalizable, and its eigenvectors
-    # would flatten that block; it keeps the single span, which counts the
-    # three powers of A
-    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    assert _central_blocks(A, A, DEFAULT_TOL) is None
-    assert int(word_span_dims(A, A)) == 3
-    # A^2 that is not central: B does not keep the eigenspaces of A^2
-    B = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    assert _central_blocks(np.diag([1.0, 1.0, 2.0]), B, DEFAULT_TOL) is None
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,41 @@ def test_suite_results_are_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def measured_stacks(monkeypatch, suite, **kwargs):
+    """The suite's result and the (oracle, shape, count) of each stacked
+    call ``_measure`` made."""
+    calls = []
+    for name in ("ext_dims_numeric", "coboundary_defects_numeric"):
+        def spy(pairs, kind, tol, real=getattr(verify_mod, name), name=name):
+            calls.append((name, pairs[0][0].n, pairs[0][1].n, kind, len(pairs)))
+            return real(pairs, kind, tol)
+        monkeypatch.setattr(verify_mod, name, spy)
+    result = run_suite(suite, **kwargs).to_json()
+    monkeypatch.undo()
+    return result, calls
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("ext", {"n": 3, "trials": 8, "seed": 1}),
+    ("symmetry", {"n": 3, "trials": 30, "seed": 2}),
+])
+@pytest.mark.parametrize("chunk_bytes", [1, 3 * 16 * (2 * 2 * 2) ** 2])
+def test_measure_in_chunks_gives_the_same_suite(monkeypatch, suite, kwargs, chunk_bytes):
+    # at these sizes every group is one stacked call; with room for one
+    # system a call, or for three quotient cocycle systems of (2, 2), the
+    # groups split into chunks of the bytes allowed, and every value and
+    # count stays
+    whole, calls = measured_stacks(monkeypatch, suite, **kwargs)
+    assert len({call[:4] for call in calls}) == len(calls)
+    monkeypatch.setattr(verify_mod, "_MEASURE_CHUNK_BYTES", chunk_bytes)
+    split, chunks = measured_stacks(monkeypatch, suite, **kwargs)
+    assert split == whole
+    assert len(chunks) > len(calls)
+    assert sum(call[-1] for call in chunks) == sum(call[-1] for call in calls)
+    assert all(count <= max(1, chunk_bytes // (16 * (2 * n_v * n_w) ** 2))
+               for _, n_v, n_w, _, count in chunks)
+
+
 def test_random_spec_is_valid_and_deterministic():
     for n in range(1, 7):
         for seed in range(12):
