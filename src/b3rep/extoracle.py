@@ -95,14 +95,15 @@ def _ranks(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]
     return np.where(zero, 0, ranks), ambiguous & ~zero
 
 
-def _checked(ranks, ambiguous):
-    """The ranks; raises ToleranceAmbiguity when any decision is flagged."""
+def _checked(values, ambiguous):
+    """The values (ranks or dimensions); raises ToleranceAmbiguity when
+    any rank decision behind them is flagged."""
     if np.any(ambiguous):
         raise ToleranceAmbiguity(
             "singular value within a factor 10 of the rank threshold; "
             "re-randomize the instances"
         )
-    return ranks
+    return values
 
 
 def numeric_rank(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -162,8 +163,8 @@ def _stacks(pairs, group_kind: str) -> tuple[PairStack, PairStack]:
     the domains and the codomains."""
     for V, W in pairs:
         _check_kinds(V, W, group_kind)
-    return tuple(PairStack(np.stack([pair[side].A for pair in pairs]),
-                           np.stack([pair[side].B for pair in pairs]))
+    return tuple(PairStack(np.array([pair[side].A for pair in pairs]),
+                           np.array([pair[side].B for pair in pairs]))
                  for side in (0, 1))
 
 
@@ -431,6 +432,17 @@ def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     return dims
 
 
+def _coboundary_defects(pairs, group_kind: str,
+                        tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``coboundary_defects_numeric`` with each system's ambiguity flag."""
+    V, W = _stacks(pairs, group_kind)
+    if group_kind == B3:
+        (V, _), (W, _) = _relation_scaled(V), _relation_scaled(W)
+    terms = (_peak(V.A) + _peak(W.A)) ** 2 + (_peak(V.B) + _peak(W.B)) ** 3
+    product = cocycle_matrix(V, W, group_kind) @ commutant_matrix(V, W)
+    return _ranks(product / terms, tol)
+
+
 def coboundary_defects_numeric(pairs, group_kind: str = B3,
                                tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Rank of the cocycle system on the coboundaries, for each of a list
@@ -445,29 +457,35 @@ def coboundary_defects_numeric(pairs, group_kind: str = B3,
     product is divided by (max|A_V| + max|A_W|)^2 + (max|B_V| + max|B_W|)^3,
     which bounds the terms it cancels, so abs_floor tells zero relative
     to them."""
-    V, W = _stacks(pairs, group_kind)
-    if group_kind == B3:
-        (V, _), (W, _) = _relation_scaled(V), _relation_scaled(W)
-    terms = (_peak(V.A) + _peak(W.A)) ** 2 + (_peak(V.B) + _peak(W.B)) ** 3
-    product = cocycle_matrix(V, W, group_kind) @ commutant_matrix(V, W)
-    ranks, _ = _ranks(product / terms, tol)
+    ranks, _ = _coboundary_defects(pairs, group_kind, tol)
     return ranks.tolist()
+
+
+def _ext_dims(pairs, group_kind: str,
+              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """dim Ext^1 of each of a list of equal-shape pairs, and its ambiguity
+    flag: the pairs are stacked and unit-scaled once for both systems,
+    the cocycle system (dim Z, of its 2 n_V n_W columns) and the
+    commutant (dim B, its rank)."""
+    V, W = _unit_scaled(*_stacks(pairs, group_kind))
+    z_ranks, z_ambiguous = _ranks(cocycle_matrix(V, W, group_kind), tol)
+    b_ranks, b_ambiguous = _ranks(commutant_matrix(V, W), tol)
+    return 2 * V.n * W.n - z_ranks - b_ranks, z_ambiguous | b_ambiguous
 
 
 def ext_dims_numeric(pairs, group_kind: str = B3,
                      tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """dim Ext^1(V, W) = dim Z - dim B from explicit matrices, for each
-    of a list of equal-shape pairs (V, W), with dim Z from
-    ``cocycle_dims_numeric`` and dim B = n_V n_W - dim Hom the rank of
-    the unit-scaled commutant system.  All systems of one kind go through
-    one stacked SVD each.
+    of a list of equal-shape pairs (V, W), with dim Z the kernel
+    dimension of the cocycle system (as ``cocycle_dims_numeric``) and
+    dim B = n_V n_W - dim Hom the rank of the commutant system, both on
+    the same unit-scaled stacks.  All systems of one kind go through one
+    stacked SVD each.
 
     Raises ToleranceAmbiguity when a singular value of any system falls
     within a factor 10 of that system's rank threshold.
     """
-    z_dims = cocycle_dims_numeric(pairs, group_kind, tol)
-    b_dims = _checked(*_ranks(commutant_matrix(*_unit_scaled(*_stacks(pairs, group_kind))), tol))
-    return [z - int(b) for z, b in zip(z_dims, b_dims)]
+    return _checked(*_ext_dims(pairs, group_kind, tol)).tolist()
 
 
 def ext_dim_numeric(V, W, group_kind: str = B3,

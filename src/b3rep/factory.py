@@ -57,12 +57,11 @@ _RETRY_LIMIT = 16
 
 def derived_seed(*parts) -> int:
     """Stable 64-bit seed from a tuple of labels; the branching scheme
-    behind all deterministic randomness in the package."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "little")
+    behind all deterministic randomness in the package: the little-endian
+    8-byte BLAKE2b digest of the parts' reprs, each followed by a 0x1f
+    byte, hashed as one string."""
+    text = "".join([repr(part) + "\x1f" for part in parts])
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
 @dataclass(eq=False)
@@ -107,12 +106,18 @@ class RepPair:
         return cls(decode(data["A"]), decode(data["B"]), data["relation"])
 
 
+def _readonly(M: np.ndarray) -> np.ndarray:
+    """M, a new array, made read-only, so that a RepPair adopts it (or its
+    slices) without a copy."""
+    M.setflags(write=False)
+    return M
+
+
 def _frozen(M) -> np.ndarray:
     """M as a read-only complex array, adopted without a copy if it is one (C-contiguous)."""
     if not (isinstance(M, np.ndarray) and not M.flags.writeable and M.flags.c_contiguous
             and M.dtype == complex):
-        M = np.array(M, dtype=complex)
-        M.setflags(write=False)
+        M = _readonly(np.array(M, dtype=complex))
     return M
 
 
@@ -360,14 +365,17 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
                          tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
     """Generic simple pairs of type alpha, one per seed: exact eigenvalue
     diagonals conjugated by seeded random unitaries, retried (bounded)
-    until ``_spin_certified`` certifies them simple; a 1 x 1 pair is
-    simple as drawn, with nothing to certify.
+    until ``_spin_certified`` certifies them simple.
 
     Each draw has its own generator, seeded from (alpha, seed, attempt),
     so an instance does not depend on the other seeds of the call.  The
     draws of one attempt go through one stacked QR, one stacked
     conjugation and one stacked certificate (a right and a left spin);
     only the seeds it rejected are drawn again, at the next attempt.
+    The stacks are read-only, so each instance's pair holds views of
+    them, without a copy.  A 1 x 1 pair is simple as drawn, with nothing
+    random in it: every instance of a one-dimensional type shares one
+    read-only pair.
     """
     if not is_simple_gamma(alpha):
         raise NotSimpleDimension(f"{alpha} is not a simple dimension vector")
@@ -376,27 +384,25 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
     diag_b = np.diag(np.array(
         [1.0] * alpha.x + [OMEGA] * alpha.y + [OMEGA ** 2] * alpha.z, dtype=complex))
     seeds = list(seeds)
+    if n == 1:
+        rep = RepPair(diag_a, diag_b, GAMMA)
+        return [SimpleInstance(alpha, seed, rep) for seed in seeds]
     found: dict[int, SimpleInstance] = {}
     pending = list(range(len(seeds)))
     for attempt in range(_RETRY_LIMIT):
         if not pending:
             break
-        if n == 1:
-            A = diag_a[None].repeat(len(pending), axis=0)
-            B = diag_b[None].repeat(len(pending), axis=0)
-            simple = np.ones(len(pending), dtype=bool)
-        else:
-            # per draw: real and imaginary parts of p's Gaussian, then q's
-            gauss = np.stack([
-                np.random.default_rng(
-                    derived_seed("simple", alpha.as_tuple(), seeds[i], attempt)
-                ).standard_normal((4, n, n))
-                for i in pending
-            ])
-            p, q = _unitaries(gauss[:, 0::2] + 1j * gauss[:, 1::2]).swapaxes(0, 1)
-            A = p @ diag_a @ p.conj().swapaxes(-1, -2)
-            B = q @ diag_b @ q.conj().swapaxes(-1, -2)
-            simple = _spin_certified(A, B, tol)
+        # per draw: real and imaginary parts of p's Gaussian, then q's
+        gauss = np.stack([
+            np.random.default_rng(
+                derived_seed("simple", alpha.as_tuple(), seeds[i], attempt)
+            ).standard_normal((4, n, n))
+            for i in pending
+        ])
+        p, q = _unitaries(gauss[:, 0::2] + 1j * gauss[:, 1::2]).swapaxes(0, 1)
+        A = _readonly(p @ diag_a @ p.conj().swapaxes(-1, -2))
+        B = _readonly(q @ diag_b @ q.conj().swapaxes(-1, -2))
+        simple = _spin_certified(A, B, tol).tolist()
         for i, a, b, ok in zip(pending, A, B, simple):
             if ok:
                 found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA), attempt + 1)
@@ -417,29 +423,34 @@ def random_simple_gamma(alpha: GammaDimVector, seed: int,
     return inst
 
 
-def _draw_simples(seeds: dict, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Instances for a dict {(alpha, label): seed}, by (alpha, label):
+def _draw_simples(types, seeds, tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
+    """An instance of types[i] drawn from seeds[i] for each i, in order:
     one stacked ``random_simples_gamma`` per type."""
-    by_type: dict[GammaDimVector, dict] = {}
-    for key, seed in seeds.items():
-        by_type.setdefault(key[0], {})[key] = seed
-    return {key: inst for alpha, group in by_type.items()
-            for key, inst in zip(group, random_simples_gamma(alpha, group.values(), tol))}
+    by_type: dict[GammaDimVector, list[int]] = {}
+    for i, alpha in enumerate(types):
+        by_type.setdefault(alpha, []).append(i)
+    drawn = [None] * len(types)
+    for alpha, idxs in by_type.items():
+        for i, inst in zip(idxs, random_simples_gamma(alpha, [seeds[i] for i in idxs], tol)):
+            drawn[i] = inst
+    return drawn
 
 
 @functools.lru_cache(maxsize=256)
-def _scale_factors(lam: ExactScalar) -> tuple[complex, complex]:
-    """(lam^3, lam^2) as complex numbers, from exact powers."""
-    return complex(lam ** 3), complex(lam ** 2)
+def _scale_factors(lam: ExactScalar) -> tuple[complex, complex, bool]:
+    """(lam^3, lam^2) as complex numbers, from exact powers, and whether
+    lam is a sixth root of unity."""
+    return complex(lam ** 3), complex(lam ** 2), lam.in_mu6()
 
 
 def scale_rep(V: RepPair, lam: ExactScalar) -> RepPair:
     """Rescaling action (A, B) -> (lam^3 A, lam^2 B).  Preserves
     A^2 = B^3; the result keeps the Gamma tag only when lam is a sixth
-    root of unity."""
-    c3, c2 = _scale_factors(lam)
-    kind = GAMMA if (V.relation_kind == GAMMA and lam.in_mu6()) else B3
-    return RepPair(c3 * V.A, c2 * V.B, kind)
+    root of unity.  The products are new read-only arrays, which the
+    result holds without a copy."""
+    c3, c2, in_mu6 = _scale_factors(lam)
+    kind = GAMMA if (V.relation_kind == GAMMA and in_mu6) else B3
+    return RepPair(_readonly(c3 * V.A), _readonly(c2 * V.B), kind)
 
 
 @dataclass(frozen=True)
@@ -589,8 +600,7 @@ def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
         k = m.shape[0]
         out[pos:pos + k, pos:pos + k] = m
         pos += k
-    out.setflags(write=False)  # so that a RepPair adopts it without a copy
-    return out
+    return _readonly(out)
 
 
 def assemble(spec: SemisimpleSpec, seed: int = 0,
@@ -600,8 +610,10 @@ def assemble(spec: SemisimpleSpec, seed: int = 0,
     Equal instance ids (and types) reuse the same underlying block, drawn
     from ``derived_seed("assemble", seed, instance_id)``; the blocks of
     one type are drawn, and certified, in one stack (``_draw_simples``)."""
-    drawn = _draw_simples({(e.alpha, e.instance_id): derived_seed("assemble", seed, e.instance_id)
-                           for e in spec.entries}, tol)
+    keys = list(dict.fromkeys((e.alpha, e.instance_id) for e in spec.entries))
+    drawn = dict(zip(keys, _draw_simples(
+        [alpha for alpha, _ in keys],
+        [derived_seed("assemble", seed, instance_id) for _, instance_id in keys], tol)))
     blocks_a, blocks_b = [], []
     for entry in spec.entries:
         scaled = scale_rep(drawn[entry.alpha, entry.instance_id].rep, entry.lam)

@@ -88,6 +88,20 @@ class GammaDimVector:
                 f"a + b = {self.a + self.b} must equal x + y + z = "
                 f"{self.x + self.y + self.z}: {self}"
             )
+        # vectors key dicts and seed labels, so the hash is kept
+        object.__setattr__(self, "_hash", hash(self.as_tuple()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        """The dataclass text, built on first use and kept."""
+        text = self.__dict__.get("_repr")
+        if text is None:
+            text = (f"GammaDimVector(a={self.a!r}, b={self.b!r}, "
+                    f"x={self.x!r}, y={self.y!r}, z={self.z!r})")
+            object.__setattr__(self, "_repr", text)
+        return text
 
     @property
     def n(self) -> int:

@@ -65,6 +65,15 @@ class ExactScalar:
     def __complex__(self) -> complex:
         return cmath.rect(float(self.r), 2.0 * math.pi * float(self.q))
 
+    def __hash__(self) -> int:
+        # the dataclass hash, kept on first use: rescaling caches look
+        # scalars up by it, and a Fraction hash is slow
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.r, self.q))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def is_one(self) -> bool:
         return self.r == 1 and self.q == 0
 
@@ -99,7 +108,14 @@ def ratio_in_mu6(lam: ExactScalar, mu: ExactScalar) -> bool:
 def mu6_exponent(lam: ExactScalar, mu: ExactScalar) -> int | None:
     """k in Z6 with lam / mu = exp(2*pi*i*k/6), or None.  A ratio in mu6
     needs equal moduli, which are compared first: most pairs of a spec
-    differ there, and skip the exact quotient."""
+    differ there.  Then, with angles n1/d1 and n2/d2 in lowest terms,
+    six times their difference is the integer 6 (n1 d2 - n2 d1) / (d1 d2)
+    or not one at all; k is that integer mod 6, found on the integer
+    numerators and denominators, with no Fraction or quotient scalar
+    formed."""
     if lam.r != mu.r:
         return None
-    return (lam / mu).mu6_exponent()
+    p, q = lam.q, mu.q
+    k, rest = divmod(6 * (p.numerator * q.denominator - q.numerator * p.denominator),
+                     p.denominator * q.denominator)
+    return None if rest else k % 6

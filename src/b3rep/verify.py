@@ -19,8 +19,8 @@ from .errors import GenerationFailed, ToleranceAmbiguity
 from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
-    coboundary_defects_numeric,
-    ext_dims_numeric,
+    _coboundary_defects,
+    _ext_dims,
     hom_dims_numeric,
 )
 from .factory import (
@@ -34,6 +34,7 @@ from .factory import (
     validate_rep,
 )
 from .geometry import (
+    REMEASURE_ATTEMPTS,
     _frobenius,
     _gln_embed,
     _gln_retract,
@@ -102,35 +103,44 @@ class SuiteResult:
 
 
 def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
-                       singles=()) -> tuple[dict, dict]:
-    """Two independent instances for each (alpha, beta, trial) request;
-    for equal types of dimension >= 2 the draw is retried, with a bumped
-    label, until the modules are non-isomorphic (Hom = 0).  Each round
-    is one ``_draw_simples``, seeded ``derived_seed("verify", label,
-    seed)``, and one stacked Hom rank per dimension.  The (alpha, label)
-    keys of ``singles`` are drawn with the first round.  Returns the
-    pairs by request and the single instances by key."""
-    pairs, drawn_singles = {}, {}
-    pending = list(dict.fromkeys(requests))
+                       singles=(), attempt: int = 0) -> tuple[list, list]:
+    """Two independent instances for each (alpha, beta, trial) request,
+    and one for each (alpha, label) of ``singles``.  For equal types of
+    dimension >= 2 the pair is drawn again, with a bumped label, until
+    the modules are non-isomorphic (Hom = 0).  Each round is one
+    ``_draw_simples``, seeded ``derived_seed("verify", label, seed)``,
+    and one stacked Hom rank per dimension; the singles are drawn with
+    the first round.  At an ``attempt`` above 0 (a redraw of ambiguous
+    measurements) every label ends with the attempt.  Returns the list
+    of pairs and the list of single instances, in the order asked."""
+    def seed_of(label):
+        return derived_seed("verify", (*label, attempt) if attempt else label, seed)
+
+    pairs = [None] * len(requests)
+    pending = list(range(len(requests)))
     for bump in range(8):
-        keys = [key for alpha, beta, trial in pending
-                for key in ((alpha, ("pair-a", alpha, beta, trial, bump)),
-                            (beta, ("pair-b", alpha, beta, trial, bump)))]
-        drawn = _draw_simples({key: derived_seed("verify", key[1], seed)
-                               for key in [*keys, *(singles if bump == 0 else ())]}, tol)
+        types, seeds = [], []
+        for i in pending:
+            alpha, beta, trial = requests[i]
+            types += (alpha, beta)
+            seeds += (seed_of(("pair-a", alpha, beta, trial, bump)),
+                      seed_of(("pair-b", alpha, beta, trial, bump)))
         if bump == 0:
-            drawn_singles = {key: drawn[key] for key in singles}
-        for req, a_key, b_key in zip(pending, keys[0::2], keys[1::2]):
-            pairs[req] = (drawn[a_key], drawn[b_key])
-        linked: dict[int, list] = {}
-        for req in pending:
-            alpha, beta, _ = req
+            types += [alpha for alpha, _ in singles]
+            seeds += [seed_of(label) for _, label in singles]
+        drawn = _draw_simples(types, seeds, tol)
+        if bump == 0:
+            drawn_singles = drawn[2 * len(pending):]
+        linked: dict[int, list[int]] = {}
+        for j, i in enumerate(pending):
+            pairs[i] = drawn[2 * j], drawn[2 * j + 1]
+            alpha, beta, _ = requests[i]
             if alpha == beta and alpha.n > 1:
-                linked.setdefault(alpha.n, []).append(req)
+                linked.setdefault(alpha.n, []).append(i)
         pending = []
         for same_n in linked.values():
-            homs = hom_dims_numeric([(s.rep, t.rep) for s, t in map(pairs.get, same_n)], tol)
-            pending += [req for req, hom in zip(same_n, homs) if hom != 0]
+            homs = hom_dims_numeric([(pairs[i][0].rep, pairs[i][1].rep) for i in same_n], tol)
+            pending += [i for i, hom in zip(same_n, homs) if hom != 0]
         if not pending:
             return pairs, drawn_singles
     raise GenerationFailed("could not draw non-isomorphic instances")
@@ -143,23 +153,70 @@ def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
 _MEASURE_CHUNK_BYTES = 2 ** 26
 
 
-def _measure(systems, tol: ToleranceConfig) -> list[int]:
-    """Values of (oracle, V, W, kind) systems, in order; the oracle is
-    ext or coboundary.  One stacked call per oracle, kind and pair of
-    dimensions, split into calls of at most ``_MEASURE_CHUNK_BYTES``."""
-    oracles = {"ext": ext_dims_numeric, "coboundary": coboundary_defects_numeric}
+def _measure(systems, tol: ToleranceConfig) -> tuple[list[int], list[bool]]:
+    """Values of (oracle, V, W, kind) systems, in order, and whether a rank
+    decision behind each is ambiguous; the oracle is ext or coboundary.
+    One stacked call per oracle, kind and pair of dimensions, split into
+    calls of at most ``_MEASURE_CHUNK_BYTES``.  Each call stacks its pairs
+    once (``_ext_dims`` ranks its cocycle and commutant systems on the
+    same unit-scaled stacks) and reports every system's ambiguity flag
+    instead of raising, so the caller redraws only what is ambiguous."""
+    oracles = {"ext": _ext_dims, "coboundary": _coboundary_defects}
     groups: dict[tuple, list[int]] = {}
     for idx, (oracle, V, W, kind) in enumerate(systems):
         groups.setdefault((oracle, kind, V.n, W.n), []).append(idx)
-    values = [0] * len(systems)
+    values, ambiguous = [0] * len(systems), [False] * len(systems)
     for (oracle, kind, n_v, n_w), idxs in groups.items():
         step = max(1, _MEASURE_CHUNK_BYTES // (16 * (2 * n_v * n_w) ** 2))
         for start in range(0, len(idxs), step):
             chunk = idxs[start:start + step]
-            got = oracles[oracle]([systems[i][1:3] for i in chunk], kind, tol)
-            for i, value in zip(chunk, got):
-                values[i] = value
-    return values
+            got, flags = oracles[oracle]([systems[i][1:3] for i in chunk], kind, tol)
+            for i, value, flag in zip(chunk, got.tolist(), flags.tolist()):
+                values[i], ambiguous[i] = value, flag
+    return values, ambiguous
+
+
+def _measure_draws(requests, singles, systems_of, seed: int,
+                   tol: ToleranceConfig) -> tuple[list[list[int]], list[list[bool]]]:
+    """The measured systems of every draw, redrawn while ambiguous.
+
+    The draws are the pairs of ``requests`` and then the instances of
+    ``singles`` (``_independent_pairs``), numbered in that order, and
+    ``systems_of(k, drawn)`` lists the systems of draw k in the form
+    ``_measure`` takes.  A draw with an ambiguous system is drawn again,
+    under labels that end with the attempt, and all its systems are
+    measured again, for ``REMEASURE_ATTEMPTS`` attempts in all, as
+    ``assemble_and_measure`` re-assembles a spec.  Returns the values of
+    each draw's systems and their ambiguity flags, from its last
+    attempt.  A draw of one-dimensional instances only is measured once:
+    every instance of a one-dimensional type is the same pair, so a
+    redraw would bring its ambiguity back."""
+    n_pairs = len(requests)
+    values, ambiguous = [None] * (n_pairs + len(singles)), [None] * (n_pairs + len(singles))
+    todo = list(range(len(values)))
+
+    def redrawable(k):
+        types = requests[k][:2] if k < n_pairs else singles[k - n_pairs][:1]
+        return any(alpha.n > 1 for alpha in types)
+
+    for attempt in range(REMEASURE_ATTEMPTS):
+        at_pairs = [k for k in todo if k < n_pairs]
+        at_singles = [k for k in todo if k >= n_pairs]
+        pairs, drawn = _independent_pairs([requests[k] for k in at_pairs], seed, tol,
+                                          [singles[k - n_pairs] for k in at_singles], attempt)
+        owners, systems = [], []
+        for k, draw in zip(at_pairs + at_singles, pairs + drawn):
+            values[k], ambiguous[k] = [], []
+            for system in systems_of(k, draw):
+                owners.append(k)
+                systems.append(system)
+        for k, value, flag in zip(owners, *_measure(systems, tol)):
+            values[k].append(value)
+            ambiguous[k].append(flag)
+        todo = [k for k in todo if any(ambiguous[k]) and redrawable(k)]
+        if not todo:
+            break
+    return values, ambiguous
 
 
 def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
@@ -180,64 +237,87 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
 
     The suite plans its checks, draws every instance in one stack per
     type, measures every system in one stack per oracle, kind and shape,
-    and then records the checks in the planned order.
+    and then records the checks in the planned order.  The formulas are
+    evaluated once per type, pair of types or spec entry, not per check.
+    An instance behind an ambiguous rank decision is drawn again
+    (``_measure_draws``); a check still ambiguous after the last attempt
+    is recorded as failed, with "persistent tolerance ambiguity".
     """
     result = SuiteResult("ext")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
     pair_trials = max(1, trials // 4)
     b3_types = [v for n in range(1, min(max_dim, 2) + 1)
                 for v in enumerate_simple_gamma(n)]
-    self_keys = [(alpha, ("self", alpha, trial))
-                 for alpha in simples for trial in range(trials)]
+    self_ext = {alpha: ext_gamma_self(alpha) for alpha in simples}
+    # one spec entry per type and scalar on each side of the braid checks,
+    # and each check's entries as indices (type, scalar) into them
+    left, right = ([[SpecEntry(alpha, lam, 1, side) for lam in LAMBDA_POOL] for alpha in b3_types]
+                   for side in "LR")
+    braid = [(ai, li, bi, (li + ai + bi) % len(LAMBDA_POOL))
+             for ai in range(len(b3_types)) for bi in range(len(b3_types))
+             for li in range(len(LAMBDA_POOL))]
+    # the draws: quotient pairs, braid pairs, self instances, braid self instances
     quotient = [(alpha, beta, trial) for alpha in simples for beta in simples
                 for trial in range(pair_trials)]
-    braid = [(alpha, lam, beta, LAMBDA_POOL[(li + ai + bi) % len(LAMBDA_POOL)], 1000 + li)
-             for ai, alpha in enumerate(b3_types) for bi, beta in enumerate(b3_types)
-             for li, lam in enumerate(LAMBDA_POOL)]
-    b3self = [(alpha, lam, (alpha, ("b3self", alpha, str(lam))))
-              for alpha in b3_types for lam in LAMBDA_POOL]
-    pairs, singles = _independent_pairs(
-        [*quotient, *((alpha, beta, trial) for alpha, _, beta, _, trial in braid)],
-        seed, tol, singles=[*self_keys, *(key for _, _, key in b3self)])
+    self_keys = [(alpha, ("self", alpha, trial))
+                 for alpha in simples for trial in range(trials)]
+    b3self = [(alpha, lam) for alpha in b3_types for lam in LAMBDA_POOL]
+    n_q, n_b, n_s = len(quotient), len(braid), len(self_keys)
 
-    # every check in recording order: its system, the expected value, and
-    # the failure message around the measured value
-    systems, checks = [], []
+    def systems_of(k, drawn):
+        if k < n_q:
+            s, t = (inst.rep for inst in drawn)
+            return [("ext", s, t, GAMMA), ("coboundary", s, t, GAMMA)]
+        if k < n_q + n_b:
+            _, li, _, mi = braid[k - n_q]
+            return [("ext", scale_rep(drawn[0].rep, LAMBDA_POOL[li]),
+                     scale_rep(drawn[1].rep, LAMBDA_POOL[mi]), B3)]
+        if k < n_q + n_b + n_s:
+            return [("ext", drawn.rep, drawn.rep, GAMMA)]
+        v = scale_rep(drawn.rep, b3self[k - n_q - n_b - n_s][1])
+        return [("ext", v, v, B3)]
 
-    def check(expected, head, tail, system):
-        systems.append(system)
-        checks.append((expected, head, tail))
+    values, ambiguous = _measure_draws(
+        [*quotient, *((b3_types[ai], b3_types[bi], 1000 + li) for ai, li, bi, _ in braid)],
+        [*self_keys, *((alpha, ("b3self", alpha, str(lam))) for alpha, lam in b3self)],
+        systems_of, seed, tol)
 
-    for alpha, label in self_keys:
-        rep = singles[alpha, label].rep
-        expected = ext_gamma_self(alpha)
-        check(expected, f"self {alpha}: oracle ", f" != formula {expected}",
-              ("ext", rep, rep, GAMMA))
-    for alpha, beta, trial in quotient:
-        s, t = (inst.rep for inst in pairs[alpha, beta, trial])
+    # every check in recording order: its draw and system, the expected
+    # value, the checked item, and the failure message around the measured
+    # value; each text is made once per type, pair of types or entry
+    checks = []
+    for ai, alpha in enumerate(simples):
+        expected = self_ext[alpha]
+        text = (expected, f"self {alpha}", "oracle ", f" != formula {expected}")
+        first = n_q + n_b + ai * trials
+        checks += [(k, 0, *text) for k in range(first, first + trials)]
+    for k in range(0, n_q, pair_trials):
+        alpha, beta, _ = quotient[k]
         # equal one-dimensional types: the two instances are the same module
         expected = 0 if alpha == beta and alpha.n == 1 else ext_gamma_pair(alpha, beta)
-        check(expected, f"pair {alpha},{beta}: oracle ", f" != {expected}",
-              ("ext", s, t, GAMMA))
-        check(0, f"coboundaries {alpha},{beta}: cocycle defect rank ", " != 0",
-              ("coboundary", s, t, GAMMA))
-    for alpha, lam, beta, mu, trial in braid:
-        e1, e2 = SpecEntry(alpha, lam, 1, "L"), SpecEntry(beta, mu, 1, "R")
+        ext_text = (expected, f"pair {alpha},{beta}", "oracle ", f" != {expected}")
+        cob_text = (0, f"coboundaries {alpha},{beta}", "cocycle defect rank ", " != 0")
+        for j in range(k, k + pair_trials):
+            checks += [(j, 0, *ext_text), (j, 1, *cob_text)]
+    scaled = [[f"{alpha}*{lam}" for lam in LAMBDA_POOL] for alpha in b3_types]
+    for k, (ai, li, bi, mi) in enumerate(braid, n_q):
+        e1, e2 = left[ai][li], right[bi][mi]
         if entries_isomorphic(e1, e2):
-            expected = ext_gamma_self(alpha) + 1
+            expected = self_ext[e1.alpha] + 1
         else:
             expected = ext_b3_spec(e1, e2)
-        s, t = pairs[alpha, beta, trial]
-        check(expected, f"braid {alpha}*{lam} vs {beta}*{mu}: ", f" != {expected}",
-              ("ext", scale_rep(s.rep, lam), scale_rep(t.rep, mu), B3))
-    for alpha, lam, key in b3self:
-        v = scale_rep(singles[key].rep, lam)
-        expected = ext_gamma_self(alpha) + 1
-        check(expected, f"braid self {alpha}*{lam}: ", f" != {expected}",
-              ("ext", v, v, B3))
+        checks.append((k, 0, expected, f"braid {scaled[ai][li]} vs {scaled[bi][mi]}", "",
+                       f" != {expected}"))
+    for k, (alpha, lam) in enumerate(b3self, n_q + n_b + n_s):
+        expected = self_ext[alpha] + 1
+        checks.append((k, 0, expected, f"braid self {alpha}*{lam}", "", f" != {expected}"))
 
-    for got, (expected, head, tail) in zip(_measure(systems, tol), checks):
-        result.record(got == expected, got - expected, f"{head}{got}{tail}")
+    for k, slot, expected, item, head, tail in checks:
+        if ambiguous[k][slot]:
+            result.record(False, 0, f"persistent tolerance ambiguity for {item}")
+        else:
+            got = values[k][slot]
+            result.record(got == expected, got - expected, f"{item}: {head}{got}{tail}")
     return result
 
 
@@ -246,9 +326,11 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
     """Measured braid-case extension dimensions are symmetric:
     ext(V, W) = ext(W, V) on sampled pairs of rescaled simples.
 
-    The pairs are drawn by ``_independent_pairs``, and both directions
-    of every pair are measured by ``_measure``, the stacked path of
-    ``verify_ext``: one stacked call per pair of dimensions."""
+    The pairs are drawn, and both directions of every pair measured, by
+    ``_measure_draws``, the stacked path of ``verify_ext``: one stacked
+    call per pair of dimensions, and a pair with an ambiguous direction
+    drawn again; one still ambiguous after the last attempt is a failed
+    check."""
     result = SuiteResult("symmetry")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
     samples = []
@@ -259,19 +341,22 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
         lam = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
         mu = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
         samples.append(((alpha, beta, trial), lam, mu))
-    pairs, _ = _independent_pairs([req for req, _, _ in samples], seed, tol)
-    systems = []
-    for req, lam, mu in samples:
-        s, t = pairs[req]
-        v = scale_rep(s.rep, lam)
-        w = scale_rep(t.rep, mu)
-        systems += [("ext", v, w, B3), ("ext", w, v, B3)]
-    values = _measure(systems, tol)
-    for ((alpha, beta, _), lam, mu), forward, backward in zip(
-            samples, values[0::2], values[1::2]):
-        result.record(forward == backward, forward - backward,
-                      f"ext({alpha}*{lam},{beta}*{mu}) = {forward} but "
-                      f"reverse = {backward}")
+
+    def systems_of(k, drawn):
+        _, lam, mu = samples[k]
+        v, w = scale_rep(drawn[0].rep, lam), scale_rep(drawn[1].rep, mu)
+        return [("ext", v, w, B3), ("ext", w, v, B3)]
+
+    values, ambiguous = _measure_draws([req for req, _, _ in samples], [], systems_of,
+                                       seed, tol)
+    for ((alpha, beta, _), lam, mu), (forward, backward), unclear in zip(
+            samples, values, ambiguous):
+        name = f"ext({alpha}*{lam},{beta}*{mu})"
+        if any(unclear):
+            result.record(False, 0, f"persistent tolerance ambiguity for {name}")
+        else:
+            result.record(forward == backward, forward - backward,
+                          f"{name} = {forward} but reverse = {backward}")
     return result
 
 

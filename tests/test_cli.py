@@ -605,3 +605,18 @@ def test_byte_identical_verify_output(capsys, suite, checks, fmt):
         assert json.loads(out)["checks"] == checks
     else:
         assert out.startswith(f"suite {suite}: {checks}/{checks} checks passed")
+
+
+@pytest.mark.parametrize("suite, tol, checks", [
+    ("ext", "1e-3", 1880),
+    ("symmetry", "0.1", 6),
+])
+def test_verify_at_a_coarse_tolerance_exits_zero_or_three(capsys, suite, tol, checks):
+    # ambiguous rank decisions are redrawn, and those that persist are
+    # failed checks (exit 3), not an input error (exit 2)
+    code, out, err = run(capsys, "verify", suite, "--tol", tol)
+    assert code in (0, 3) and err == ""
+    result = json.loads(out)
+    assert result["checks"] == checks and result["ok"] == (code == 0)
+    assert all(msg.startswith("persistent tolerance ambiguity for ")
+               for msg in result["failures"])

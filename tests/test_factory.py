@@ -307,6 +307,34 @@ def test_random_simples_gamma_equals_one_seed_draws():
                           [random_simple_gamma(alpha, seed) for seed in seeds])
 
 
+def test_one_dimensional_draws_of_a_type_share_one_pair():
+    drawn = random_simples_gamma(GammaDimVector(1, 0, 1, 0, 0), range(5))
+    assert [inst.seed for inst in drawn] == list(range(5))
+    assert all(inst.rep is drawn[0].rep for inst in drawn)
+    assert drawn[0].rep.A.tolist() == [[1]] and drawn[0].rep.B.tolist() == [[1]]
+
+
+def test_drawn_scaled_and_stacked_arrays_are_read_only():
+    arrays = []
+    for alpha in (GammaDimVector(0, 1, 0, 0, 1), ALPHA2, ALPHA3):
+        drawn = random_simples_gamma(alpha, range(3))
+        if alpha.n > 1:
+            # each pair holds views of the draw stacks, without a copy
+            stacks = {id(m.base) for inst in drawn for m in (inst.rep.A, inst.rep.B)}
+            assert len(stacks) == 2
+            arrays += [drawn[0].rep.A.base, drawn[0].rep.B.base]
+        for inst in drawn:
+            scaled = scale_rep(inst.rep, ExactScalar(Fraction(3, 2), Fraction(1, 7)))
+            arrays += [inst.rep.A, inst.rep.B, scaled.A, scaled.B]
+    spec = SemisimpleSpec((SpecEntry(ALPHA3, ZETA, 2, "p"), SpecEntry(ALPHA2, ONE, 1, "q")))
+    rep = assemble(spec, seed=1)
+    arrays += [rep.A, rep.B]
+    for M in arrays:
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[...] = 0
+
+
 def test_random_simples_gamma_redraws_only_the_rejected_seed(monkeypatch):
     # the first draw of seed 3 is rejected once; it alone is drawn again,
     # exactly as a one-seed draw under the same rejection
@@ -793,6 +821,26 @@ def test_derived_seed_is_stable():
     assert derived_seed("a", 1) == derived_seed("a", 1)
     assert derived_seed("a", 1) != derived_seed("a", 2)
     assert derived_seed("a", 1) != derived_seed("b", 1)
+
+
+def test_derived_seed_golden_values():
+    # the seeding scheme behind every draw, pinned to literal values: the
+    # labels hash the dataclass repr of their dimension vectors
+    a = GammaDimVector(1, 1, 1, 1, 0)
+    assert repr(a) == "GammaDimVector(a=1, b=1, x=1, y=1, z=0)"
+    assert repr((a, 2)) == "(GammaDimVector(a=1, b=1, x=1, y=1, z=0), 2)"
+    assert derived_seed("verify", ("pair-a", a, a, 0, 1), 3) == 8281579005960317961
+    assert derived_seed("simple", a.as_tuple(), 7, 0) == 15142172100828202132
+    assert derived_seed("b3self", a, str(ExactScalar.zeta6(1))) == 15562276131635730094
+
+
+def test_dimension_vector_hash_and_repr_are_the_dataclass_ones():
+    for alpha in [*enumerate_simple_gamma(3), GammaDimVector(0, 0, 0, 0, 0)]:
+        a, b, x, y, z = alpha.as_tuple()
+        assert hash(alpha) == hash(alpha.as_tuple())
+        assert repr(alpha) == f"GammaDimVector(a={a}, b={b}, x={x}, y={y}, z={z})"
+        twin = GammaDimVector(a, b, x, y, z)
+        assert alpha == twin and hash(alpha) == hash(twin)
 
 
 def test_rep_pair_json_round_trip():

@@ -90,3 +90,21 @@ def test_json_round_trip():
     assert data == {"r": "3/2", "q": "5/6"}
     assert ExactScalar.from_json(data) == lam
     assert ExactScalar.from_json({"r": "1", "q": "0"}) == ExactScalar.one()
+
+
+def test_mu6_exponent_equals_the_exact_quotient_on_a_grid():
+    # angles k/d in [0, 1), so half the ordered pairs have a negative angle
+    # difference; moduli equal and not
+    angles = sorted({Fraction(k, d) for d in (1, 6, 7, 12, 42) for k in range(d)})
+    scalars = [ExactScalar(r, q) for r in (Fraction(1), Fraction(3, 2), Fraction(2))
+               for q in angles]
+    found = set()
+    for lam in scalars:
+        for mu in scalars:
+            expected = None if lam.r != mu.r else (lam / mu).mu6_exponent()
+            assert mu6_exponent(lam, mu) == expected, (lam, mu)
+            found.add(expected)
+    assert found == {None, 0, 1, 2, 3, 4, 5}
+    assert mu6_exponent(ExactScalar.zeta6(1), ExactScalar.zeta6(5)) == 2
+    assert mu6_exponent(ExactScalar(2, Fraction(1, 7)), ExactScalar(2, Fraction(9, 14))) == 3
+

@@ -195,7 +195,7 @@ def measured_stacks(monkeypatch, suite, **kwargs):
     """The suite's result and the (oracle, shape, count) of each stacked
     call ``_measure`` made."""
     calls = []
-    for name in ("ext_dims_numeric", "coboundary_defects_numeric"):
+    for name in ("_ext_dims", "_coboundary_defects"):
         def spy(pairs, kind, tol, real=getattr(verify_mod, name), name=name):
             calls.append((name, pairs[0][0].n, pairs[0][1].n, kind, len(pairs)))
             return real(pairs, kind, tol)
@@ -260,15 +260,86 @@ def test_independent_pairs_redraw_only_the_linked_requests(monkeypatch):
     pairs, singles = verify_mod._independent_pairs(requests, 3, DEFAULT_TOL, [single])
     assert rounds == [1, 1]
 
-    def seeds(req):
-        return [inst.seed for inst in pairs[req]]
+    def seeds(i):
+        return [inst.seed for inst in pairs[i]]
 
-    assert seeds((a2, a2, 0)) == [derived_seed("verify", ("pair-a", a2, a2, 0, 1), 3),
-                                  derived_seed("verify", ("pair-b", a2, a2, 0, 1), 3)]
-    assert seeds((a2, a1, 0)) == [derived_seed("verify", ("pair-a", a2, a1, 0, 0), 3),
-                                  derived_seed("verify", ("pair-b", a2, a1, 0, 0), 3)]
-    assert singles[single].seed == derived_seed("verify", ("self", a1, 0), 3)
+    assert seeds(0) == [derived_seed("verify", ("pair-a", a2, a2, 0, 1), 3),
+                        derived_seed("verify", ("pair-b", a2, a2, 0, 1), 3)]
+    assert seeds(1) == [derived_seed("verify", ("pair-a", a2, a1, 0, 0), 3),
+                        derived_seed("verify", ("pair-b", a2, a1, 0, 0), 3)]
+    assert [inst.seed for inst in singles] == [derived_seed("verify", ("self", a1, 0), 3)]
 
     monkeypatch.setattr(verify_mod, "hom_dims_numeric", lambda pairs, tol: [1] * len(pairs))
     with pytest.raises(GenerationFailed):
         verify_mod._independent_pairs(requests, 3, DEFAULT_TOL)
+
+
+def test_ext_redraws_only_the_draw_behind_an_ambiguous_system(monkeypatch):
+    # the first measurement reads the ext system of the first quotient pair
+    # with a two-dimensional type (the seventh pair, systems ext and
+    # coboundary each) as ambiguous: that pair alone is drawn again, under
+    # labels that end with the attempt, and all its systems measured again;
+    # the suite's result stays
+    baseline = run_suite("ext", n=2, trials=4, seed=5).to_json()
+    real_measure, real_pairs = verify_mod._measure, verify_mod._independent_pairs
+    measured, rounds = [], []
+
+    def first_ambiguous(systems, tol):
+        values, ambiguous = real_measure(systems, tol)
+        measured.append(len(systems))
+        if len(measured) == 1:
+            ambiguous[12] = True
+        return values, ambiguous
+
+    def spy(requests, seed, tol, singles=(), attempt=0):
+        pairs, drawn = real_pairs(requests, seed, tol, singles, attempt)
+        rounds.append((requests, singles, attempt, pairs))
+        return pairs, drawn
+
+    monkeypatch.setattr(verify_mod, "_measure", first_ambiguous)
+    monkeypatch.setattr(verify_mod, "_independent_pairs", spy)
+    assert run_suite("ext", n=2, trials=4, seed=5).to_json() == baseline
+    assert len(measured) == 2 and measured[1] == 2
+    alpha, beta = GammaDimVector(0, 1, 0, 0, 1), GammaDimVector(1, 1, 0, 1, 1)
+    requests, singles, attempt, pairs = rounds[1]
+    assert (requests, singles, attempt) == ([(alpha, beta, 0)], [], 1)
+    assert [inst.seed for inst in pairs[0]] == [
+        derived_seed("verify", ("pair-a", alpha, beta, 0, 0, 1), 5),
+        derived_seed("verify", ("pair-b", alpha, beta, 0, 0, 1), 5)]
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("ext", {"n": 2, "trials": 4}),
+    ("symmetry", {"n": 2, "trials": 5}),
+])
+def test_persistent_ambiguity_fails_each_ambiguous_check(monkeypatch, suite, kwargs):
+    # every ext system reads as ambiguous: each draw with an instance of
+    # dimension >= 2 is measured three times, and every check on an ext
+    # system fails with the persistent ambiguity; the coboundary checks of
+    # the quotient pairs still pass
+    real_ext, real_pairs = verify_mod._ext_dims, verify_mod._independent_pairs
+    calls = []
+
+    def ambiguous(pairs, kind, tol):
+        values, flags = real_ext(pairs, kind, tol)
+        return values, np.ones_like(flags)
+
+    def spy(requests, seed, tol, singles=(), attempt=0):
+        calls.append((attempt, [req[:2] for req in requests] + [one[:1] for one in singles]))
+        return real_pairs(requests, seed, tol, singles, attempt)
+
+    monkeypatch.setattr(verify_mod, "_ext_dims", ambiguous)
+    monkeypatch.setattr(verify_mod, "_independent_pairs", spy)
+    result = run_suite(suite, seed=2, **kwargs)
+    assert [attempt for attempt, _ in calls] == [0, 1, 2]
+    # a draw of one-dimensional instances only reaches _independent_pairs
+    # once: a redraw would give the same pair
+    first = calls[0][1]
+    redrawn = [types for types in first if any(alpha.n > 1 for alpha in types)]
+    assert 0 < len(redrawn) < len(first)
+    assert calls[1][1] == calls[2][1] == redrawn
+    # n = 2: 9 types, so 81 quotient pairs, each with a coboundary check
+    cobound = 81 if suite == "ext" else 0
+    assert result.checks > cobound and result.failed == result.checks - cobound
+    assert all(msg.startswith("persistent tolerance ambiguity for ") for msg in result.failures)
+
