@@ -9,7 +9,8 @@ verify      run one of the property suites: ext | tangent | lemma | gln | symmet
 
 Exit codes: 0 success (analyze: smooth point), 1 singular point,
 2 invalid input, 3 formula/oracle mismatch, an assembled pair that
-fails its relation, or suite failure.  Output is
+fails its relation, a verification still inconclusive after its last
+attempt, or suite failure.  Output is
 deterministic: the same command, flags and seed produce byte-identical
 bytes.
 """
@@ -18,20 +19,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
 from .extoracle import ToleranceConfig
 from .constants import B3
 from .factory import SemisimpleSpec, derived_seed, validate_rep
-from .geometry import (
-    analyze,
-    assemble_and_measure,
-    enumerate_component_signatures,
-    tangent_dim_numeric,
-)
+from .geometry import analyze, enumerate_component_signatures
 from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, assemble_and_measure, run_suite
 
 # n = 20 takes about 1 s; the count of signatures grows fast beyond it.
 _COMPONENT_CAP = 20
@@ -84,11 +81,17 @@ EXIT_MISMATCH = 3
 
 
 def _emit(payload: dict, fmt: str, table_lines) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        for line in table_lines:
-            sys.stdout.write(line + "\n")
+    try:
+        if fmt == "json":
+            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        else:
+            for line in table_lines:
+                sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``): what is left goes to devnull,
+        # so the flush at exit cannot fail, and the command keeps its exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _fail(message: str) -> int:
@@ -194,10 +197,11 @@ def cmd_analyze(args) -> int:
             # the first assembly uses --seed itself, retries derived seeds
             seed, rep, measured = assemble_and_measure(
                 spec,
-                lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed,
-                tangent_dim_numeric, tol)
+                lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed, tol)
         except ToleranceAmbiguity as exc:
-            return _fail(f"numeric verification inconclusive: {exc}")
+            # the spec and --tol are valid: a failed check, as in the suites
+            sys.stderr.write(f"error: numeric verification inconclusive: {exc}\n")
+            return EXIT_MISMATCH
         valid = validate_rep(rep, B3, tol)
         if not valid:
             sys.stderr.write(

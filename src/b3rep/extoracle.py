@@ -176,14 +176,22 @@ def commutant_matrix(V, W) -> np.ndarray:
                            _system([(iw, V.B)], [(W.B, iv)])], axis=-2)
 
 
+def _hom_dims(pairs, group_kind: str,
+              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``hom_dims_numeric`` with each system's ambiguity flag; the pairs
+    are checked against ``group_kind``."""
+    V, W = _stacks(pairs, group_kind)
+    ranks, ambiguous = _ranks(commutant_matrix(*_unit_scaled(V, W)), tol)
+    return V.n * W.n - ranks, ambiguous
+
+
 def hom_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Dimension of the intertwiner space Hom(V, W) for each of a list
     of equal-shape pairs (V, W), from the unit-scaled commutant system.
     The linear condition is the same for both relation kinds, so it
     takes pairs of either."""
-    V, W = _stacks(pairs, B3)
-    ranks, _ = _ranks(commutant_matrix(*_unit_scaled(V, W)), tol)
-    return (V.n * W.n - ranks).tolist()
+    dims, _ = _hom_dims(pairs, B3, tol)
+    return dims.tolist()
 
 
 def hom_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:

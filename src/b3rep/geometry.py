@@ -28,14 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    B3RepError,
-    IsomorphicDistinctEntries,
-    ToleranceAmbiguity,
-    WitnessUnavailable,
-)
+from .errors import B3RepError, IsomorphicDistinctEntries, WitnessUnavailable
 from .extoracle import DEFAULT_TOL, ToleranceConfig, block_cocycle_dims
-from .factory import RepPair, SemisimpleSpec, SpecEntry, assemble, entries_isomorphic
+from .factory import RepPair, SemisimpleSpec, SpecEntry, entries_isomorphic
 from .constants import B3
 from .lattice import (
     GammaDimVector,
@@ -240,28 +235,6 @@ def _block_classes(V: RepPair) -> list[list]:
         else:
             classes[key] = [RepPair(a, b, V.relation_kind), 1]
     return list(classes.values())
-
-
-#: Assemblies tried before a measurement that keeps hitting an ambiguous
-#: rank threshold is given up.
-REMEASURE_ATTEMPTS = 3
-
-
-def assemble_and_measure(spec: SemisimpleSpec, seed_of, measure,
-                         tol: ToleranceConfig = DEFAULT_TOL):
-    """Assemble the spec and apply ``measure(rep, tol)`` to the pair,
-    re-assembling on ToleranceAmbiguity: attempt k uses the seed
-    ``seed_of(k)``, for k below REMEASURE_ATTEMPTS.  Returns
-    (seed, rep, measured value) of the first clean attempt, and re-raises
-    the last ambiguity when no attempt was clean."""
-    for attempt in range(REMEASURE_ATTEMPTS):
-        seed = seed_of(attempt)
-        rep = assemble(spec, seed=seed, tol=tol)
-        try:
-            return seed, rep, measure(rep, tol)
-        except ToleranceAmbiguity as exc:
-            last = exc
-    raise last
 
 
 @dataclass(frozen=True)

@@ -15,31 +15,30 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import B3, GAMMA
-from .errors import GenerationFailed, ToleranceAmbiguity
+from .errors import ToleranceAmbiguity
 from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
     _coboundary_defects,
     _ext_dims,
-    hom_dims_numeric,
+    _hom_dims,
 )
 from .factory import (
     SemisimpleSpec,
     SpecEntry,
     _draw_simples,
     _unitaries,
+    assemble,
     derived_seed,
     entries_isomorphic,
     scale_rep,
     validate_rep,
 )
 from .geometry import (
-    REMEASURE_ATTEMPTS,
     _frobenius,
     _gln_embed,
     _gln_retract,
     analyze,
-    assemble_and_measure,
     ext_b3_spec,
     tangent_dim_numeric,
 )
@@ -102,50 +101,6 @@ class SuiteResult:
         }
 
 
-def _independent_pairs(requests, seed: int, tol: ToleranceConfig,
-                       singles=(), attempt: int = 0) -> tuple[list, list]:
-    """Two independent instances for each (alpha, beta, trial) request,
-    and one for each (alpha, label) of ``singles``.  For equal types of
-    dimension >= 2 the pair is drawn again, with a bumped label, until
-    the modules are non-isomorphic (Hom = 0).  Each round is one
-    ``_draw_simples``, seeded ``derived_seed("verify", label, seed)``,
-    and one stacked Hom rank per dimension; the singles are drawn with
-    the first round.  At an ``attempt`` above 0 (a redraw of ambiguous
-    measurements) every label ends with the attempt.  Returns the list
-    of pairs and the list of single instances, in the order asked."""
-    def seed_of(label):
-        return derived_seed("verify", (*label, attempt) if attempt else label, seed)
-
-    pairs = [None] * len(requests)
-    pending = list(range(len(requests)))
-    for bump in range(8):
-        types, seeds = [], []
-        for i in pending:
-            alpha, beta, trial = requests[i]
-            types += (alpha, beta)
-            seeds += (seed_of(("pair-a", alpha, beta, trial, bump)),
-                      seed_of(("pair-b", alpha, beta, trial, bump)))
-        if bump == 0:
-            types += [alpha for alpha, _ in singles]
-            seeds += [seed_of(label) for _, label in singles]
-        drawn = _draw_simples(types, seeds, tol)
-        if bump == 0:
-            drawn_singles = drawn[2 * len(pending):]
-        linked: dict[int, list[int]] = {}
-        for j, i in enumerate(pending):
-            pairs[i] = drawn[2 * j], drawn[2 * j + 1]
-            alpha, beta, _ = requests[i]
-            if alpha == beta and alpha.n > 1:
-                linked.setdefault(alpha.n, []).append(i)
-        pending = []
-        for same_n in linked.values():
-            homs = hom_dims_numeric([(pairs[i][0].rep, pairs[i][1].rep) for i in same_n], tol)
-            pending += [i for i, hom in zip(same_n, homs) if hom != 0]
-        if not pending:
-            return pairs, drawn_singles
-    raise GenerationFailed("could not draw non-isomorphic instances")
-
-
 #: Bytes of system ``_measure`` ranks in one stacked call, counted as the
 #: 16 (2 n_V n_W)^2 bytes of a quotient cocycle system, the largest one it
 #: builds.  Every group of the default and CI sizes fits in one call; at
@@ -155,13 +110,14 @@ _MEASURE_CHUNK_BYTES = 2 ** 26
 
 def _measure(systems, tol: ToleranceConfig) -> tuple[list[int], list[bool]]:
     """Values of (oracle, V, W, kind) systems, in order, and whether a rank
-    decision behind each is ambiguous; the oracle is ext or coboundary.
+    decision behind each is ambiguous; the oracle is ext, coboundary or
+    hom.
     One stacked call per oracle, kind and pair of dimensions, split into
     calls of at most ``_MEASURE_CHUNK_BYTES``.  Each call stacks its pairs
     once (``_ext_dims`` ranks its cocycle and commutant systems on the
     same unit-scaled stacks) and reports every system's ambiguity flag
     instead of raising, so the caller redraws only what is ambiguous."""
-    oracles = {"ext": _ext_dims, "coboundary": _coboundary_defects}
+    oracles = {"ext": _ext_dims, "coboundary": _coboundary_defects, "hom": _hom_dims}
     groups: dict[tuple, list[int]] = {}
     for idx, (oracle, V, W, kind) in enumerate(systems):
         groups.setdefault((oracle, kind, V.n, W.n), []).append(idx)
@@ -176,47 +132,87 @@ def _measure(systems, tol: ToleranceConfig) -> tuple[list[int], list[bool]]:
     return values, ambiguous
 
 
-def _measure_draws(requests, singles, systems_of, seed: int,
+#: Attempts at a measurement before it is given up: draws of the suites,
+#: and assemblies of ``assemble_and_measure``.  A check still ambiguous,
+#: or a pair still isomorphic, after the last attempt is a failed check.
+REMEASURE_ATTEMPTS = 3
+
+
+def _pair(alpha, beta, trial) -> list:
+    """The draw of two independent instances of types alpha and beta; the
+    labels end with 0, which keeps the seeds of earlier releases."""
+    return [(alpha, ("pair-a", alpha, beta, trial, 0)), (beta, ("pair-b", alpha, beta, trial, 0))]
+
+
+def _measure_draws(draws, systems_of, seed: int,
                    tol: ToleranceConfig) -> tuple[list[list[int]], list[list[bool]]]:
-    """The measured systems of every draw, redrawn while ambiguous.
+    """The measured systems of every draw, redrawn while unclear.
 
-    The draws are the pairs of ``requests`` and then the instances of
-    ``singles`` (``_independent_pairs``), numbered in that order, and
-    ``systems_of(k, drawn)`` lists the systems of draw k in the form
-    ``_measure`` takes.  A draw with an ambiguous system is drawn again,
-    under labels that end with the attempt, and all its systems are
-    measured again, for ``REMEASURE_ATTEMPTS`` attempts in all, as
-    ``assemble_and_measure`` re-assembles a spec.  Returns the values of
-    each draw's systems and their ambiguity flags, from its last
-    attempt.  A draw of one-dimensional instances only is measured once:
-    every instance of a one-dimensional type is the same pair, so a
-    redraw would bring its ambiguity back."""
-    n_pairs = len(requests)
-    values, ambiguous = [None] * (n_pairs + len(singles)), [None] * (n_pairs + len(singles))
-    todo = list(range(len(values)))
-
-    def redrawable(k):
-        types = requests[k][:2] if k < n_pairs else singles[k - n_pairs][:1]
-        return any(alpha.n > 1 for alpha in types)
-
+    A draw is a list of (type, label) instances, each drawn from
+    ``derived_seed("verify", label, seed)``, all of an attempt in one
+    ``_draw_simples``, and ``systems_of(k, instances)`` lists the systems
+    of draw k in the form ``_measure`` takes.  The two instances of a draw
+    of one type of dimension >= 2 must be non-isomorphic: their Hom is one
+    more system, ranked in the same call, and a Hom that reads nonzero
+    leaves the draw unclear, as an ambiguous system does.  A zero Hom near
+    the threshold stands: on a quotient pair the commutant behind its flag
+    is the one ``_ext_dims`` flags.  An unclear draw is drawn again, under
+    labels that end with the attempt, and all its systems are measured
+    again, for ``REMEASURE_ATTEMPTS`` attempts in all.  Returns the values
+    of each draw's systems and their ambiguity flags, from its last
+    attempt; every flag of a draw still isomorphic is set.  A draw of
+    one-dimensional instances only is measured once: every instance of a
+    one-dimensional type is the same pair, so a redraw would bring its
+    ambiguity back."""
+    linked = {k for k, ((alpha, _), *rest) in enumerate(draws)
+              if rest and rest[0][0] == alpha and alpha.n > 1}
+    values, ambiguous = [None] * len(draws), [None] * len(draws)
+    todo = list(range(len(draws)))
     for attempt in range(REMEASURE_ATTEMPTS):
-        at_pairs = [k for k in todo if k < n_pairs]
-        at_singles = [k for k in todo if k >= n_pairs]
-        pairs, drawn = _independent_pairs([requests[k] for k in at_pairs], seed, tol,
-                                          [singles[k - n_pairs] for k in at_singles], attempt)
+        instances = [(alpha, (*label, attempt) if attempt else label)
+                     for k in todo for alpha, label in draws[k]]
+        drawn = iter(_draw_simples([alpha for alpha, _ in instances],
+                                   [derived_seed("verify", label, seed) for _, label in instances],
+                                   tol))
         owners, systems = [], []
-        for k, draw in zip(at_pairs + at_singles, pairs + drawn):
+        for k in todo:
+            insts = [next(drawn) for _ in draws[k]]
+            listed = systems_of(k, insts)
+            if k in linked:
+                listed.append(("hom", insts[0].rep, insts[1].rep, GAMMA))
+            owners += [k] * len(listed)
+            systems += listed
             values[k], ambiguous[k] = [], []
-            for system in systems_of(k, draw):
-                owners.append(k)
-                systems.append(system)
-        for k, value, flag in zip(owners, *_measure(systems, tol)):
+        for k, system, value, flag in zip(owners, systems, *_measure(systems, tol)):
             values[k].append(value)
-            ambiguous[k].append(flag)
-        todo = [k for k in todo if any(ambiguous[k]) and redrawable(k)]
+            ambiguous[k].append(value != 0 if system[0] == "hom" else flag)
+        todo = [k for k in todo
+                if any(ambiguous[k]) and any(alpha.n > 1 for alpha, _ in draws[k])]
         if not todo:
             break
+    for k in linked:
+        values[k].pop()
+        if ambiguous[k].pop():
+            ambiguous[k] = [True] * len(ambiguous[k])
     return values, ambiguous
+
+
+def assemble_and_measure(spec: SemisimpleSpec, seed_of,
+                         tol: ToleranceConfig = DEFAULT_TOL):
+    """Assemble the spec and measure its tangent dimension
+    (``tangent_dim_numeric``), re-assembling on ToleranceAmbiguity:
+    attempt k uses the seed ``seed_of(k)``, for k below
+    ``REMEASURE_ATTEMPTS``.  Returns (seed, rep, measured value) of the
+    first clean attempt, and re-raises the last ambiguity when no attempt
+    was clean."""
+    for attempt in range(REMEASURE_ATTEMPTS):
+        seed = seed_of(attempt)
+        rep = assemble(spec, seed=seed, tol=tol)
+        try:
+            return seed, rep, tangent_dim_numeric(rep, tol)
+        except ToleranceAmbiguity as exc:
+            last = exc
+    raise last
 
 
 def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
@@ -239,9 +235,10 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
     type, measures every system in one stack per oracle, kind and shape,
     and then records the checks in the planned order.  The formulas are
     evaluated once per type, pair of types or spec entry, not per check.
-    An instance behind an ambiguous rank decision is drawn again
-    (``_measure_draws``); a check still ambiguous after the last attempt
-    is recorded as failed, with "persistent tolerance ambiguity".
+    An instance behind an ambiguous rank decision, or a pair of one type
+    whose Hom reads nonzero, is drawn again (``_measure_draws``); a check
+    still unclear after the last attempt is recorded as failed, with
+    "persistent tolerance ambiguity".
     """
     result = SuiteResult("ext")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
@@ -273,13 +270,15 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
             return [("ext", scale_rep(drawn[0].rep, LAMBDA_POOL[li]),
                      scale_rep(drawn[1].rep, LAMBDA_POOL[mi]), B3)]
         if k < n_q + n_b + n_s:
-            return [("ext", drawn.rep, drawn.rep, GAMMA)]
-        v = scale_rep(drawn.rep, b3self[k - n_q - n_b - n_s][1])
+            return [("ext", drawn[0].rep, drawn[0].rep, GAMMA)]
+        v = scale_rep(drawn[0].rep, b3self[k - n_q - n_b - n_s][1])
         return [("ext", v, v, B3)]
 
     values, ambiguous = _measure_draws(
-        [*quotient, *((b3_types[ai], b3_types[bi], 1000 + li) for ai, li, bi, _ in braid)],
-        [*self_keys, *((alpha, ("b3self", alpha, str(lam))) for alpha, lam in b3self)],
+        [*(_pair(*request) for request in quotient),
+         *(_pair(b3_types[ai], b3_types[bi], 1000 + li) for ai, li, bi, _ in braid),
+         *([one] for one in self_keys),
+         *([(alpha, ("b3self", alpha, str(lam)))] for alpha, lam in b3self)],
         systems_of, seed, tol)
 
     # every check in recording order: its draw and system, the expected
@@ -328,9 +327,9 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
 
     The pairs are drawn, and both directions of every pair measured, by
     ``_measure_draws``, the stacked path of ``verify_ext``: one stacked
-    call per pair of dimensions, and a pair with an ambiguous direction
-    drawn again; one still ambiguous after the last attempt is a failed
-    check."""
+    call per pair of dimensions, and a pair with an ambiguous direction,
+    or of one type with a nonzero Hom, drawn again; one still unclear
+    after the last attempt is a failed check."""
     result = SuiteResult("symmetry")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
     samples = []
@@ -347,7 +346,7 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
         v, w = scale_rep(drawn[0].rep, lam), scale_rep(drawn[1].rep, mu)
         return [("ext", v, w, B3), ("ext", w, v, B3)]
 
-    values, ambiguous = _measure_draws([req for req, _, _ in samples], [], systems_of,
+    values, ambiguous = _measure_draws([_pair(*req) for req, _, _ in samples], systems_of,
                                        seed, tol)
     for ((alpha, beta, _), lam, mu), (forward, backward), unclear in zip(
             samples, values, ambiguous):
@@ -503,8 +502,7 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
         spec = random_spec(n, derived_seed("tangent", seed, trial))
         try:
             _, rep, measured = assemble_and_measure(
-                spec, lambda bump: derived_seed("tangent-rep", seed, trial, bump),
-                tangent_dim_numeric, tol)
+                spec, lambda bump: derived_seed("tangent-rep", seed, trial, bump), tol)
         except ToleranceAmbiguity:
             result.record(False, 0, f"persistent tolerance ambiguity for {spec.to_json()}")
             continue

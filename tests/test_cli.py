@@ -1,7 +1,11 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,25 @@ def test_components_small(capsys):
 def test_components_cap(capsys):
     code, _, err = run(capsys, "components", "--n", "21")
     assert code == 2 and "--force" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_closed_stdout_keeps_the_exit_code_and_stderr_clean(fmt):
+    # the reader is gone before the first write, as under ``| head -1``
+    # once head has its line: the command still exits with its own code,
+    # and prints no traceback
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "b3rep", "components", "--n", "14", "--format", fmt],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 0 and proc.stderr == b""
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +192,9 @@ def test_analyze_rejects_wrongly_typed_fields(tmp_path, capsys, field, value):
 
 def test_analyze_verify_redraws_after_an_ambiguous_measurement(tmp_path, capsys,
                                                                 monkeypatch):
-    import b3rep.cli as cli_mod
+    import b3rep.verify as verify_mod
     measured = []
-    real = cli_mod.tangent_dim_numeric
+    real = verify_mod.tangent_dim_numeric
 
     def ambiguous_once(rep, tol):
         measured.append(rep)
@@ -179,7 +202,7 @@ def test_analyze_verify_redraws_after_an_ambiguous_measurement(tmp_path, capsys,
             raise ToleranceAmbiguity("forced")
         return real(rep, tol)
 
-    monkeypatch.setattr(cli_mod, "tangent_dim_numeric", ambiguous_once)
+    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", ambiguous_once)
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, _ = run(capsys, "analyze", "--spec", str(path), "--verify", "--seed", "5")
@@ -191,25 +214,44 @@ def test_analyze_verify_redraws_after_an_ambiguous_measurement(tmp_path, capsys,
 
 def test_analyze_verify_gives_up_after_three_ambiguous_assemblies(tmp_path, capsys,
                                                                    monkeypatch):
-    import b3rep.cli as cli_mod
+    # the spec and --tol are valid, so a give-up is a failed check, as in
+    # the suites: exit 3 (not 2, malformed input) and one error line
+    import b3rep.verify as verify_mod
     measured = []
 
     def always_ambiguous(rep, tol):
         measured.append(rep)
         raise ToleranceAmbiguity("forced")
 
-    monkeypatch.setattr(cli_mod, "tangent_dim_numeric", always_ambiguous)
+    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", always_ambiguous)
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
-    assert code == 2 and out == "" and "inconclusive" in err
+    assert code == 3 and out == ""
+    assert err == "error: numeric verification inconclusive: forced\n"
     assert len(measured) == 3
+
+
+def test_analyze_verify_at_a_coarse_tolerance_exits_three(tmp_path, capsys):
+    # a valid spec whose scalar grouping stays ambiguous at --tol 0.1 on
+    # every assembly: inconclusive, exit 3; at --tol 1e-2 it verifies (singular)
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": "1", "q": "0"}, "instance": "a"},
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": "1", "q": "1/6"}, "mult": 2,
+         "instance": "b"},
+        {"alpha": [1, 1, 1, 1, 0], "lambda": {"r": "3/2", "q": "0"}, "instance": "c"}]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify", "--tol", "0.1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: numeric verification inconclusive: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "analyze", "--spec", str(path), "--verify", "--tol", "1e-2")
+    assert code == 1 and json.loads(out)["verification"]["matches_formula"]
 
 
 def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     # force a disagreement to check the dedicated exit code
-    import b3rep.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "tangent_dim_numeric", lambda rep, tol: 999)
+    import b3rep.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", lambda rep, tol: 999)
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, _, err = run(capsys, "analyze", "--spec", str(path), "--verify")
@@ -219,10 +261,10 @@ def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
 def test_analyze_verify_rejects_an_invalid_assembled_pair(tmp_path, capsys, monkeypatch):
     # a pair breaking A^2 = B^3 (A^2 = 1, B^3 = 8) is a program fault:
     # exit 3, one error line, no report
-    import b3rep.geometry as geometry_mod
+    import b3rep.verify as verify_mod
     from b3rep.constants import B3
     from b3rep.factory import RepPair
-    monkeypatch.setattr(geometry_mod, "assemble", lambda spec, seed=0, tol=None:
+    monkeypatch.setattr(verify_mod, "assemble", lambda spec, seed=0, tol=None:
                         RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3))
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
@@ -240,12 +282,12 @@ class Assembled(Exception):
 
 
 def refuse_assembly(monkeypatch):
-    import b3rep.geometry as geometry_mod
+    import b3rep.verify as verify_mod
 
     def no_assembly(*args, **kwargs):
         raise Assembled
 
-    monkeypatch.setattr(geometry_mod, "assemble", no_assembly)
+    monkeypatch.setattr(verify_mod, "assemble", no_assembly)
 
 
 @pytest.mark.parametrize("alpha, force", [

@@ -43,7 +43,6 @@ from b3rep.geometry import (
     _frobenius,
     _gln_embed,
     _gln_retract,
-    assemble_and_measure,
 )
 
 ONE = ExactScalar.one()
@@ -482,7 +481,8 @@ def test_tangent_numeric_on_many_summands_at_distinct_moduli():
     assert peak <= 10 ** 6
 
 
-def test_assemble_and_measure_redraws_on_ambiguity():
+def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
+    import b3rep.verify as verify_mod
     spec = spec_of(entry(A0, iid="p"), entry(A1, iid="q"))
     calls = []
 
@@ -492,7 +492,8 @@ def test_assemble_and_measure_redraws_on_ambiguity():
             raise ToleranceAmbiguity("forced")
         return tangent_dim_numeric(rep, tol)
 
-    seed, rep, measured = assemble_and_measure(spec, lambda k: 100 + k, measure)
+    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", measure)
+    seed, rep, measured = verify_mod.assemble_and_measure(spec, lambda k: 100 + k)
     assert (seed, measured, len(calls)) == (102, 6, 3) and rep is calls[-1]
     calls.clear()
 
@@ -500,8 +501,9 @@ def test_assemble_and_measure_redraws_on_ambiguity():
         calls.append(rep)
         raise ToleranceAmbiguity("forced")
 
+    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", always_ambiguous)
     with pytest.raises(ToleranceAmbiguity):
-        assemble_and_measure(spec, lambda k: k, always_ambiguous)
+        verify_mod.assemble_and_measure(spec, lambda k: k)
     assert len(calls) == 3
 
 

@@ -1,6 +1,7 @@
 """The property suites themselves: all green, deterministic, honest."""
 
 import inspect
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,13 @@ import b3rep.lattice as lattice_mod
 import b3rep.verify as verify_mod
 from b3rep import (
     DEFAULT_TOL,
+    GAMMA,
     GammaDimVector,
-    GenerationFailed,
     HexDimVector,
     SemisimpleSpec,
     SuiteResult,
     derived_seed,
+    ext_gamma_pair,
     gln_embed,
     gln_retract,
     random_spec,
@@ -242,36 +244,65 @@ def test_random_specs_cover_both_verdicts():
     assert verdicts == {True, False}
 
 
-def test_independent_pairs_redraw_only_the_linked_requests(monkeypatch):
-    # the first round's stacked Hom reads every equal-type pair as linked:
-    # only that pair is drawn again, with the bumped label
-    real = verify_mod.hom_dims_numeric
-    rounds = []
+def spy_draws(monkeypatch):
+    """The (types, seeds) of every ``_draw_simples`` call the suites make."""
+    calls = []
+    real = verify_mod._draw_simples
 
-    def linked_first(pairs, tol):
-        rounds.append(len(pairs))
-        homs = real(pairs, tol)
-        return [1] * len(homs) if len(rounds) == 1 else homs
+    def spy(types, seeds, tol):
+        calls.append((list(types), list(seeds)))
+        return real(types, seeds, tol)
 
-    monkeypatch.setattr(verify_mod, "hom_dims_numeric", linked_first)
+    monkeypatch.setattr(verify_mod, "_draw_simples", spy)
+    return calls
+
+
+def test_a_pair_whose_hom_reads_nonzero_is_redrawn(monkeypatch):
+    # the first Hom call reads the one pair of equal types of dimension >= 2
+    # as linked (Hom 1): that draw alone is drawn again, under labels that
+    # end with the attempt, and all its systems measured again
+    real = verify_mod._hom_dims
+    homs = []
+
+    def linked_first(pairs, kind, tol):
+        homs.append(len(pairs))
+        values, flags = real(pairs, kind, tol)
+        return (values + 1 if len(homs) == 1 else values), flags
+
+    monkeypatch.setattr(verify_mod, "_hom_dims", linked_first)
+    calls = spy_draws(monkeypatch)
     a1, a2 = GammaDimVector(1, 0, 1, 0, 0), GammaDimVector(1, 1, 1, 1, 0)
-    single = (a1, ("self", a1, 0))
-    requests = [(a2, a2, 0), (a2, a1, 0), (a1, a1, 0)]
-    pairs, singles = verify_mod._independent_pairs(requests, 3, DEFAULT_TOL, [single])
-    assert rounds == [1, 1]
+    draws = [verify_mod._pair(a2, a2, 0), verify_mod._pair(a2, a1, 0),
+             verify_mod._pair(a1, a1, 0), [(a1, ("self", a1, 0))]]
+    values, ambiguous = verify_mod._measure_draws(
+        draws, lambda k, drawn: [("ext", drawn[0].rep, drawn[-1].rep, GAMMA)], 3, DEFAULT_TOL)
+    assert homs == [1, 1]
+    assert values == [[ext_gamma_pair(a2, a2)], [ext_gamma_pair(a2, a1)], [0], [0]]
+    assert ambiguous == [[False]] * 4
+    assert [seeds for _, seeds in calls] == [
+        [derived_seed("verify", label, 3) for draw in draws for _, label in draw],
+        [derived_seed("verify", ("pair-a", a2, a2, 0, 0, 1), 3),
+         derived_seed("verify", ("pair-b", a2, a2, 0, 0, 1), 3)]]
 
-    def seeds(i):
-        return [inst.seed for inst in pairs[i]]
 
-    assert seeds(0) == [derived_seed("verify", ("pair-a", a2, a2, 0, 1), 3),
-                        derived_seed("verify", ("pair-b", a2, a2, 0, 1), 3)]
-    assert seeds(1) == [derived_seed("verify", ("pair-a", a2, a1, 0, 0), 3),
-                        derived_seed("verify", ("pair-b", a2, a1, 0, 0), 3)]
-    assert [inst.seed for inst in singles] == [derived_seed("verify", ("self", a1, 0), 3)]
-
-    monkeypatch.setattr(verify_mod, "hom_dims_numeric", lambda pairs, tol: [1] * len(pairs))
-    with pytest.raises(GenerationFailed):
-        verify_mod._independent_pairs(requests, 3, DEFAULT_TOL)
+def test_a_pair_that_stays_isomorphic_fails_its_checks(monkeypatch, capsys):
+    # every Hom reads 1: each pair of equal types of dimension >= 2 is drawn
+    # three times and then fails its checks, a failed suite (exit 3), not
+    # a generation failure (exit 2); every other check passes
+    from b3rep.cli import main
+    real = verify_mod._hom_dims
+    monkeypatch.setattr(verify_mod, "_hom_dims",
+                        lambda pairs, kind, tol: (real(pairs, kind, tol)[0] + 1,
+                                                  np.zeros(len(pairs), dtype=bool)))
+    calls = spy_draws(monkeypatch)
+    assert main(["verify", "ext", "--n", "2", "--trials", "4", "--format", "json"]) == 3
+    result = json.loads(capsys.readouterr().out)
+    assert len(calls) == 3
+    # n = 2: three two-dimensional types, each a quotient pair with itself
+    # (an ext and a coboundary check) and five braid pairs with itself
+    assert result["checks"] == 648 and result["failed"] == 3 * (2 + 5)
+    assert all(msg.startswith("persistent tolerance ambiguity for ")
+               for msg in result["failures"])
 
 
 def test_ext_redraws_only_the_draw_behind_an_ambiguous_system(monkeypatch):
@@ -281,8 +312,8 @@ def test_ext_redraws_only_the_draw_behind_an_ambiguous_system(monkeypatch):
     # labels that end with the attempt, and all its systems measured again;
     # the suite's result stays
     baseline = run_suite("ext", n=2, trials=4, seed=5).to_json()
-    real_measure, real_pairs = verify_mod._measure, verify_mod._independent_pairs
-    measured, rounds = [], []
+    real_measure = verify_mod._measure
+    measured = []
 
     def first_ambiguous(systems, tol):
         values, ambiguous = real_measure(systems, tol)
@@ -291,21 +322,14 @@ def test_ext_redraws_only_the_draw_behind_an_ambiguous_system(monkeypatch):
             ambiguous[12] = True
         return values, ambiguous
 
-    def spy(requests, seed, tol, singles=(), attempt=0):
-        pairs, drawn = real_pairs(requests, seed, tol, singles, attempt)
-        rounds.append((requests, singles, attempt, pairs))
-        return pairs, drawn
-
     monkeypatch.setattr(verify_mod, "_measure", first_ambiguous)
-    monkeypatch.setattr(verify_mod, "_independent_pairs", spy)
+    calls = spy_draws(monkeypatch)
     assert run_suite("ext", n=2, trials=4, seed=5).to_json() == baseline
     assert len(measured) == 2 and measured[1] == 2
     alpha, beta = GammaDimVector(0, 1, 0, 0, 1), GammaDimVector(1, 1, 0, 1, 1)
-    requests, singles, attempt, pairs = rounds[1]
-    assert (requests, singles, attempt) == ([(alpha, beta, 0)], [], 1)
-    assert [inst.seed for inst in pairs[0]] == [
+    assert len(calls) == 2 and calls[1] == ([alpha, beta], [
         derived_seed("verify", ("pair-a", alpha, beta, 0, 0, 1), 5),
-        derived_seed("verify", ("pair-b", alpha, beta, 0, 0, 1), 5)]
+        derived_seed("verify", ("pair-b", alpha, beta, 0, 0, 1), 5)])
 
 
 @pytest.mark.parametrize("suite, kwargs", [
@@ -317,27 +341,30 @@ def test_persistent_ambiguity_fails_each_ambiguous_check(monkeypatch, suite, kwa
     # dimension >= 2 is measured three times, and every check on an ext
     # system fails with the persistent ambiguity; the coboundary checks of
     # the quotient pairs still pass
-    real_ext, real_pairs = verify_mod._ext_dims, verify_mod._independent_pairs
-    calls = []
+    real_ext, real_draws = verify_mod._ext_dims, verify_mod._measure_draws
+    planned = []
 
     def ambiguous(pairs, kind, tol):
         values, flags = real_ext(pairs, kind, tol)
         return values, np.ones_like(flags)
 
-    def spy(requests, seed, tol, singles=(), attempt=0):
-        calls.append((attempt, [req[:2] for req in requests] + [one[:1] for one in singles]))
-        return real_pairs(requests, seed, tol, singles, attempt)
+    def spy(draws, systems_of, seed, tol):
+        planned.extend(draws)
+        return real_draws(draws, systems_of, seed, tol)
 
     monkeypatch.setattr(verify_mod, "_ext_dims", ambiguous)
-    monkeypatch.setattr(verify_mod, "_independent_pairs", spy)
+    monkeypatch.setattr(verify_mod, "_measure_draws", spy)
+    calls = spy_draws(monkeypatch)
     result = run_suite(suite, seed=2, **kwargs)
-    assert [attempt for attempt, _ in calls] == [0, 1, 2]
-    # a draw of one-dimensional instances only reaches _independent_pairs
-    # once: a redraw would give the same pair
-    first = calls[0][1]
-    redrawn = [types for types in first if any(alpha.n > 1 for alpha in types)]
-    assert 0 < len(redrawn) < len(first)
-    assert calls[1][1] == calls[2][1] == redrawn
+    assert len(calls) == 3
+    # a draw of one-dimensional instances only is drawn once: a redraw
+    # would give the same pair
+    redrawn = [draw for draw in planned if any(alpha.n > 1 for alpha, _ in draw)]
+    assert 0 < len(redrawn) < len(planned)
+    for attempt, (types, seeds) in enumerate(calls[1:], 1):
+        assert types == [alpha for draw in redrawn for alpha, _ in draw]
+        assert seeds == [derived_seed("verify", (*label, attempt), 2)
+                         for draw in redrawn for _, label in draw]
     # n = 2: 9 types, so 81 quotient pairs, each with a coboundary check
     cobound = 81 if suite == "ext" else 0
     assert result.checks > cobound and result.failed == result.checks - cobound
