@@ -57,20 +57,24 @@ from .constants import B3, GAMMA, OMEGA
 from .errors import ToleranceAmbiguity
 
 
+#: Absolute floor of the rank decisions: a matrix whose largest singular
+#: value falls below it is the zero map, and a vector shorter than it is
+#: zero.
+ABS_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Rank thresholds: singular values above rel_tol * sigma_max count,
-    and a matrix whose largest singular value falls below abs_floor is
-    the zero map."""
+    """Rank threshold: singular values above rel_tol * sigma_max count.
+    rel_tol lies strictly between ``ABS_FLOOR`` and 1."""
 
     rel_tol: float = 1e-8
-    abs_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.abs_floor < self.rel_tol < 1.0):
+        if not (ABS_FLOOR < self.rel_tol < 1.0):
             raise ValueError(
                 f"need 0 < abs_floor < rel_tol < 1, got "
-                f"abs_floor={self.abs_floor}, rel_tol={self.rel_tol}"
+                f"abs_floor={ABS_FLOOR}, rel_tol={self.rel_tol}"
             )
 
 
@@ -81,7 +85,7 @@ def _ranks(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]
     """Numerical rank of each matrix of a stack (..., m, n), and its
     ambiguity flag.  Each matrix has its own threshold, rel_tol times its
     largest singular value, and is the zero map when that value falls
-    below abs_floor.  Ambiguous means some singular value lies within a
+    below ``ABS_FLOOR``.  Ambiguous means some singular value lies within a
     factor 10 of the threshold, so the rank would move under a modest
     change of tolerance.  An empty matrix has rank 0."""
     if 0 in M.shape[-2:]:
@@ -91,7 +95,7 @@ def _ranks(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]
     threshold = tol.rel_tol * sing[..., :1]
     ranks = (sing > threshold).sum(-1)
     ambiguous = ((sing > threshold / 10.0) & (sing < threshold * 10.0)).any(-1)
-    zero = sing[..., 0] < tol.abs_floor
+    zero = sing[..., 0] < ABS_FLOOR
     return np.where(zero, 0, ranks), ambiguous & ~zero
 
 
@@ -189,13 +193,17 @@ def hom_dims_numeric(pairs, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Dimension of the intertwiner space Hom(V, W) for each of a list
     of equal-shape pairs (V, W), from the unit-scaled commutant system.
     The linear condition is the same for both relation kinds, so it
-    takes pairs of either."""
-    dims, _ = _hom_dims(pairs, B3, tol)
-    return dims.tolist()
+    takes pairs of either.
+
+    Raises ToleranceAmbiguity when a singular value of any system falls
+    within a factor 10 of that system's rank threshold.
+    """
+    return _checked(*_hom_dims(pairs, B3, tol)).tolist()
 
 
 def hom_dim_numeric(V, W, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the intertwiner space Hom(V, W)."""
+    """Dimension of the intertwiner space Hom(V, W); raises
+    ToleranceAmbiguity when a rank threshold is not clean."""
     return hom_dims_numeric([(V, W)], tol)[0]
 
 
@@ -389,7 +397,7 @@ def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
         powers = np.stack([V.A @ V.A, V.B @ V.B @ V.B], axis=1)
         ca, cb = np.trace(powers, axis1=-2, axis2=-1).T / d
         scalar[members] = ((_row_defect(powers, ca[:, None, None, None] * np.eye(d))
-                            <= tol.rel_tol).all(-1) & (np.abs(ca) > tol.abs_floor))
+                            <= tol.rel_tol).all(-1) & (np.abs(ca) > ABS_FLOOR))
         c[members], t[members], scale[members], scaled[d] = ca, cb ** (1 / 3), tau.ravel(), V
     # the roots s of c and t of each group's first member, carried to the
     # scale of each member: one labelling of the eigenvalues for the group
@@ -463,8 +471,9 @@ def coboundary_defects_numeric(pairs, group_kind: str = B3,
     is first rescaled on its own (``_relation_scaled``), so a broken pair
     next to a much larger one keeps its defect at its own scale.  The
     product is divided by (max|A_V| + max|A_W|)^2 + (max|B_V| + max|B_W|)^3,
-    which bounds the terms it cancels, so abs_floor tells zero relative
-    to them."""
+    which bounds the terms it cancels, so ``ABS_FLOOR`` tells zero
+    relative to them.  It does not raise on an ambiguous rank decision:
+    it is the rank of a defect, and no formula uses it."""
     ranks, _ = _coboundary_defects(pairs, group_kind, tol)
     return ranks.tolist()
 

@@ -38,7 +38,7 @@ from .errors import (
     IsomorphicDistinctEntries,
     NotSimpleDimension,
 )
-from .extoracle import DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
+from .extoracle import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
 from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
 from .scalars import ExactScalar, mu6_exponent
 
@@ -206,13 +206,13 @@ def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
     A and B stacked, and are projected against the basis of shorter words
     in two BLAS passes.  They are then accepted in order against the
     vectors this level has accepted so far: a candidate counts when its
-    norm is at least abs_floor and its residual above rel_tol times its
+    norm is at least ``ABS_FLOOR`` and its residual above rel_tol times its
     norm.  The accepted words are the next frontier; a span is complete
     when a level accepts none.
 
     In a stack every element keeps its own count.  Bases and frontiers
     are padded with zeros to the largest of the stack: a zero word makes
-    zero candidates, which fall under abs_floor, and a zero basis vector
+    zero candidates, which fall under ``ABS_FLOOR``, and a zero basis vector
     projects out nothing.  One pair, or a stack of one, takes the same
     steps without the stack axis, whose bookkeeping would cost it up to
     twice the time.
@@ -241,7 +241,7 @@ def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
         floor = tol.rel_tol * norms
         # projecting out this level's vectors can only shrink a residual,
         # so a candidate already under its threshold is rejected here
-        live = (norms >= tol.abs_floor) & (np.linalg.norm(resid, axis=-1) > floor)
+        live = (norms >= ABS_FLOOR) & (np.linalg.norm(resid, axis=-1) > floor)
         if lead:
             kept = _accept_in_order_stacked(basis, resid, live, floor, count)
             # a column that only other elements kept is a zero word here

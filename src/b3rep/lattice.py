@@ -151,9 +151,6 @@ class HexDimVector:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.h0, self.h1, self.h2, self.h3, self.h4, self.h5)
 
-    def __getitem__(self, i: int) -> int:
-        return self.as_tuple()[i % 6]
-
     @property
     def total(self) -> int:
         return sum(self.as_tuple())

@@ -144,57 +144,74 @@ def _pair(alpha, beta, trial) -> list:
     return [(alpha, ("pair-a", alpha, beta, trial, 0)), (beta, ("pair-b", alpha, beta, trial, 0))]
 
 
-def _measure_draws(draws, systems_of, seed: int,
-                   tol: ToleranceConfig) -> tuple[list[list[int]], list[list[bool]]]:
-    """The measured systems of every draw, redrawn while unclear.
+def _equal(slot: int, item: str, expected: int, head: str = "", tail: str = ""):
+    """The check that system ``slot`` of a draw measures ``expected``; its
+    message reads "<item>: <head><value> != <tail><expected>"."""
+    return (slot,), item, lambda got: (got == expected, got - expected,
+                                       f"{item}: {head}{got} != {tail}{expected}")
 
-    A draw is a list of (type, label) instances, each drawn from
-    ``derived_seed("verify", label, seed)``, all of an attempt in one
-    ``_draw_simples``, and ``systems_of(k, instances)`` lists the systems
-    of draw k in the form ``_measure`` takes.  The two instances of a draw
-    of one type of dimension >= 2 must be non-isomorphic: their Hom is one
-    more system, ranked in the same call, and a Hom that reads nonzero
-    leaves the draw unclear, as an ambiguous system does.  A zero Hom near
-    the threshold stands: on a quotient pair the commutant behind its flag
-    is the one ``_ext_dims`` flags.  An unclear draw is drawn again, under
-    labels that end with the attempt, and all its systems are measured
-    again, for ``REMEASURE_ATTEMPTS`` attempts in all.  Returns the values
-    of each draw's systems and their ambiguity flags, from its last
-    attempt; every flag of a draw still isomorphic is set.  A draw of
-    one-dimensional instances only is measured once: every instance of a
-    one-dimensional type is the same pair, so a redraw would bring its
-    ambiguity back."""
-    linked = {k for k, ((alpha, _), *rest) in enumerate(draws)
+
+def _braid_ext(lam, mu, both: bool = False):
+    """The systems of a braid draw: ext of its first instance scaled by
+    lam against its last scaled by mu, and then the reverse when ``both``."""
+    def systems(*reps):
+        v, w = scale_rep(reps[0], lam), scale_rep(reps[-1], mu)
+        return [("ext", v, w, B3), ("ext", w, v, B3)] if both else [("ext", v, w, B3)]
+    return systems
+
+
+def _run_draws(result: SuiteResult, plan, seed: int, tol: ToleranceConfig) -> None:
+    """Measure the draws of a plan and record their checks, in plan order.
+
+    A draw is (instances, systems, checks): (type, label) instances, each
+    drawn from ``derived_seed("verify", label, seed)``, all of an attempt
+    in one ``_draw_simples``; ``systems(*reps)``, its systems in the form
+    ``_measure`` takes; and checks (slots, item, judge), each recording
+    ``judge(*values of its slots)``, an (ok, residual, message) triple.
+    Two instances of one type of dimension >= 2 must be non-isomorphic:
+    their Hom is one more system, and a nonzero Hom leaves every system of
+    the draw unclear, as an ambiguous rank decision leaves its own.  (A
+    zero Hom near the threshold stands: on a quotient pair ``_ext_dims``
+    flags the same commutant.)  A draw with an unclear system is drawn
+    again, under labels that end with the attempt, for
+    ``REMEASURE_ATTEMPTS`` attempts in all, unless its instances are all
+    one-dimensional: such a type has one pair, so a redraw would bring the
+    ambiguity back.  A check with a slot still unclear fails with
+    "persistent tolerance ambiguity for <item>"."""
+    linked = {k for k, (((alpha, _), *rest), _, _) in enumerate(plan)
               if rest and rest[0][0] == alpha and alpha.n > 1}
-    values, ambiguous = [None] * len(draws), [None] * len(draws)
-    todo = list(range(len(draws)))
+    values, unclear = [None] * len(plan), [None] * len(plan)
+    todo = range(len(plan))
     for attempt in range(REMEASURE_ATTEMPTS):
-        instances = [(alpha, (*label, attempt) if attempt else label)
-                     for k in todo for alpha, label in draws[k]]
-        drawn = iter(_draw_simples([alpha for alpha, _ in instances],
-                                   [derived_seed("verify", label, seed) for _, label in instances],
+        requests = [(alpha, (*label, attempt) if attempt else label)
+                    for k in todo for alpha, label in plan[k][0]]
+        drawn = iter(_draw_simples([alpha for alpha, _ in requests],
+                                   [derived_seed("verify", label, seed) for _, label in requests],
                                    tol))
-        owners, systems = [], []
+        owned, systems = [], []
         for k in todo:
-            insts = [next(drawn) for _ in draws[k]]
-            listed = systems_of(k, insts)
-            if k in linked:
-                listed.append(("hom", insts[0].rep, insts[1].rep, GAMMA))
-            owners += [k] * len(listed)
+            reps = [next(drawn).rep for _ in plan[k][0]]
+            listed = plan[k][1](*reps)
+            owned.append((k, len(systems), len(systems) + len(listed)))
             systems += listed
-            values[k], ambiguous[k] = [], []
-        for k, system, value, flag in zip(owners, systems, *_measure(systems, tol)):
-            values[k].append(value)
-            ambiguous[k].append(value != 0 if system[0] == "hom" else flag)
+            if k in linked:
+                systems.append(("hom", reps[0], reps[1], GAMMA))
+        got, flags = _measure(systems, tol)
+        for k, start, end in owned:
+            values[k], unclear[k] = got[start:end], flags[start:end]
+            # a linked draw's Hom follows its systems
+            if k in linked and got[end] != 0:
+                unclear[k] = [True] * (end - start)
         todo = [k for k in todo
-                if any(ambiguous[k]) and any(alpha.n > 1 for alpha, _ in draws[k])]
+                if any(unclear[k]) and any(alpha.n > 1 for alpha, _ in plan[k][0])]
         if not todo:
             break
-    for k in linked:
-        values[k].pop()
-        if ambiguous[k].pop():
-            ambiguous[k] = [True] * len(ambiguous[k])
-    return values, ambiguous
+    for (_, _, checks), got, flags in zip(plan, values, unclear):
+        for slots, item, judge in checks:
+            if any(map(flags.__getitem__, slots)):
+                result.record(False, 0, f"persistent tolerance ambiguity for {item}")
+            else:
+                result.record(*judge(*map(got.__getitem__, slots)))
 
 
 def assemble_and_measure(spec: SemisimpleSpec, seed_of,
@@ -231,14 +248,12 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
     (``coboundary_defects_numeric`` is 0), the premise of
     dim Ext = dim Z - dim B.
 
-    The suite plans its checks, draws every instance in one stack per
-    type, measures every system in one stack per oracle, kind and shape,
-    and then records the checks in the planned order.  The formulas are
-    evaluated once per type, pair of types or spec entry, not per check.
-    An instance behind an ambiguous rank decision, or a pair of one type
-    whose Hom reads nonzero, is drawn again (``_measure_draws``); a check
-    still unclear after the last attempt is recorded as failed, with
-    "persistent tolerance ambiguity".
+    The suite is a plan of draws, each with its systems and checks, in
+    recording order: self instances, quotient pairs (an ext and a
+    coboundary check each), braid pairs, braid self instances.
+    ``_run_draws`` draws and measures them in stacks and redraws what is
+    unclear.  Formulas and failure texts are made once per type, pair of
+    types or spec entry, not per check.
     """
     result = SuiteResult("ext")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
@@ -246,77 +261,45 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
     b3_types = [v for n in range(1, min(max_dim, 2) + 1)
                 for v in enumerate_simple_gamma(n)]
     self_ext = {alpha: ext_gamma_self(alpha) for alpha in simples}
-    # one spec entry per type and scalar on each side of the braid checks,
-    # and each check's entries as indices (type, scalar) into them
-    left, right = ([[SpecEntry(alpha, lam, 1, side) for lam in LAMBDA_POOL] for alpha in b3_types]
-                   for side in "LR")
-    braid = [(ai, li, bi, (li + ai + bi) % len(LAMBDA_POOL))
-             for ai in range(len(b3_types)) for bi in range(len(b3_types))
-             for li in range(len(LAMBDA_POOL))]
-    # the draws: quotient pairs, braid pairs, self instances, braid self instances
-    quotient = [(alpha, beta, trial) for alpha in simples for beta in simples
-                for trial in range(pair_trials)]
-    self_keys = [(alpha, ("self", alpha, trial))
-                 for alpha in simples for trial in range(trials)]
-    b3self = [(alpha, lam) for alpha in b3_types for lam in LAMBDA_POOL]
-    n_q, n_b, n_s = len(quotient), len(braid), len(self_keys)
 
-    def systems_of(k, drawn):
-        if k < n_q:
-            s, t = (inst.rep for inst in drawn)
-            return [("ext", s, t, GAMMA), ("coboundary", s, t, GAMMA)]
-        if k < n_q + n_b:
-            _, li, _, mi = braid[k - n_q]
-            return [("ext", scale_rep(drawn[0].rep, LAMBDA_POOL[li]),
-                     scale_rep(drawn[1].rep, LAMBDA_POOL[mi]), B3)]
-        if k < n_q + n_b + n_s:
-            return [("ext", drawn[0].rep, drawn[0].rep, GAMMA)]
-        v = scale_rep(drawn[0].rep, b3self[k - n_q - n_b - n_s][1])
-        return [("ext", v, v, B3)]
+    def self_systems(v):
+        return [("ext", v, v, GAMMA)]
 
-    values, ambiguous = _measure_draws(
-        [*(_pair(*request) for request in quotient),
-         *(_pair(b3_types[ai], b3_types[bi], 1000 + li) for ai, li, bi, _ in braid),
-         *([one] for one in self_keys),
-         *([(alpha, ("b3self", alpha, str(lam)))] for alpha, lam in b3self)],
-        systems_of, seed, tol)
+    def pair_systems(s, t):
+        return [("ext", s, t, GAMMA), ("coboundary", s, t, GAMMA)]
 
-    # every check in recording order: its draw and system, the expected
-    # value, the checked item, and the failure message around the measured
-    # value; each text is made once per type, pair of types or entry
-    checks = []
-    for ai, alpha in enumerate(simples):
-        expected = self_ext[alpha]
-        text = (expected, f"self {alpha}", "oracle ", f" != formula {expected}")
-        first = n_q + n_b + ai * trials
-        checks += [(k, 0, *text) for k in range(first, first + trials)]
-    for k in range(0, n_q, pair_trials):
-        alpha, beta, _ = quotient[k]
-        # equal one-dimensional types: the two instances are the same module
-        expected = 0 if alpha == beta and alpha.n == 1 else ext_gamma_pair(alpha, beta)
-        ext_text = (expected, f"pair {alpha},{beta}", "oracle ", f" != {expected}")
-        cob_text = (0, f"coboundaries {alpha},{beta}", "cocycle defect rank ", " != 0")
-        for j in range(k, k + pair_trials):
-            checks += [(j, 0, *ext_text), (j, 1, *cob_text)]
-    scaled = [[f"{alpha}*{lam}" for lam in LAMBDA_POOL] for alpha in b3_types]
-    for k, (ai, li, bi, mi) in enumerate(braid, n_q):
-        e1, e2 = left[ai][li], right[bi][mi]
-        if entries_isomorphic(e1, e2):
-            expected = self_ext[e1.alpha] + 1
-        else:
-            expected = ext_b3_spec(e1, e2)
-        checks.append((k, 0, expected, f"braid {scaled[ai][li]} vs {scaled[bi][mi]}", "",
-                       f" != {expected}"))
-    for k, (alpha, lam) in enumerate(b3self, n_q + n_b + n_s):
-        expected = self_ext[alpha] + 1
-        checks.append((k, 0, expected, f"braid self {alpha}*{lam}", "", f" != {expected}"))
-
-    for k, slot, expected, item, head, tail in checks:
-        if ambiguous[k][slot]:
-            result.record(False, 0, f"persistent tolerance ambiguity for {item}")
-        else:
-            got = values[k][slot]
-            result.record(got == expected, got - expected, f"{item}: {head}{got}{tail}")
+    plan = []
+    for alpha in simples:
+        check = _equal(0, f"self {alpha}", self_ext[alpha], "oracle ", "formula ")
+        plan += [([(alpha, ("self", alpha, trial))], self_systems, [check])
+                 for trial in range(trials)]
+    for alpha in simples:
+        for beta in simples:
+            # equal one-dimensional types: the two instances are the same module
+            expected = 0 if alpha == beta and alpha.n == 1 else ext_gamma_pair(alpha, beta)
+            checks = [_equal(0, f"pair {alpha},{beta}", expected, "oracle "),
+                      _equal(1, f"coboundaries {alpha},{beta}", 0, "cocycle defect rank ")]
+            plan += [(_pair(alpha, beta, trial), pair_systems, checks)
+                     for trial in range(pair_trials)]
+    # one spec entry per type and scalar on each side of the braid checks
+    left, right = ({(alpha, lam): SpecEntry(alpha, lam, 1, side)
+                    for alpha in b3_types for lam in LAMBDA_POOL} for side in "LR")
+    scaled = {(alpha, lam): f"{alpha}*{lam}" for alpha, lam in left}
+    for ai, alpha in enumerate(b3_types):
+        for bi, beta in enumerate(b3_types):
+            for li, lam in enumerate(LAMBDA_POOL):
+                mu = LAMBDA_POOL[(li + ai + bi) % len(LAMBDA_POOL)]
+                e1, e2 = left[alpha, lam], right[beta, mu]
+                expected = (self_ext[alpha] + 1 if entries_isomorphic(e1, e2)
+                            else ext_b3_spec(e1, e2))
+                item = f"braid {scaled[alpha, lam]} vs {scaled[beta, mu]}"
+                plan.append((_pair(alpha, beta, 1000 + li), _braid_ext(lam, mu),
+                             [_equal(0, item, expected)]))
+    for alpha in b3_types:
+        for lam in LAMBDA_POOL:
+            plan.append(([(alpha, ("b3self", alpha, str(lam)))], _braid_ext(lam, lam),
+                         [_equal(0, f"braid self {scaled[alpha, lam]}", self_ext[alpha] + 1)]))
+    _run_draws(result, plan, seed, tol)
     return result
 
 
@@ -325,37 +308,23 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
     """Measured braid-case extension dimensions are symmetric:
     ext(V, W) = ext(W, V) on sampled pairs of rescaled simples.
 
-    The pairs are drawn, and both directions of every pair measured, by
-    ``_measure_draws``, the stacked path of ``verify_ext``: one stacked
-    call per pair of dimensions, and a pair with an ambiguous direction,
-    or of one type with a nonzero Hom, drawn again; one still unclear
-    after the last attempt is a failed check."""
+    The suite is a plan of one draw per trial: a pair, both directions as
+    its systems, and one check on the two, run by ``_run_draws`` as the
+    draws of ``verify_ext`` are."""
     result = SuiteResult("symmetry")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
-    samples = []
-    for trial in range(trials):
+
+    def draw(trial):
         rng = np.random.default_rng(derived_seed("symmetry", seed, trial))
-        alpha = simples[rng.integers(len(simples))]
-        beta = simples[rng.integers(len(simples))]
-        lam = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
-        mu = LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))]
-        samples.append(((alpha, beta, trial), lam, mu))
-
-    def systems_of(k, drawn):
-        _, lam, mu = samples[k]
-        v, w = scale_rep(drawn[0].rep, lam), scale_rep(drawn[1].rep, mu)
-        return [("ext", v, w, B3), ("ext", w, v, B3)]
-
-    values, ambiguous = _measure_draws([_pair(*req) for req, _, _ in samples], systems_of,
-                                       seed, tol)
-    for ((alpha, beta, _), lam, mu), (forward, backward), unclear in zip(
-            samples, values, ambiguous):
+        alpha, beta = (simples[rng.integers(len(simples))] for _ in range(2))
+        lam, mu = (LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))] for _ in range(2))
         name = f"ext({alpha}*{lam},{beta}*{mu})"
-        if any(unclear):
-            result.record(False, 0, f"persistent tolerance ambiguity for {name}")
-        else:
-            result.record(forward == backward, forward - backward,
-                          f"{name} = {forward} but reverse = {backward}")
+        return (_pair(alpha, beta, trial), _braid_ext(lam, mu, both=True),
+                [((0, 1), name, lambda forward, backward: (
+                    forward == backward, forward - backward,
+                    f"{name} = {forward} but reverse = {backward}"))])
+
+    _run_draws(result, [draw(trial) for trial in range(trials)], seed, tol)
     return result
 
 

@@ -32,6 +32,7 @@ from b3rep import (
 )
 from b3rep import extoracle
 from b3rep.extoracle import (
+    ABS_FLOOR,
     PairStack,
     _ranks,
     block_cocycle_dims,
@@ -50,11 +51,15 @@ ONE = ExactScalar.one()
 # ---------------------------------------------------------------------------
 
 def test_tolerance_config_invariants():
+    # rel_tol lies strictly between the absolute floor and 1
+    with pytest.raises(ValueError, match=r"need 0 < abs_floor < rel_tol < 1, got "
+                                         r"abs_floor=1e-12, rel_tol=1e-13"):
+        ToleranceConfig(rel_tol=1e-13)
     with pytest.raises(ValueError):
-        ToleranceConfig(rel_tol=1e-12, abs_floor=1e-8)
+        ToleranceConfig(rel_tol=ABS_FLOOR)
     with pytest.raises(ValueError):
         ToleranceConfig(rel_tol=2.0)
-    ToleranceConfig(rel_tol=1e-6, abs_floor=1e-14)
+    ToleranceConfig(rel_tol=1e-6)
 
 
 def test_kernel_dim_basics():
@@ -71,7 +76,7 @@ def rank_decisions(*diagonals):
     width = max(len(d) for d in diagonals)
     M = np.stack([np.diag(np.pad(np.asarray(d, dtype=float), (0, width - len(d))))
                   for d in diagonals])
-    ranks, ambiguous = _ranks(M, ToleranceConfig())  # rel_tol 1e-8, abs_floor 1e-12
+    ranks, ambiguous = _ranks(M, ToleranceConfig())  # rel_tol 1e-8, ABS_FLOOR 1e-12
     return list(zip(ranks.tolist(), ambiguous.tolist()))
 
 
@@ -84,7 +89,7 @@ def test_rank_rule_per_matrix():
     # each matrix against its own largest singular value: 1e-6 counts even
     # next to a matrix whose largest is 1e4
     assert rank_decisions([1e4], [1e-6]) == [(1, False), (1, False)]
-    # below abs_floor a matrix is the zero map, and never ambiguous
+    # below ABS_FLOOR a matrix is the zero map, and never ambiguous
     assert rank_decisions([1e-13, 1e-14], [1.0]) == [(0, False), (1, False)]
     # empty matrices have rank 0, stacked or single
     ranks, ambiguous = _ranks(np.zeros((3, 0, 4)), ToleranceConfig())
@@ -99,13 +104,18 @@ def test_near_threshold_singular_value_is_ambiguous():
     # threshold is pushed into the spectrum
     v = one_dim_rep(0)
     assert ext_dim_numeric(v, v, B3) == 1
-    loose = ToleranceConfig(rel_tol=0.9, abs_floor=1e-13)
+    loose = ToleranceConfig(rel_tol=0.9)
     with pytest.raises(ToleranceAmbiguity):
         ext_dim_numeric(v, v, B3, loose)
     # the cocycle dimension alone checks its threshold too
     assert cocycle_dim_numeric(v, v, B3) == 1
     with pytest.raises(ToleranceAmbiguity):
         cocycle_dim_numeric(v, v, B3, loose)
+    # and so does Hom, on a pair of distinct characters
+    w = one_dim_rep(1)
+    assert hom_dim_numeric(v, w) == 0
+    with pytest.raises(ToleranceAmbiguity):
+        hom_dim_numeric(v, w, loose)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +220,12 @@ def test_one_ambiguous_element_makes_the_stacked_ext_raise():
     assert ext_dims_numeric([(clean, clean)] * 2, B3) == [3, 3]
     with pytest.raises(ToleranceAmbiguity):
         ext_dims_numeric([(clean, clean), (near, near), (clean, clean)], B3)
-    # Hom and the coboundary defect do not check: each element gets its
-    # own answer, and the near pair's two small values fall under its
-    # threshold
-    assert hom_dims_numeric([(clean, clean), (near, near)]) == [3, 5]
+    # Hom ranks the same commutant, and raises on the near pair too
+    with pytest.raises(ToleranceAmbiguity):
+        hom_dims_numeric([(clean, clean), (near, near)])
+    assert hom_dims_numeric([(clean, clean)] * 2) == [3, 3]
+    # the coboundary defect does not check: each element gets its own
+    # answer, and the near pair's two small values fall under its threshold
     assert coboundary_defects_numeric([(clean, clean), (near, near)], B3) == [0, 0]
 
 
@@ -441,7 +453,7 @@ def test_reduced_self_cocycles_refuse_a_non_scalar_square(full_shapes):
 def test_reduced_self_cocycles_raise_on_an_ambiguous_threshold():
     inst = random_simple_gamma(GammaDimVector(3, 2, 2, 2, 1), seed=0)
     assert self_dims([inst.rep]) == [cocycle_dim_numeric(inst.rep, inst.rep)]
-    loose = ToleranceConfig(rel_tol=0.9, abs_floor=1e-13)
+    loose = ToleranceConfig(rel_tol=0.9)
     with pytest.raises(ToleranceAmbiguity):
         block_cocycle_dims([inst.rep], loose)
 

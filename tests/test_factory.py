@@ -1,5 +1,6 @@
 """Matrix models: characters, generic simples, rescaling, assembly."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -31,8 +32,9 @@ from b3rep import (
     scale_rep,
     validate_rep,
 )
-from b3rep.extoracle import cocycle_matrix
+from b3rep.extoracle import ABS_FLOOR, cocycle_matrix
 from b3rep.factory import (
+    _draw_simples,
     _random_unitary,
     _span_dims,
     _spin_certified,
@@ -109,7 +111,7 @@ def reference_word_span_dim(V, tol=DEFAULT_TOL):
         nonlocal count
         v = M.reshape(-1)
         norm_v = np.linalg.norm(v)
-        if norm_v < tol.abs_floor:
+        if norm_v < ABS_FLOOR:
             return False
         w = v - basis[:count].T @ (basis[:count].conj() @ v)
         w = w - basis[:count].T @ (basis[:count].conj() @ w)
@@ -305,6 +307,21 @@ def test_random_simples_gamma_equals_one_seed_draws():
     for alpha in (GammaDimVector(1, 0, 1, 0, 0), ALPHA2, ALPHA3, GammaDimVector(2, 2, 2, 1, 1)):
         assert same_draws(random_simples_gamma(alpha, seeds),
                           [random_simple_gamma(alpha, seed) for seed in seeds])
+
+
+def test_draws_do_not_depend_on_the_request_order():
+    # types of dimensions 1 to 4, one type twice in a stack and seeds shared
+    # across types: every instance has its own generator, so each request
+    # draws the same pair wherever it stands in the list
+    one, two, three, four = (enumerate_simple_gamma(n) for n in range(1, 5))
+    types = [one[0], two[0], three[0], four[0], two[0], four[1]]
+    requests = list(zip(types, [7, 8, 9, 10, 9, 8]))
+    first = _draw_simples(*zip(*requests))
+    for order in itertools.permutations(range(len(requests))):
+        drawn = _draw_simples(*zip(*(requests[i] for i in order)))
+        for i, inst in zip(order, drawn):
+            assert np.array_equal(inst.rep.A, first[i].rep.A), order
+            assert np.array_equal(inst.rep.B, first[i].rep.B), order
 
 
 def test_one_dimensional_draws_of_a_type_share_one_pair():

@@ -274,11 +274,18 @@ def test_a_pair_whose_hom_reads_nonzero_is_redrawn(monkeypatch):
     a1, a2 = GammaDimVector(1, 0, 1, 0, 0), GammaDimVector(1, 1, 1, 1, 0)
     draws = [verify_mod._pair(a2, a2, 0), verify_mod._pair(a2, a1, 0),
              verify_mod._pair(a1, a1, 0), [(a1, ("self", a1, 0))]]
-    values, ambiguous = verify_mod._measure_draws(
-        draws, lambda k, drawn: [("ext", drawn[0].rep, drawn[-1].rep, GAMMA)], 3, DEFAULT_TOL)
+    measured = []
+
+    def systems(*reps):
+        return [("ext", reps[0], reps[-1], GAMMA)]
+
+    check = ((0,), "ext", lambda got: measured.append(got) or (True, 0, ""))
+    result = SuiteResult("runner")
+    verify_mod._run_draws(result, [(draw, systems, [check]) for draw in draws], 3, DEFAULT_TOL)
     assert homs == [1, 1]
-    assert values == [[ext_gamma_pair(a2, a2)], [ext_gamma_pair(a2, a1)], [0], [0]]
-    assert ambiguous == [[False]] * 4
+    assert measured == [ext_gamma_pair(a2, a2), ext_gamma_pair(a2, a1), 0, 0]
+    # no check was left unclear
+    assert result.checks == 4 and result.failed == 0
     assert [seeds for _, seeds in calls] == [
         [derived_seed("verify", label, 3) for draw in draws for _, label in draw],
         [derived_seed("verify", ("pair-a", a2, a2, 0, 0, 1), 3),
@@ -307,10 +314,11 @@ def test_a_pair_that_stays_isomorphic_fails_its_checks(monkeypatch, capsys):
 
 def test_ext_redraws_only_the_draw_behind_an_ambiguous_system(monkeypatch):
     # the first measurement reads the ext system of the first quotient pair
-    # with a two-dimensional type (the seventh pair, systems ext and
-    # coboundary each) as ambiguous: that pair alone is drawn again, under
-    # labels that end with the attempt, and all its systems measured again;
-    # the suite's result stays
+    # with a two-dimensional type as ambiguous: it follows the 9 * 4 self
+    # systems and six quotient pairs of two systems each (ext and
+    # coboundary), so its index is 36 + 12.  That pair alone is drawn
+    # again, under labels that end with the attempt, and all its systems
+    # measured again; the suite's result stays
     baseline = run_suite("ext", n=2, trials=4, seed=5).to_json()
     real_measure = verify_mod._measure
     measured = []
@@ -319,7 +327,7 @@ def test_ext_redraws_only_the_draw_behind_an_ambiguous_system(monkeypatch):
         values, ambiguous = real_measure(systems, tol)
         measured.append(len(systems))
         if len(measured) == 1:
-            ambiguous[12] = True
+            ambiguous[36 + 12] = True
         return values, ambiguous
 
     monkeypatch.setattr(verify_mod, "_measure", first_ambiguous)
@@ -341,19 +349,19 @@ def test_persistent_ambiguity_fails_each_ambiguous_check(monkeypatch, suite, kwa
     # dimension >= 2 is measured three times, and every check on an ext
     # system fails with the persistent ambiguity; the coboundary checks of
     # the quotient pairs still pass
-    real_ext, real_draws = verify_mod._ext_dims, verify_mod._measure_draws
+    real_ext, real_run = verify_mod._ext_dims, verify_mod._run_draws
     planned = []
 
     def ambiguous(pairs, kind, tol):
         values, flags = real_ext(pairs, kind, tol)
         return values, np.ones_like(flags)
 
-    def spy(draws, systems_of, seed, tol):
-        planned.extend(draws)
-        return real_draws(draws, systems_of, seed, tol)
+    def spy(result, plan, seed, tol):
+        planned.extend(instances for instances, _, _ in plan)
+        return real_run(result, plan, seed, tol)
 
     monkeypatch.setattr(verify_mod, "_ext_dims", ambiguous)
-    monkeypatch.setattr(verify_mod, "_measure_draws", spy)
+    monkeypatch.setattr(verify_mod, "_run_draws", spy)
     calls = spy_draws(monkeypatch)
     result = run_suite(suite, seed=2, **kwargs)
     assert len(calls) == 3
@@ -370,3 +378,26 @@ def test_persistent_ambiguity_fails_each_ambiguous_check(monkeypatch, suite, kwa
     assert result.checks > cobound and result.failed == result.checks - cobound
     assert all(msg.startswith("persistent tolerance ambiguity for ") for msg in result.failures)
 
+
+def test_ext_records_its_checks_in_plan_order(monkeypatch):
+    # n = 2, trials = 4: 9 types, so 9 * 4 self checks, then an ext and a
+    # coboundary check for each of the 81 quotient pairs (one trial each),
+    # 9 * 9 * 5 braid checks and 9 * 5 braid self checks; the order is
+    # what keeps the output of earlier releases
+    items = []
+    real = SuiteResult.record
+
+    def spy(self, ok, residual=0.0, message=""):
+        items.append(message.split(":", 1)[0])
+        return real(self, ok, residual, message)
+
+    monkeypatch.setattr(SuiteResult, "record", spy)
+    result = run_suite("ext", n=2, trials=4, seed=0)
+    assert result.checks == len(items) == 648
+    kinds = ["braid self" if item.startswith("braid self") else item.split(" ", 1)[0]
+             for item in items]
+    assert kinds == (["self"] * 36 + ["pair", "coboundaries"] * 81 + ["braid"] * 405
+                     + ["braid self"] * 45)
+    simples = [*lattice_mod.enumerate_simple_gamma(1), *lattice_mod.enumerate_simple_gamma(2)]
+    assert items[:36] == [f"self {alpha}" for alpha in simples for _ in range(4)]
+    assert items[36:198:2] == [f"pair {a},{b}" for a in simples for b in simples]
