@@ -12,7 +12,7 @@ systems for extension dimensions, and the linearized relation for
 tangent spaces.
 """
 
-from .constants import B3, GAMMA, OMEGA, ZETA6
+from .constants import B3, GAMMA, OMEGA
 from .errors import (
     B3RepError,
     GenerationFailed,
@@ -32,7 +32,6 @@ from .extoracle import (
     ext_dims_numeric,
     hom_dim_numeric,
     hom_dims_numeric,
-    numeric_kernel_dim,
     numeric_rank,
 )
 from .factory import (
@@ -84,7 +83,7 @@ from .lattice import (
     simple_orbit_classes,
     twist_gamma,
 )
-from .scalars import ExactScalar, mu6_exponent, ratio_in_mu6
+from .scalars import ExactScalar, mu6_exponent
 from .verify import LAMBDA_POOL, SUITE_NAMES, SuiteResult, random_spec, run_suite
 
 __version__ = "0.1.0"
@@ -97,7 +96,7 @@ __all__ = [
     "NotSimpleDimension", "OMEGA", "RepPair", "RepValidation",
     "SemisimpleSpec", "SimpleInstance", "SpecEntry", "SUITE_NAMES",
     "SuiteResult", "ToleranceAmbiguity", "ToleranceConfig",
-    "WitnessUnavailable", "ZETA6", "analyze", "assemble",
+    "WitnessUnavailable", "analyze", "assemble",
     "coboundary_defects_numeric", "cocycle_dim_numeric",
     "cocycle_dims_numeric", "component_dim", "component_signature", "derived_seed",
     "entries_isomorphic", "enumerate_component_signatures", "enumerate_hex",
@@ -105,9 +104,9 @@ __all__ = [
     "ext_dim_numeric", "ext_dims_numeric", "ext_gamma_pair", "ext_gamma_self",
     "gln_embed", "gln_retract", "hex_to_gamma", "hom_dim_numeric", "hom_dims_numeric",
     "intersection_witnesses", "is_simple_gamma", "is_simple_hex",
-    "local_quiver", "mu6_exponent", "numeric_kernel_dim", "numeric_rank",
+    "local_quiver", "mu6_exponent", "numeric_rank",
     "one_dim_rep", "orbit_class", "orbit_gamma", "random_simple_gamma",
-    "random_simples_gamma", "random_spec", "ratio_in_mu6", "run_suite", "scale_rep",
+    "random_simples_gamma", "random_spec", "run_suite", "scale_rep",
     "simple_orbit_classes", "tangent_dim_formula", "tangent_dim_numeric",
     "twist_gamma", "validate_rep",
 ]

@@ -23,13 +23,17 @@ import os
 import sys
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
-from .extoracle import ToleranceConfig
+from .extoracle import DEFAULT_TOL, ToleranceConfig
 from .constants import B3
 from .factory import SemisimpleSpec, derived_seed, validate_rep
 from .geometry import analyze, enumerate_component_signatures
 from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
 from .verify import SUITE_NAMES, assemble_and_measure, run_suite
 
+# --tol above 0.1 puts every nonzero system's largest singular value within
+# a factor 10 of its own rank threshold: each of its rank decisions would
+# be ambiguous, redrawn and failed.
+_TOL_CAP = 0.1
 # n = 20 takes about 1 s; the count of signatures grows fast beyond it.
 _COMPONENT_CAP = 20
 # analyze holds and prints one factor per copy of a simple: 10^4 copies
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                            f"--verify above {_VERIFY_BUDGET / 1e6:.0f} MB of "
                            "estimated memory")
     p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--tol", type=float, default=1e-8)
+    p_an.add_argument("--tol", type=float, default=DEFAULT_TOL.rel_tol)
     add_format(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suite size (max dimension / max total)")
     p_ver.add_argument("--trials", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=1e-8)
+    p_ver.add_argument("--tol", type=float, default=DEFAULT_TOL.rel_tol)
     add_format(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -327,8 +331,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     if getattr(args, "trials", None) is not None and args.trials < 1:
         return _fail("--trials must be >= 1")
-    if getattr(args, "tol", None) is not None and not 0 < args.tol < 1:
-        return _fail("--tol must be in (0, 1)")
+    if getattr(args, "tol", None) is not None and not 0 < args.tol <= _TOL_CAP:
+        return _fail(f"--tol must be in (0, {_TOL_CAP}]")
     return args.func(args)
 
 

@@ -7,4 +7,3 @@ GAMMA = "Gamma"  # A^2 = B^3 = 1, the free product Z2 * Z3
 B3 = "B3"        # A^2 = B^3, the braid group on three strands
 
 OMEGA = np.exp(2j * np.pi / 3)   # primitive cube root of unity
-ZETA6 = np.exp(1j * np.pi / 3)   # primitive sixth root of unity

@@ -116,12 +116,6 @@ def numeric_rank(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return int(rank)
 
 
-def numeric_kernel_dim(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Kernel dimension: #columns minus numerical rank.  An empty
-    constraint block (0 rows) leaves everything free."""
-    return np.shape(M)[1] - numeric_rank(M, tol)
-
-
 def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """np.kron(P, Q) for matrices, or for each pair of matrices of two
     stacks that broadcast over their leading axes, equal to it bit for

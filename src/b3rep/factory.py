@@ -39,18 +39,9 @@ from .errors import (
     NotSimpleDimension,
 )
 from .extoracle import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
-from .lattice import GammaDimVector, _is_json_int, is_simple_gamma, twist_gamma
+from .lattice import (GammaDimVector, HexDimVector, _is_json_int, hex_to_gamma,
+                      is_simple_gamma, twist_gamma)
 from .scalars import ExactScalar, mu6_exponent
-
-#: (rho, tau) scalar pairs of the six characters, in hexagon vertex order.
-ONE_DIM_CHARACTERS = (
-    (1.0 + 0j, 1.0 + 0j),
-    (-1.0 + 0j, OMEGA),
-    (1.0 + 0j, OMEGA ** 2),
-    (-1.0 + 0j, 1.0 + 0j),
-    (1.0 + 0j, OMEGA),
-    (-1.0 + 0j, OMEGA ** 2),
-)
 
 _RETRY_LIMIT = 16
 
@@ -87,24 +78,6 @@ class RepPair:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def to_json(self) -> dict:
-        def encode(M):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in M]
-        return {
-            "n": self.n,
-            "relation": self.relation_kind,
-            "A": encode(self.A),
-            "B": encode(self.B),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RepPair":
-        def decode(rows):
-            return np.array(
-                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-            )
-        return cls(decode(data["A"]), decode(data["B"]), data["relation"])
-
 
 def _readonly(M: np.ndarray) -> np.ndarray:
     """M, a new array, made read-only, so that a RepPair adopts it (or its
@@ -126,7 +99,6 @@ class RepValidation:
     """Outcome of a relation check, with the residual norms that led to it."""
 
     ok: bool
-    kind: str
     residuals: dict
 
     def __bool__(self) -> bool:
@@ -167,15 +139,23 @@ def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> R
     # ndarray.max, unlike max, keeps the nan of an overflowed block
     residuals.update(zip(names, defects.max(axis=0).tolist()))
     ok = invertible and all(residuals[name] <= tol.rel_tol for name in names)
-    return RepValidation(ok, kind, residuals)
+    return RepValidation(ok, residuals)
 
 
 def one_dim_rep(u: int) -> RepPair:
     """The 1 x 1 pair of hexagon vertex u."""
     if not 0 <= u <= 5:
         raise ValueError(f"hexagon index must be in 0..5, got {u}")
-    rho, tau = ONE_DIM_CHARACTERS[u]
-    return RepPair(np.array([[rho]]), np.array([[tau]]), GAMMA)
+    return RepPair(*_diagonals(hex_to_gamma(HexDimVector.basis(u))), GAMMA)
+
+
+def _diagonals(alpha: GammaDimVector) -> tuple[np.ndarray, np.ndarray]:
+    """The exact eigenvalue diagonals of type alpha: A's +1, -1 and B's
+    1, w, w^2, each as often as alpha counts it."""
+    diag_a = np.diag(np.array([1.0] * alpha.a + [-1.0] * alpha.b, dtype=complex))
+    diag_b = np.diag(np.array(
+        [1.0] * alpha.x + [OMEGA] * alpha.y + [OMEGA ** 2] * alpha.z, dtype=complex))
+    return diag_a, diag_b
 
 
 def _unitaries(zmat: np.ndarray) -> np.ndarray:
@@ -184,11 +164,6 @@ def _unitaries(zmat: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(zmat)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like unitary, deterministic given the generator state."""
-    return _unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
@@ -380,9 +355,7 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
     if not is_simple_gamma(alpha):
         raise NotSimpleDimension(f"{alpha} is not a simple dimension vector")
     n = alpha.n
-    diag_a = np.diag(np.array([1.0] * alpha.a + [-1.0] * alpha.b, dtype=complex))
-    diag_b = np.diag(np.array(
-        [1.0] * alpha.x + [OMEGA] * alpha.y + [OMEGA ** 2] * alpha.z, dtype=complex))
+    diag_a, diag_b = _diagonals(alpha)
     seeds = list(seeds)
     if n == 1:
         rep = RepPair(diag_a, diag_b, GAMMA)

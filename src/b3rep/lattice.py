@@ -58,13 +58,6 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_ints(data, length: int, form: str) -> list[int]:
-    if not (isinstance(data, (list, tuple)) and len(data) == length
-            and all(_is_json_int(v) for v in data)):
-        raise ValueError(f"expected {form} of integers, got {data!r}")
-    return list(data)
-
-
 @dataclass(frozen=True, order=True)
 class GammaDimVector:
     """Eigenvalue multiplicities (a, b; x, y, z) with a + b = x + y + z.
@@ -126,7 +119,10 @@ class GammaDimVector:
 
     @classmethod
     def from_json(cls, data) -> "GammaDimVector":
-        return cls(*_json_ints(data, 5, "[a, b, x, y, z]"))
+        if not (isinstance(data, (list, tuple)) and len(data) == 5
+                and all(_is_json_int(v) for v in data)):
+            raise ValueError(f"expected [a, b, x, y, z] of integers, got {data!r}")
+        return cls(*data)
 
     def __str__(self) -> str:
         return f"({self.a},{self.b};{self.x},{self.y},{self.z})"
@@ -160,13 +156,6 @@ class HexDimVector:
         vals = [0] * 6
         vals[i % 6] = 1
         return cls(*vals)
-
-    def to_json(self) -> list[int]:
-        return list(self.as_tuple())
-
-    @classmethod
-    def from_json(cls, data) -> "HexDimVector":
-        return cls(*_json_ints(data, 6, "[h0, ..., h5]"))
 
 
 def hex_to_gamma(h: HexDimVector) -> GammaDimVector:

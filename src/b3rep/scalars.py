@@ -74,9 +74,6 @@ class ExactScalar:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def is_one(self) -> bool:
-        return self.r == 1 and self.q == 0
-
     def in_mu6(self) -> bool:
         """Whether the scalar is a sixth root of unity."""
         return self.r == 1 and (6 * self.q).denominator == 1
@@ -98,11 +95,6 @@ class ExactScalar:
         if self.q == 0:
             return str(self.r)
         return f"{self.r}*e(2pi*i*{self.q})"
-
-
-def ratio_in_mu6(lam: ExactScalar, mu: ExactScalar) -> bool:
-    """Exact test for lam / mu being a sixth root of unity."""
-    return mu6_exponent(lam, mu) is not None
 
 
 def mu6_exponent(lam: ExactScalar, mu: ExactScalar) -> int | None:

@@ -53,7 +53,6 @@ from .lattice import (
     ext_gamma_self,
     hex_to_gamma,
     is_simple_hex,
-    twist_gamma,
 )
 from .scalars import ExactScalar
 
@@ -395,7 +394,7 @@ def verify_gln(max_n: int = 4, trials: int = 50, seed: int = 0,
         gauss, moduli = [], []
         for trial in range(trials):
             rng = np.random.default_rng(derived_seed("gln", seed, n, trial))
-            # the draws of two _random_unitary calls, then the moduli
+            # the real and imaginary Gaussians of two unitaries, then the moduli
             gauss += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                       for _ in range(2)]
             moduli.append(0.8 + 0.45 * rng.random(n))

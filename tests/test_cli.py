@@ -662,3 +662,18 @@ def test_verify_at_a_coarse_tolerance_exits_zero_or_three(capsys, suite, tol, ch
     assert result["checks"] == checks and result["ok"] == (code == 0)
     assert all(msg.startswith("persistent tolerance ambiguity for ")
                for msg in result["failures"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "symmetry", "--tol", "0.5"],
+    ["verify", "ext", "--tol", "0.2"],
+    ["analyze", "--spec", "{spec}", "--verify", "--tol", "0.5"],
+])
+def test_tol_above_a_tenth_is_an_input_error(tmp_path, capsys, argv):
+    # above 0.1 every nonzero system's largest singular value is within a
+    # factor 10 of its threshold, so every rank decision would be ambiguous
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(SMOOTH_SPEC))
+    code, out, err = run(capsys, *[arg.format(spec=path) for arg in argv])
+    assert code == 2 and out == ""
+    assert err == "error: --tol must be in (0, 0.1]\n"

@@ -24,7 +24,6 @@ from b3rep import (
     ext_gamma_pair,
     ext_gamma_self,
     hom_dim_numeric,
-    numeric_kernel_dim,
     numeric_rank,
     one_dim_rep,
     random_simple_gamma,
@@ -41,9 +40,14 @@ from b3rep.extoracle import (
     ext_dims_numeric,
     hom_dims_numeric,
 )
-from b3rep.factory import _random_unitary, random_simples_gamma
+from b3rep.factory import _unitaries, random_simples_gamma
 
 ONE = ExactScalar.one()
+
+
+def random_unitary(n, rng):
+    """Haar-like unitary, deterministic given the generator state."""
+    return _unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +67,10 @@ def test_tolerance_config_invariants():
 
 
 def test_kernel_dim_basics():
-    assert numeric_kernel_dim(np.eye(3)) == 0
-    assert numeric_kernel_dim(np.ones((2, 2))) == 1
-    assert numeric_kernel_dim(np.zeros((0, 5))) == 5
-    assert numeric_kernel_dim(np.zeros((4, 4))) == 4
+    assert numeric_rank(np.eye(3)) == 3
+    assert numeric_rank(np.ones((2, 2))) == 1
+    assert numeric_rank(np.zeros((0, 5))) == 0
+    assert numeric_rank(np.zeros((4, 4))) == 0
     assert numeric_rank(np.diag([1.0, 1e-3, 1e-15])) == 2
 
 
@@ -189,12 +193,12 @@ def test_stacked_oracles_equal_per_pair_results(n_v, n_w):
             assert same_bits(commutants[i], reference_commutant(v, w))
             assert same_bits(cocycles[i], reference_cocycle(v, w, kind))
         ranks = [numeric_rank(reference_commutant(v, w)) for v, w in pairs]
-        ext = [numeric_kernel_dim(reference_cocycle(v, w, kind)) - rank
-               for (v, w), rank in zip(pairs, ranks)]
+        cocycle_dims = [2 * v.n * w.n - numeric_rank(reference_cocycle(v, w, kind))
+                        for v, w in pairs]
+        ext = [cocycle - rank for cocycle, rank in zip(cocycle_dims, ranks)]
         assert ext_dims_numeric(pairs, kind) == ext
         assert ext == [ext_dim_numeric(v, w, kind) for v, w in pairs]
-        assert cocycle_dims_numeric(pairs, kind) == \
-            [numeric_kernel_dim(reference_cocycle(v, w, kind)) for v, w in pairs]
+        assert cocycle_dims_numeric(pairs, kind) == cocycle_dims
         assert coboundary_defects_numeric(pairs, kind) == [0] * len(pairs)
         assert hom_dims_numeric(pairs) == [n_v * n_w - rank for rank in ranks]
         assert hom_dims_numeric(pairs) == [hom_dim_numeric(v, w) for v, w in pairs]
@@ -398,7 +402,7 @@ def test_reduced_self_cocycles_of_dense_semisimple_blocks():
     reps = []
     for seed, entries in enumerate(specs):
         rep = assemble(SemisimpleSpec(tuple(SpecEntry(*e) for e in entries)), seed=seed)
-        u = _random_unitary(rep.n, np.random.default_rng(seed))
+        u = random_unitary(rep.n, np.random.default_rng(seed))
         reps.append(RepPair(u @ rep.A @ u.conj().T, u @ rep.B @ u.conj().T, B3))
     assert np.diagonal(block_cocycle_dims(reps)).tolist() == \
         [cocycle_dim_numeric(v, v) for v in reps]
@@ -532,7 +536,7 @@ def test_reduced_cocycles_of_dense_conjugates():
     # one more cocycle than coboundaries), and against a twist of them
     inst = random_simple_gamma(GammaDimVector(4, 3, 3, 2, 2), seed=6)
     rng = np.random.default_rng(6)
-    u = _random_unitary(7, rng)
+    u = random_unitary(7, rng)
     g = np.eye(7) + 0.5 * rng.standard_normal((7, 7)) / np.sqrt(7)
     reps = [inst.rep] + [RepPair(h @ inst.rep.A @ np.linalg.inv(h),
                                  h @ inst.rep.B @ np.linalg.inv(h), B3) for h in (u, g)]

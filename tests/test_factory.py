@@ -35,9 +35,9 @@ from b3rep import (
 from b3rep.extoracle import ABS_FLOOR, cocycle_matrix
 from b3rep.factory import (
     _draw_simples,
-    _random_unitary,
     _span_dims,
     _spin_certified,
+    _unitaries,
     random_simples_gamma,
 )
 
@@ -143,8 +143,8 @@ def test_one_dim_character_table():
     for u, (rho, tau) in enumerate(expected):
         rep = one_dim_rep(u)
         assert rep.relation_kind == GAMMA
-        assert abs(rep.A[0, 0] - rho) < 1e-15
-        assert abs(rep.B[0, 0] - tau) < 1e-15
+        assert rep.A[0, 0] == rho
+        assert rep.B[0, 0] == tau
 
 
 def test_one_dim_relations_hold_tightly():
@@ -415,10 +415,15 @@ def certified(reps):
     return stacked
 
 
+def random_unitary(n, rng):
+    """Haar-like unitary, deterministic given the generator state."""
+    return _unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
 def conjugates(rep, rng):
     """rep, a unitary conjugate and an oblique conjugate of it."""
     n = rep.n
-    u = _random_unitary(n, rng)
+    u = random_unitary(n, rng)
     p = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
     return [rep] + [RepPair(g @ rep.A @ np.linalg.inv(g), g @ rep.B @ np.linalg.inv(g), B3)
                     for g in (u, p)]
@@ -860,10 +865,3 @@ def test_dimension_vector_hash_and_repr_are_the_dataclass_ones():
         assert alpha == twin and hash(alpha) == hash(twin)
 
 
-def test_rep_pair_json_round_trip():
-    inst = random_simple_gamma(ALPHA2, seed=3)
-    data = inst.rep.to_json()
-    assert data["n"] == 2 and data["relation"] == GAMMA
-    back = RepPair.from_json(data)
-    assert np.array_equal(back.A, inst.rep.A)
-    assert np.array_equal(back.B, inst.rep.B)

@@ -54,8 +54,6 @@ def test_gamma_vector_arithmetic():
 def test_json_round_trips():
     v = g(2, 1, 1, 1, 1)
     assert GammaDimVector.from_json(v.to_json()) == v
-    w = h(1, 2, 0, 0, 3, 0)
-    assert HexDimVector.from_json(w.to_json()) == w
 
 
 @pytest.mark.parametrize("data", [
@@ -65,8 +63,6 @@ def test_json_round_trips():
 def test_gamma_from_json_rejects_anything_but_five_integers(data):
     with pytest.raises(ValueError):
         GammaDimVector.from_json(data)
-    with pytest.raises(ValueError):
-        HexDimVector.from_json(data if not isinstance(data, list) else data + [0])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ from b3rep import (
     random_spec,
     run_suite,
 )
-from b3rep.factory import _random_unitary
+from b3rep.factory import _unitaries
+
+
+def random_unitary(n, rng):
+    """Haar-like unitary, deterministic given the generator state."""
+    return _unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 @pytest.mark.parametrize("suite,kwargs", [
@@ -136,8 +141,8 @@ def reference_gln(max_n, trials, seed):
     for n in range(2, max_n + 1):
         for trial in range(trials):
             rng = np.random.default_rng(derived_seed("gln", seed, n, trial))
-            u = _random_unitary(n, rng)
-            w = _random_unitary(n, rng)
+            u = random_unitary(n, rng)
+            w = random_unitary(n, rng)
             g = u @ np.diag((0.8 + 0.45 * rng.random(n)).astype(complex)) @ w
             pair = gln_embed(g)
             bound = 1e-12 * max(1.0, np.linalg.norm(pair.A) ** 2)
