@@ -23,15 +23,15 @@ import os
 import sys
 
 from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
-from .extoracle import DEFAULT_TOL, ToleranceConfig
-from .constants import B3
-from .factory import SemisimpleSpec, derived_seed, validate_rep
+from .extoracle import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig
+from .factory import SemisimpleSpec, derived_seed
 from .geometry import analyze, enumerate_component_signatures
 from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
 from .verify import SUITE_NAMES, assemble_and_measure, run_suite
 
-# --tol above 0.1 puts every nonzero system's largest singular value within
-# a factor 10 of its own rank threshold: each of its rank decisions would
+# --tol, the rank tolerance of every measurement, lies in (ABS_FLOOR, 0.1]:
+# above 0.1 every nonzero system's largest singular value is within a
+# factor 10 of its own rank threshold, so each of its rank decisions would
 # be ambiguous, redrawn and failed.
 _TOL_CAP = 0.1
 # n = 20 takes about 1 s; the count of signatures grows fast beyond it.
@@ -98,9 +98,9 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_INPUT) -> int:
     sys.stderr.write(f"error: {message}\n")
-    return EXIT_INPUT
+    return code
 
 
 def cmd_simples(args) -> int:
@@ -187,7 +187,6 @@ def cmd_analyze(args) -> int:
         if spec.k > _ENTRIES_CAP and not args.force:
             raise InvalidSpec(f"spec has {spec.k} distinct entries; above "
                               f"{_ENTRIES_CAP} it needs --force")
-        tol = ToleranceConfig(rel_tol=args.tol)
         if args.verify:
             _check_verifiable(spec, args.force)
         report = analyze(spec)
@@ -199,19 +198,15 @@ def cmd_analyze(args) -> int:
     if args.verify:
         try:
             # the first assembly uses --seed itself, retries derived seeds
-            seed, rep, measured = assemble_and_measure(
+            seed, valid, measured = assemble_and_measure(
                 spec,
-                lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed, tol)
+                lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed, args.tol)
         except ToleranceAmbiguity as exc:
             # the spec and --tol are valid: a failed check, as in the suites
-            sys.stderr.write(f"error: numeric verification inconclusive: {exc}\n")
-            return EXIT_MISMATCH
-        valid = validate_rep(rep, B3, tol)
+            return _fail(f"numeric verification inconclusive: {exc}", EXIT_MISMATCH)
         if not valid:
-            sys.stderr.write(
-                f"error: assembled pair (seed {seed}) is singular or fails "
-                f"A^2 = B^3: {valid.residuals}\n")
-            return EXIT_MISMATCH
+            return _fail(f"assembled pair (seed {seed}) is singular or fails "
+                         f"A^2 = B^3: {valid.residuals}", EXIT_MISMATCH)
         verification = {
             "seed": seed,
             "tangent_dim_numeric": measured,
@@ -251,16 +246,14 @@ def cmd_analyze(args) -> int:
     if verification is not None and not (
         verification["matches_formula"] and verification["matches_smooth_criterion"]
     ):
-        sys.stderr.write("error: formula/oracle mismatch\n")
-        return EXIT_MISMATCH
+        return _fail("formula/oracle mismatch", EXIT_MISMATCH)
     return EXIT_OK if report.smooth else EXIT_SINGULAR
 
 
 def cmd_verify(args) -> int:
     try:
-        tol = ToleranceConfig(rel_tol=args.tol)
         result = run_suite(args.suite, n=args.n, trials=args.trials,
-                           seed=args.seed, tol=tol)
+                           seed=args.seed, tol=args.tol)
     except (B3RepError, ValueError) as exc:
         return _fail(str(exc))
     payload = result.to_json()
@@ -331,8 +324,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     if getattr(args, "trials", None) is not None and args.trials < 1:
         return _fail("--trials must be >= 1")
-    if getattr(args, "tol", None) is not None and not 0 < args.tol <= _TOL_CAP:
-        return _fail(f"--tol must be in (0, {_TOL_CAP}]")
+    if hasattr(args, "tol"):
+        if not ABS_FLOOR < args.tol <= _TOL_CAP:
+            return _fail(f"--tol must be in ({ABS_FLOOR}, {_TOL_CAP}]")
+        args.tol = ToleranceConfig(args.tol)
     return args.func(args)
 
 

@@ -166,8 +166,7 @@ def _unitaries(zmat: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
-               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray) -> np.ndarray:
     """Dimension of span{w X0 : w a word in A, B} (at most n m) for each
     pair of a stack, A and B of shape (k, n, n) and a nonzero X0 of shape
     (k, n, m), or (n, m) for every pair, or for one pair without the
@@ -181,9 +180,9 @@ def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
     A and B stacked, and are projected against the basis of shorter words
     in two BLAS passes.  They are then accepted in order against the
     vectors this level has accepted so far: a candidate counts when its
-    norm is at least ``ABS_FLOOR`` and its residual above rel_tol times its
-    norm.  The accepted words are the next frontier; a span is complete
-    when a level accepts none.
+    norm is at least ``ABS_FLOOR`` and its residual above
+    ``DEFAULT_TOL.rel_tol`` times its norm.  The accepted words are the
+    next frontier; a span is complete when a level accepts none.
 
     In a stack every element keeps its own count.  Bases and frontiers
     are padded with zeros to the largest of the stack: a zero word makes
@@ -213,7 +212,7 @@ def _span_dims(A: np.ndarray, B: np.ndarray, X0: np.ndarray,
         resid = cand - (cand.conj() @ old_t).conj() @ old
         resid -= (resid.conj() @ old_t).conj() @ old
         norms = np.linalg.norm(cand, axis=-1)
-        floor = tol.rel_tol * norms
+        floor = DEFAULT_TOL.rel_tol * norms
         # projecting out this level's vectors can only shrink a residual,
         # so a candidate already under its threshold is rejected here
         live = (norms >= ABS_FLOOR) & (np.linalg.norm(resid, axis=-1) > floor)
@@ -290,8 +289,7 @@ def _accept_in_order_stacked(basis, resid, live, floor, count) -> np.ndarray:
     return kept
 
 
-def _spin_certified(A: np.ndarray, B: np.ndarray,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _spin_certified(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Whether each pair of a stack (k, n, n) is simple, by a two-sided
     spin test in O(n^3) (Parker's Meat-Axe; Holt & Rees, "Testing modules
     for irreducibility", 1994).
@@ -304,10 +302,10 @@ def _spin_certified(A: np.ndarray, B: np.ndarray,
     simple iff v spins to all of C^n under (A, B) and u under
     (A^H, B^H).  The right spins of the stack go through one
     ``_span_dims`` call and the left spins through another, so a lone
-    pair takes the single-pair engine.  mu counts as simple when its gap
-    exceeds sqrt(rel_tol) max|W|, which keeps the eigenvector error,
-    about eps / gap, far below rel_tol.  A pair without such an
-    eigenvalue, such as a doubled simple, is reported not simple.
+    pair takes the single-pair engine.  At the fixed ``DEFAULT_TOL``, mu
+    counts as simple when its gap exceeds sqrt(1e-8) max|W|, which keeps
+    the eigenvector error, about eps / gap, far below 1e-8.  A pair
+    without such an eigenvalue, such as a doubled simple, is not simple.
     """
     k, n = A.shape[:2]
     W = A @ B
@@ -316,11 +314,11 @@ def _spin_certified(A: np.ndarray, B: np.ndarray,
     dist[:, np.arange(n), np.arange(n)] = np.inf
     gap = dist.min(axis=2)
     j = gap.argmax(axis=1)
-    clear = gap.max(axis=1) > np.sqrt(tol.rel_tol) * np.abs(W).max(axis=(1, 2))
+    clear = gap.max(axis=1) > np.sqrt(DEFAULT_TOL.rel_tol) * np.abs(W).max(axis=(1, 2))
     rows = np.arange(k)
     v, u = R[rows, :, j], np.linalg.inv(R)[rows, j].conj()
-    right = _span_dims(A, B, v[..., None], tol)
-    left = _span_dims(A.conj().swapaxes(1, 2), B.conj().swapaxes(1, 2), u[..., None], tol)
+    right = _span_dims(A, B, v[..., None])
+    left = _span_dims(A.conj().swapaxes(1, 2), B.conj().swapaxes(1, 2), u[..., None])
     return clear & (right == n) & (left == n)
 
 
@@ -336,11 +334,11 @@ class SimpleInstance:
     attempts: int = 1
 
 
-def random_simples_gamma(alpha: GammaDimVector, seeds,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
+def random_simples_gamma(alpha: GammaDimVector, seeds) -> list[SimpleInstance]:
     """Generic simple pairs of type alpha, one per seed: exact eigenvalue
     diagonals conjugated by seeded random unitaries, retried (bounded)
-    until ``_spin_certified`` certifies them simple.
+    until ``_spin_certified``, at the fixed ``DEFAULT_TOL``, certifies
+    them simple, so an instance depends on its type and seed alone.
 
     Each draw has its own generator, seeded from (alpha, seed, attempt),
     so an instance does not depend on the other seeds of the call.  The
@@ -375,7 +373,7 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
         p, q = _unitaries(gauss[:, 0::2] + 1j * gauss[:, 1::2]).swapaxes(0, 1)
         A = _readonly(p @ diag_a @ p.conj().swapaxes(-1, -2))
         B = _readonly(q @ diag_b @ q.conj().swapaxes(-1, -2))
-        simple = _spin_certified(A, B, tol).tolist()
+        simple = _spin_certified(A, B).tolist()
         for i, a, b, ok in zip(pending, A, B, simple):
             if ok:
                 found[i] = SimpleInstance(alpha, seeds[i], RepPair(a, b, GAMMA), attempt + 1)
@@ -388,15 +386,14 @@ def random_simples_gamma(alpha: GammaDimVector, seeds,
     return [found[i] for i in range(len(seeds))]
 
 
-def random_simple_gamma(alpha: GammaDimVector, seed: int,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> SimpleInstance:
+def random_simple_gamma(alpha: GammaDimVector, seed: int) -> SimpleInstance:
     """Generic simple pair of type alpha: the ``random_simples_gamma``
     of one seed."""
-    inst, = random_simples_gamma(alpha, [seed], tol)
+    inst, = random_simples_gamma(alpha, [seed])
     return inst
 
 
-def _draw_simples(types, seeds, tol: ToleranceConfig = DEFAULT_TOL) -> list[SimpleInstance]:
+def _draw_simples(types, seeds) -> list[SimpleInstance]:
     """An instance of types[i] drawn from seeds[i] for each i, in order:
     one stacked ``random_simples_gamma`` per type."""
     by_type: dict[GammaDimVector, list[int]] = {}
@@ -404,7 +401,7 @@ def _draw_simples(types, seeds, tol: ToleranceConfig = DEFAULT_TOL) -> list[Simp
         by_type.setdefault(alpha, []).append(i)
     drawn = [None] * len(types)
     for alpha, idxs in by_type.items():
-        for i, inst in zip(idxs, random_simples_gamma(alpha, [seeds[i] for i in idxs], tol)):
+        for i, inst in zip(idxs, random_simples_gamma(alpha, [seeds[i] for i in idxs])):
             drawn[i] = inst
     return drawn
 
@@ -576,17 +573,16 @@ def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
     return _readonly(out)
 
 
-def assemble(spec: SemisimpleSpec, seed: int = 0,
-             tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
+def assemble(spec: SemisimpleSpec, seed: int = 0) -> RepPair:
     """Block-diagonal realization of a spec: for each entry, ``mult``
     identical copies of the rescaled simple block, in entry order.
     Equal instance ids (and types) reuse the same underlying block, drawn
-    from ``derived_seed("assemble", seed, instance_id)``; the blocks of
-    one type are drawn, and certified, in one stack (``_draw_simples``)."""
+    from ``derived_seed("assemble", seed, instance_id)`` and certified at
+    ``DEFAULT_TOL``, one stack per type (``_draw_simples``)."""
     keys = list(dict.fromkeys((e.alpha, e.instance_id) for e in spec.entries))
     drawn = dict(zip(keys, _draw_simples(
         [alpha for alpha, _ in keys],
-        [derived_seed("assemble", seed, instance_id) for _, instance_id in keys], tol)))
+        [derived_seed("assemble", seed, instance_id) for _, instance_id in keys])))
     blocks_a, blocks_b = [], []
     for entry in spec.entries:
         scaled = scale_rep(drawn[entry.alpha, entry.instance_id].rep, entry.lam)

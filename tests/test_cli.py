@@ -264,7 +264,7 @@ def test_analyze_verify_rejects_an_invalid_assembled_pair(tmp_path, capsys, monk
     import b3rep.verify as verify_mod
     from b3rep.constants import B3
     from b3rep.factory import RepPair
-    monkeypatch.setattr(verify_mod, "assemble", lambda spec, seed=0, tol=None:
+    monkeypatch.setattr(verify_mod, "assemble", lambda spec, seed=0:
                         RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3))
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
@@ -652,10 +652,12 @@ def test_byte_identical_verify_output(capsys, suite, checks, fmt):
 @pytest.mark.parametrize("suite, tol, checks", [
     ("ext", "1e-3", 1880),
     ("symmetry", "0.1", 6),
+    ("tangent", "1e-2", 200),
 ])
 def test_verify_at_a_coarse_tolerance_exits_zero_or_three(capsys, suite, tol, checks):
     # ambiguous rank decisions are redrawn, and those that persist are
-    # failed checks (exit 3), not an input error (exit 2)
+    # failed checks (exit 3), not an input error (exit 2); every suite
+    # records the same checks at every --tol
     code, out, err = run(capsys, "verify", suite, "--tol", tol)
     assert code in (0, 3) and err == ""
     result = json.loads(out)
@@ -668,12 +670,16 @@ def test_verify_at_a_coarse_tolerance_exits_zero_or_three(capsys, suite, tol, ch
     ["verify", "symmetry", "--tol", "0.5"],
     ["verify", "ext", "--tol", "0.2"],
     ["analyze", "--spec", "{spec}", "--verify", "--tol", "0.5"],
+    ["analyze", "--spec", "{spec}", "--tol", "1e-13"],
+    ["verify", "ext", "--tol", "1e-12"],
 ])
-def test_tol_above_a_tenth_is_an_input_error(tmp_path, capsys, argv):
+def test_tol_outside_its_range_is_an_input_error(tmp_path, capsys, argv):
     # above 0.1 every nonzero system's largest singular value is within a
-    # factor 10 of its threshold, so every rank decision would be ambiguous
+    # factor 10 of its threshold, so every rank decision would be ambiguous;
+    # at or below the absolute floor 1e-12 no threshold is defined.  One
+    # check in main refuses both ends, even for a command that ranks nothing
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, err = run(capsys, *[arg.format(spec=path) for arg in argv])
     assert code == 2 and out == ""
-    assert err == "error: --tol must be in (0, 0.1]\n"
+    assert err == "error: --tol must be in (1e-12, 0.1]\n"

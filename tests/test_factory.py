@@ -176,7 +176,7 @@ def test_one_dimensional_draws_take_no_certificate(monkeypatch):
     # attempt, with no call of the certificate
     import b3rep.factory as factory_mod
 
-    def no_certificate(A, B, tol):
+    def no_certificate(A, B):
         raise AssertionError("a one-dimensional draw was certified")
 
     monkeypatch.setattr(factory_mod, "_spin_certified", no_certificate)
@@ -231,7 +231,7 @@ def test_generation_failure_is_loud(monkeypatch):
     # one that never certifies a draw exhausts the retries
     import b3rep.factory as factory_mod
     monkeypatch.setattr(factory_mod, "_spin_certified",
-                        lambda A, B, tol: np.zeros(len(A), dtype=bool))
+                        lambda A, B: np.zeros(len(A), dtype=bool))
     with pytest.raises(GenerationFailed):
         random_simple_gamma(ALPHA2, seed=0)
     with pytest.raises(GenerationFailed):
@@ -360,8 +360,8 @@ def test_random_simples_gamma_redraws_only_the_rejected_seed(monkeypatch):
     real = factory_mod._spin_certified
     stacks = []
 
-    def reject_victim(A, B, tol):
-        simple = np.array(real(A, B, tol))
+    def reject_victim(A, B):
+        simple = np.array(real(A, B))
         stacks.append(A.shape[:-2])
         for i, a in enumerate(A):
             if a.tobytes() == victim:
@@ -758,9 +758,9 @@ def test_assemble_draws_one_stack_per_type(monkeypatch):
     real = factory_mod.random_simples_gamma
     calls = []
 
-    def spy(alpha, seeds, tol=DEFAULT_TOL):
+    def spy(alpha, seeds):
         calls.append((alpha, len(list(seeds))))
-        return real(alpha, seeds, tol)
+        return real(alpha, seeds)
 
     two = ExactScalar.from_rational(2)
     spec = SemisimpleSpec((
@@ -793,9 +793,9 @@ def test_no_draw_spans_the_words(monkeypatch):
     real = factory_mod._span_dims
     starts = []
 
-    def spy(A, B, X0, tol=DEFAULT_TOL):
+    def spy(A, B, X0):
         starts.append(X0.shape)
-        return real(A, B, X0, tol)
+        return real(A, B, X0)
 
     monkeypatch.setattr(factory_mod, "_span_dims", spy)
     for d in range(2, 7):

@@ -492,9 +492,19 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
             raise ToleranceAmbiguity("forced")
         return tangent_dim_numeric(rep, tol)
 
+    real_validate = verify_mod.validate_rep
+    validated = []
+
+    def validate(rep, kind, tol):
+        validated.append((rep, real_validate(rep, kind, tol)))
+        return validated[-1][1]
+
     monkeypatch.setattr(verify_mod, "tangent_dim_numeric", measure)
-    seed, rep, measured = verify_mod.assemble_and_measure(spec, lambda k: 100 + k)
-    assert (seed, measured, len(calls)) == (102, 6, 3) and rep is calls[-1]
+    monkeypatch.setattr(verify_mod, "validate_rep", validate)
+    seed, valid, measured = verify_mod.assemble_and_measure(spec, lambda k: 100 + k)
+    assert (seed, measured, len(calls)) == (102, 6, 3) and valid
+    # only the pair of the clean attempt, the last one measured, is validated
+    assert len(validated) == 1 and validated[0][0] is calls[-1] and valid is validated[0][1]
     calls.clear()
 
     def always_ambiguous(rep, tol):

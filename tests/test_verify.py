@@ -16,6 +16,8 @@ from b3rep import (
     HexDimVector,
     SemisimpleSpec,
     SuiteResult,
+    ToleranceAmbiguity,
+    ToleranceConfig,
     derived_seed,
     ext_gamma_pair,
     gln_embed,
@@ -254,9 +256,9 @@ def spy_draws(monkeypatch):
     calls = []
     real = verify_mod._draw_simples
 
-    def spy(types, seeds, tol):
+    def spy(types, seeds):
         calls.append((list(types), list(seeds)))
-        return real(types, seeds, tol)
+        return real(types, seeds)
 
     monkeypatch.setattr(verify_mod, "_draw_simples", spy)
     return calls
@@ -382,6 +384,47 @@ def test_persistent_ambiguity_fails_each_ambiguous_check(monkeypatch, suite, kwa
     cobound = 81 if suite == "ext" else 0
     assert result.checks > cobound and result.failed == result.checks - cobound
     assert all(msg.startswith("persistent tolerance ambiguity for ") for msg in result.failures)
+
+
+def test_a_coarse_tol_draws_the_instances_of_the_default_run(monkeypatch):
+    # draws are certified at the fixed DEFAULT_TOL and tol decides ranks
+    # only, so the first attempt of verify ext at tol 0.1 draws every
+    # instance of the default run, bit for bit
+    real = verify_mod._draw_simples
+
+    def first_draws(tol):
+        drawn = []
+
+        def spy(types, seeds):
+            drawn.append(real(types, seeds))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify_mod, "_draw_simples", spy)
+        run_suite("ext", tol=tol)
+        return [(inst.alpha, inst.seed, inst.attempts, inst.rep.A.tobytes(), inst.rep.B.tobytes())
+                for inst in drawn[0]]
+
+    default = first_draws(DEFAULT_TOL)
+    assert len(default) == 2285
+    assert first_draws(ToleranceConfig(0.1)) == default
+
+
+def test_tangent_fails_the_measured_checks_of_a_trial_it_gives_up_on(monkeypatch):
+    # every measurement is ambiguous: each trial is assembled three times,
+    # then its three measured checks fail as the draw suites fail theirs,
+    # and its formula-only defect check still passes
+    measured = []
+
+    def always_ambiguous(rep, tol):
+        measured.append(rep)
+        raise ToleranceAmbiguity("forced")
+
+    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", always_ambiguous)
+    result = run_suite("tangent", n=3, trials=4, seed=1)
+    assert len(measured) == 3 * 4
+    assert (result.checks, result.failed) == (4 * 4, 3 * 4)
+    assert all(msg.startswith("persistent tolerance ambiguity for {'entries': ")
+               for msg in result.failures)
 
 
 def test_ext_records_its_checks_in_plan_order(monkeypatch):
