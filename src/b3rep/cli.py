@@ -29,10 +29,12 @@ from .geometry import analyze, enumerate_component_signatures
 from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
 from .verify import SUITE_NAMES, assemble_and_measure, run_suite
 
-# --tol, the rank tolerance of every measurement, lies in (ABS_FLOOR, 0.1]:
-# above 0.1 every nonzero system's largest singular value is within a
-# factor 10 of its own rank threshold, so each of its rank decisions would
-# be ambiguous, redrawn and failed.
+# --tol is the rank threshold of the measurements and nothing else: scalar
+# grouping and the relation and commutation checks read the fixed
+# DEFAULT_TOL.  It lies in (ABS_FLOOR, 0.1]: above 0.1 every nonzero
+# system's largest singular value is within a factor 10 of its own rank
+# threshold, so each of its rank decisions would be ambiguous, redrawn and
+# failed.
 _TOL_CAP = 0.1
 # n = 20 takes about 1 s; the count of signatures grows fast beyond it.
 _COMPONENT_CAP = 20

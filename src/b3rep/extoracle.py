@@ -268,22 +268,22 @@ def cocycle_dim_numeric(V, W, group_kind: str = B3,
     return cocycle_dims_numeric([(V, W)], group_kind, tol)[0]
 
 
-def scalar_groups(c, t, tol: ToleranceConfig = DEFAULT_TOL) -> list[list[int]]:
+def scalar_groups(c, t) -> list[list[int]]:
     """Indices of the nonzero values c_i t_i^6 (t_i > 0) in groups of equal
     values, in order of first appearance: each value joins the first group
     whose first member it equals.  x and y are equal when |x - y| <=
-    rel_tol max(|x|, |y|), scale-free; c_i t_i^6 and c_j t_j^6 are compared
-    as c_i (t_i / t_j)^6 and c_j for t_i <= t_j, so no sixth power of a
-    large or small t is formed (t = 1 compares plain scalars).  Raises
-    ToleranceAmbiguity when |x - y| lies within a factor 10 of the
-    threshold, the window in which ``_ranks`` flags a singular value."""
+    10^-8 max(|x|, |y|) (``DEFAULT_TOL``), scale-free; c_i t_i^6 and
+    c_j t_j^6 are compared as c_i (t_i / t_j)^6 and c_j for t_i <= t_j, so
+    no sixth power of a large or small t is formed (t = 1 compares plain
+    scalars).  Raises ToleranceAmbiguity when |x - y| lies within a factor
+    10 of the threshold, as ``_ranks`` flags a singular value."""
     c, t = np.asarray(c).tolist(), np.asarray(t).tolist()
     groups: list[list[int]] = []
     for i, (ci, ti) in enumerate(zip(c, t)):
         for group in groups:
             cj, tj = c[group[0]], t[group[0]]
             x, y = (ci * (ti / tj) ** 6, cj) if ti <= tj else (ci, cj * (tj / ti) ** 6)
-            gap, threshold = abs(x - y), tol.rel_tol * max(abs(x), abs(y))
+            gap, threshold = abs(x - y), DEFAULT_TOL.rel_tol * max(abs(x), abs(y))
             if threshold / 10.0 < gap < threshold * 10.0:
                 raise ToleranceAmbiguity(
                     "two scalars within a factor 10 of the equality threshold; "
@@ -367,9 +367,10 @@ def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     each against its own threshold.  The projectors come from A and B
     themselves, which need not be normal.
 
-    A block on which A^2 or B^3 is not c I at rel_tol (by ``_row_defect``),
-    c the scalar of A^2, is paired with every block on the full system
-    (``cocycle_dims_numeric``).
+    A block on which A^2 or B^3 is not c I (``_row_defect`` above
+    ``DEFAULT_TOL``, as in ``scalar_groups``: ``tol`` sets rank thresholds
+    only), c the scalar of A^2, is paired with every block on the full
+    system (``cocycle_dims_numeric``).
 
     Raises ToleranceAmbiguity when a singular value of any system falls
     within a factor 10 of that system's rank threshold, or two scalars
@@ -391,13 +392,13 @@ def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
         powers = np.stack([V.A @ V.A, V.B @ V.B @ V.B], axis=1)
         ca, cb = np.trace(powers, axis1=-2, axis2=-1).T / d
         scalar[members] = ((_row_defect(powers, ca[:, None, None, None] * np.eye(d))
-                            <= tol.rel_tol).all(-1) & (np.abs(ca) > ABS_FLOOR))
+                            <= DEFAULT_TOL.rel_tol).all(-1) & (np.abs(ca) > ABS_FLOOR))
         c[members], t[members], scale[members], scaled[d] = ca, cb ** (1 / 3), tau.ravel(), V
     # the roots s of c and t of each group's first member, carried to the
     # scale of each member: one labelling of the eigenvalues for the group
     found = np.flatnonzero(scalar)
     group, first = np.full(k, -1), np.arange(k)
-    for g, members in enumerate(scalar_groups(c[found], scale[found], tol)):
+    for g, members in enumerate(scalar_groups(c[found], scale[found])):
         group[found[members]], first[found[members]] = g, found[members[0]]
     rel = scale[first] / scale
     s, t = np.sqrt(c[first]) * rel ** 3, t[first] * rel ** 2

@@ -38,7 +38,7 @@ from .errors import (
     IsomorphicDistinctEntries,
     NotSimpleDimension,
 )
-from .extoracle import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _peak, _row_defect
+from .extoracle import ABS_FLOOR, DEFAULT_TOL, _peak, _row_defect
 from .lattice import (GammaDimVector, HexDimVector, _is_json_int, hex_to_gamma,
                       is_simple_gamma, twist_gamma)
 from .scalars import ExactScalar, mu6_exponent
@@ -106,24 +106,24 @@ class RepValidation:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> RepValidation:
+def validate_rep(V: RepPair, kind: str) -> RepValidation:
     """Check invertibility and the defining relation of the given kind,
     each row on its own scale; returns the verdict with the values that
-    decided it.  A or B is invertible when its singular-value ratio,
-    after each row is divided by its largest modulus, exceeds rel_tol.
-    The relation holds when ``_row_defect`` of (A^2, B^3) for B3, or of
-    (A^2, I) and (B^3, I) for Gamma, is at most rel_tol.  The relation
-    products are formed a block of rows at a time, an eighth of the rows
-    or 2^12 entries if that is more, so A^2 and B^3 are never held whole
-    and take less memory than the row-scaled copy of A or B that the
-    singular values need."""
+    decided it, at the fixed 10^-8 of ``DEFAULT_TOL``.  A or B is
+    invertible when its singular-value ratio, after each row is divided by
+    its largest modulus, exceeds it.  The relation holds when
+    ``_row_defect`` of (A^2, B^3) for B3, or of (A^2, I) and (B^3, I) for
+    Gamma, is at most it.  The relation products are formed a block of
+    rows at a time, an eighth of the rows or 2^12 entries if that is more,
+    so A^2 and B^3 are never held whole and take less memory than the
+    row-scaled copy of A or B that the singular values need."""
     if kind not in (GAMMA, B3):
         raise ValueError(f"unknown relation kind {kind!r}")
     residuals = {}
     for name, M in (("A", V.A), ("B", V.B)):
         sing = np.linalg.svd(M / _peak(M, axis=-1), compute_uv=False)
         residuals[f"min_singular_ratio_{name}"] = float(sing[-1] / sing[0]) if sing[0] > 0 else 0.0
-    invertible = all(ratio > tol.rel_tol for ratio in residuals.values())
+    invertible = all(ratio > DEFAULT_TOL.rel_tol for ratio in residuals.values())
     names = ("relation_A2", "relation_B3") if kind == GAMMA else ("relation_A2_B3",)
     step = max(-(-V.n // 8), 2 ** 12 // V.n)
     starts = range(0, V.n, step)
@@ -138,7 +138,7 @@ def validate_rep(V: RepPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL) -> R
             defects[block] = _row_defect(a2, b3)
     # ndarray.max, unlike max, keeps the nan of an overflowed block
     residuals.update(zip(names, defects.max(axis=0).tolist()))
-    ok = invertible and all(residuals[name] <= tol.rel_tol for name in names)
+    ok = invertible and all(residuals[name] <= DEFAULT_TOL.rel_tol for name in names)
     return RepValidation(ok, residuals)
 
 

@@ -436,15 +436,14 @@ def _gln_embed(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return B @ G, B
 
 
-def _gln_retract(A: np.ndarray, B: np.ndarray,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _gln_retract(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A B^{-1} for each pair of the stacks A and B (k, n, n); raises
     ValueError, with the residual of the first, if any pair does not
-    commute at tolerance."""
+    commute at the fixed ``DEFAULT_TOL``."""
     comm = _frobenius(A @ B - B @ A)
     # fmax, like max, keeps the bound 1.0 when the product is nan
     scale = np.fmax(1.0, _frobenius(A) * _frobenius(B))
-    bad = np.flatnonzero(comm > tol.rel_tol * scale)
+    bad = np.flatnonzero(comm > DEFAULT_TOL.rel_tol * scale)
     if bad.size:
         raise ValueError(
             f"pair does not commute (residual {comm[bad[0]]:.3e}); not in the "
@@ -461,8 +460,8 @@ def gln_embed(G: np.ndarray) -> RepPair:
     return RepPair(A[0], B[0], B3)
 
 
-def gln_retract(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def gln_retract(V: RepPair) -> np.ndarray:
     """Inverse of the embedding on the commuting component: A B^{-1}.  A
     stack of one of ``_gln_retract``: ValueError if the pair does not
-    commute at tolerance."""
-    return _gln_retract(V.A[None], V.B[None], tol)[0]
+    commute at the fixed ``DEFAULT_TOL``."""
+    return _gln_retract(V.A[None], V.B[None])[0]

@@ -9,6 +9,7 @@ wrong reading of the underlying identities.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -216,7 +217,7 @@ def assemble_and_measure(spec: SemisimpleSpec, seed_of, tol: ToleranceConfig = D
     """Assemble the spec and measure its tangent dimension
     (``tangent_dim_numeric``), re-assembling on ToleranceAmbiguity:
     attempt k uses the seed ``seed_of(k)``, for k below
-    ``REMEASURE_ATTEMPTS``.  Returns (seed, ``validate_rep(rep, B3, tol)``,
+    ``REMEASURE_ATTEMPTS``.  Returns (seed, ``validate_rep(rep, B3)``,
     measured value) of the first clean attempt, and re-raises the last
     ambiguity when no attempt was clean."""
     for attempt in range(REMEASURE_ATTEMPTS):
@@ -227,7 +228,7 @@ def assemble_and_measure(spec: SemisimpleSpec, seed_of, tol: ToleranceConfig = D
         except ToleranceAmbiguity as exc:
             last = exc
         else:
-            return seed, validate_rep(rep, B3, tol), measured
+            return seed, validate_rep(rep, B3), measured
     raise last
 
 
@@ -378,8 +379,7 @@ def verify_lemma(max_total: int = 8) -> SuiteResult:
     return result
 
 
-def verify_gln(max_n: int = 4, trials: int = 50, seed: int = 0,
-               tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
+def verify_gln(max_n: int = 4, trials: int = 50, seed: int = 0) -> SuiteResult:
     """Round trips of the commuting-component isomorphism with the
     invertible matrices: G -> (G^3, G^2) -> G and back, plus the
     relation and commutation residuals of the embedding.
@@ -405,7 +405,7 @@ def verify_gln(max_n: int = 4, trials: int = 50, seed: int = 0,
         rel = _frobenius(A @ A - B @ B @ B)
         comm = _frobenius(A @ B - B @ A)
         size = _frobenius(A)
-        back = _gln_retract(A, B, tol)
+        back = _gln_retract(A, B)
         err = _frobenius(back - g)
         again_a, again_b = _gln_embed(back)
         err2 = _frobenius(again_a - A) + _frobenius(again_b - B)
@@ -492,15 +492,14 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
     return result
 
 
-#: Suite name -> (function, name of its size parameter, whether it draws
-#: random instances and so takes trials, seed and tol, smallest size that
+#: Suite name -> (function, name of its size parameter, smallest size that
 #: records a check).  The defaults are those of the function signatures.
 _SUITES = {
-    "ext": (verify_ext, "max_dim", True, 1),
-    "tangent": (verify_tangent, "max_n", True, 1),
-    "lemma": (verify_lemma, "max_total", False, 1),
-    "gln": (verify_gln, "max_n", True, 2),
-    "symmetry": (verify_symmetry, "max_dim", True, 1),
+    "ext": (verify_ext, "max_dim", 1),
+    "tangent": (verify_tangent, "max_n", 1),
+    "lemma": (verify_lemma, "max_total", 1),
+    "gln": (verify_gln, "max_n", 2),
+    "symmetry": (verify_symmetry, "max_dim", 1),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -509,16 +508,15 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, n: int | None = None, trials: int | None = None,
               seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
     """Run one named suite; n remaps to the suite's size parameter, and a
-    size too small to record a check raises ValueError.  The exhaustive
-    lemma suite ignores trials, seed and tol."""
+    size too small to record a check raises ValueError.  Each suite gets
+    only the trials, seed and tol that its function takes: the exhaustive
+    lemma suite ignores all three, and gln ignores tol."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
-    fn, size_key, randomized, least = _SUITES[name]
+    fn, size_key, least = _SUITES[name]
     if n is not None and n < least:
         raise ValueError(f"the {name} suite needs n >= {least}, got {n}")
-    kwargs = {} if n is None else {size_key: n}
-    if randomized:
-        kwargs.update(seed=seed, tol=tol)
-        if trials is not None:
-            kwargs["trials"] = trials
-    return fn(**kwargs)
+    given = {size_key: n, "trials": trials, "seed": seed, "tol": tol}
+    params = inspect.signature(fn).parameters
+    return fn(**{key: value for key, value in given.items()
+                 if value is not None and key in params})

@@ -233,7 +233,7 @@ def test_analyze_verify_gives_up_after_three_ambiguous_assemblies(tmp_path, caps
 
 
 def test_analyze_verify_at_a_coarse_tolerance_exits_three(tmp_path, capsys):
-    # a valid spec whose scalar grouping stays ambiguous at --tol 0.1 on
+    # a valid spec whose rank decisions stay ambiguous at --tol 0.1 on
     # every assembly: inconclusive, exit 3; at --tol 1e-2 it verifies (singular)
     path = tmp_path / "coarse.json"
     path.write_text(json.dumps({"entries": [
@@ -246,6 +246,23 @@ def test_analyze_verify_at_a_coarse_tolerance_exits_three(tmp_path, capsys):
     assert err.startswith("error: numeric verification inconclusive: ") and err.count("\n") == 1
     code, out, _ = run(capsys, "analyze", "--spec", str(path), "--verify", "--tol", "1e-2")
     assert code == 1 and json.loads(out)["verification"]["matches_formula"]
+
+
+@pytest.mark.parametrize("tol", ["1e-2", "1e-3"])
+def test_analyze_verify_at_a_coarse_tolerance_keeps_close_scalars_apart(
+        tmp_path, capsys, tol):
+    # lambda^6 = 1 and (10001/10000)^6 differ by 6e-4: --tol sets rank
+    # thresholds only, so the two blocks stay in distinct scalar groups and
+    # the measured tangent dimension is the formula's 40, a smooth point
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": "1", "q": "0"}, "instance": "a"},
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": "10001/10000", "q": "0"},
+         "instance": "b"}]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify", "--tol", tol)
+    assert (code, err) == (0, "")
+    verification = json.loads(out)["verification"]
+    assert verification["matches_formula"] and verification["tangent_dim_numeric"] == 40
 
 
 def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):

@@ -582,6 +582,17 @@ def test_reduced_cross_cocycles_raise_near_equal_scalars():
         == [36, cocycle_dim_numeric(v, v)]
 
 
+def test_a_coarse_rank_tolerance_keeps_the_scalar_grouping():
+    # lambda^6 of the two blocks differ by 6e-4: distinct at the fixed
+    # DEFAULT_TOL, whatever rank tolerance the caller asks for, so a
+    # coarse tol cannot merge their groups and count cross cocycles
+    v = random_simple_gamma(GammaDimVector(2, 1, 1, 1, 1), seed=0).rep
+    blocks = [v, scale_rep(v, ExactScalar.from_rational(Fraction(10001, 10000)))]
+    expected = block_cocycle_dims(blocks)
+    assert expected[0, 1] == expected[1, 0] == 3 * 3
+    assert block_cocycle_dims(blocks, ToleranceConfig(1e-2)).tolist() == expected.tolist()
+
+
 def test_cocycle_space_of_braid_relation_contains_boundaries():
     s = random_simple_gamma(GammaDimVector(2, 1, 1, 1, 1), seed=8)
     z = cocycle_dim_numeric(s.rep, s.rep, B3)

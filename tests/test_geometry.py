@@ -495,8 +495,8 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
     real_validate = verify_mod.validate_rep
     validated = []
 
-    def validate(rep, kind, tol):
-        validated.append((rep, real_validate(rep, kind, tol)))
+    def validate(rep, kind):
+        validated.append((rep, real_validate(rep, kind)))
         return validated[-1][1]
 
     monkeypatch.setattr(verify_mod, "tangent_dim_numeric", measure)

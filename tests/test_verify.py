@@ -1,5 +1,6 @@
 """The property suites themselves: all green, deterministic, honest."""
 
+import functools
 import inspect
 import json
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import b3rep.extoracle as extoracle_mod
 import b3rep.lattice as lattice_mod
 import b3rep.verify as verify_mod
 from b3rep import (
@@ -57,6 +59,7 @@ def test_run_suite_routes_n_to_the_suite_size_parameter(monkeypatch, suite, size
     fn, *routing = verify_mod._SUITES[suite]
     calls = []
 
+    @functools.wraps(fn)
     def record(**kwargs):
         calls.append(kwargs)
         return SuiteResult(suite)
@@ -68,8 +71,13 @@ def test_run_suite_routes_n_to_the_suite_size_parameter(monkeypatch, suite, size
     assert set(calls[0]) <= set(inspect.signature(fn).parameters)
 
 
-def test_lemma_suite_ignores_trials_seed_and_tolerance():
-    assert run_suite("lemma", trials=5, seed=3).to_json() == run_suite("lemma").to_json()
+@pytest.mark.parametrize("suite, ignored", [
+    ("lemma", {"trials": 5, "seed": 3, "tol": ToleranceConfig(0.1)}),
+    ("gln", {"tol": ToleranceConfig(0.1)}),
+], ids=["lemma", "gln"])
+def test_lemma_suite_ignores_trials_seed_and_tolerance(suite, ignored):
+    # lemma is exhaustive, and gln decides at the fixed DEFAULT_TOL
+    assert run_suite(suite, **ignored).to_json() == run_suite(suite).to_json()
 
 
 @pytest.mark.parametrize("n, checks", [
@@ -180,7 +188,7 @@ def test_gln_suite_matches_a_per_trial_loop(monkeypatch, max_n, seed):
 
 @pytest.mark.parametrize("name, value, failure", [
     ("_gln_embed", lambda G: (G @ G, G @ G @ G), "embed relation residual"),
-    ("_gln_retract", lambda A, B, tol: B @ np.linalg.inv(A), "retract(embed(G)) error"),
+    ("_gln_retract", lambda A, B: B @ np.linalg.inv(A), "retract(embed(G)) error"),
 ])
 def test_gln_suite_fails_on_a_mutated_embed_or_retract(monkeypatch, name, value, failure):
     monkeypatch.setattr(verify_mod, name, value)
@@ -407,6 +415,26 @@ def test_a_coarse_tol_draws_the_instances_of_the_default_run(monkeypatch):
     default = first_draws(DEFAULT_TOL)
     assert len(default) == 2285
     assert first_draws(ToleranceConfig(0.1)) == default
+
+
+def test_a_coarse_tol_leaves_the_scalar_grouping_unambiguous(monkeypatch):
+    # scalar grouping decides at the fixed DEFAULT_TOL: at tol 0.1 the
+    # distinct lambda^6 of a spec are as far from its threshold as at the
+    # default, so no grouping raises and no trial is redrawn for it
+    calls, raised = [], []
+    real = extoracle_mod.scalar_groups
+
+    def spy(*args):
+        calls.append(args)
+        try:
+            return real(*args)
+        except ToleranceAmbiguity:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(extoracle_mod, "scalar_groups", spy)
+    run_suite("tangent", n=4, trials=10, tol=ToleranceConfig(0.1))
+    assert calls and raised == []
 
 
 def test_tangent_fails_the_measured_checks_of_a_trial_it_gives_up_on(monkeypatch):
