@@ -64,6 +64,7 @@ from .geometry import (
     local_quiver,
     tangent_dim_formula,
     tangent_dim_numeric,
+    tangent_dims_numeric,
 )
 from .lattice import (
     EULER_MATRIX_HEX,
@@ -108,5 +109,6 @@ __all__ = [
     "one_dim_rep", "orbit_class", "orbit_gamma", "random_simple_gamma",
     "random_simples_gamma", "random_spec", "run_suite", "scale_rep",
     "simple_orbit_classes", "tangent_dim_formula", "tangent_dim_numeric",
+    "tangent_dims_numeric",
     "twist_gamma", "validate_rep",
 ]

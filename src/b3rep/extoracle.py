@@ -37,18 +37,20 @@ systems are ranked on unit-scaled stacks (``_unit_scaled``), so that no
 threshold depends on the moduli of the pairs.  The single-pair functions
 are the one-element case.
 
-The diagonal blocks of a pair have their own route, ``block_cocycle_dims``:
-the matrix of cocycle dimensions of every ordered pair of blocks, self
-pairs included.  Each block whose A^2 and B^3 are scalars is analysed
-once; split by the eigenspaces of A and of B, a pair of such blocks has
-no system at distinct scalars (dim Z = n_V n_W, counted) and a K x N one
-with K, N <= n_V n_W (N about n_V n_W / 3) at equal ones, in place of the
-n_V n_W x 2 n_V n_W system.  Only a block whose A^2 or B^3 is not scalar,
-such as dense input of mixed lambda^6, takes the full system.
+The diagonal blocks of pairs have their own route, ``block_cocycle_dims``:
+the cocycle dimensions of the ordered pairs of blocks of each of many
+pairs, self pairs included.  Each block whose A^2 and B^3 are scalars is
+analysed once; split by the eigenspaces of A and of B, a pair of such
+blocks has no system at distinct scalars (dim Z = n_V n_W, counted) and
+a K x N one with K, N <= n_V n_W (N about n_V n_W / 3) at equal ones, in
+place of the n_V n_W x 2 n_V n_W system.  Only a block whose A^2 or B^3
+is not scalar, such as dense input of mixed lambda^6, takes the full
+system.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,21 +94,24 @@ def _ranks(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]
         zeros = np.zeros(M.shape[:-2], dtype=int)
         return zeros, zeros != 0
     sing = np.linalg.svd(M, compute_uv=False)
-    threshold = tol.rel_tol * sing[..., :1]
-    ranks = (sing > threshold).sum(-1)
-    ambiguous = ((sing > threshold / 10.0) & (sing < threshold * 10.0)).any(-1)
+    top = sing[..., :1]
+    ranks = (sing > tol.rel_tol * top).sum(-1)
+    # the bounds scale rel_tol first, so that at rel_tol = 0.1 the upper one
+    # is exactly sigma_max, which is not flagged, nor a value tied with it
+    ambiguous = ((sing > tol.rel_tol / 10 * top) & (sing < tol.rel_tol * 10 * top)).any(-1)
     zero = sing[..., 0] < ABS_FLOOR
     return np.where(zero, 0, ranks), ambiguous & ~zero
+
+
+_RANK_AMBIGUITY = ("singular value within a factor 10 of the rank threshold; "
+                   "re-randomize the instances")
 
 
 def _checked(values, ambiguous):
     """The values (ranks or dimensions); raises ToleranceAmbiguity when
     any rank decision behind them is flagged."""
     if np.any(ambiguous):
-        raise ToleranceAmbiguity(
-            "singular value within a factor 10 of the rank threshold; "
-            "re-randomize the instances"
-        )
+        raise ToleranceAmbiguity(_RANK_AMBIGUITY)
     return values
 
 
@@ -333,9 +338,23 @@ def _kron_factors(A: np.ndarray, B: np.ndarray):
     return G, H, e, i, ranks
 
 
-def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The k x k matrix of braid cocycle dimensions dim Z(V_i -> V_j) of a
-    list of k blocks (matrix pairs of any sizes), self pairs included.
+def _equal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with a[i] == b[j], in the order of
+    np.nonzero(a[:, None] == b), in memory linear in the pairs."""
+    order = np.argsort(b, kind="stable")
+    lo, hi = (np.searchsorted(b[order], a, side) for side in ("left", "right"))
+    i = np.repeat(np.arange(len(a)), hi - lo)
+    return i, order[np.arange(len(i)) - (np.cumsum(hi - lo) - hi)[i]]
+
+
+def block_cocycle_dims(blocks, owners, tol: ToleranceConfig = DEFAULT_TOL):
+    """Braid cocycle dimensions dim Z(V_i -> V_j) of a list of blocks
+    (matrix pairs of any sizes), each labelled by its owner (0, 1, ...,
+    nondecreasing) and paired only with the blocks of its owner, itself
+    included: (i, j, z) of the pairs it computes, every other pair having
+    n_V n_W, and why each owner's values are unclear ('' if clean): a
+    singular value within a factor 10 of its system's rank threshold, or
+    two scalars within a factor 10 of ``scalar_groups``'s.
 
     On a block with A^2 = B^3 = c I write A = s(P+ - P-), s^2 = c, and
     B = t(Q_0 + w Q_1 + w^2 Q_2), t^3 = c, w = e^(2 pi i/3).  In the
@@ -354,35 +373,29 @@ def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     of an idempotent are 0 or at least 1).
 
     Each block is relation-scaled (``_relation_scaled``) and analysed
-    once, in one stack per size: its scalar check and its eigenprojector
-    bases, from one stacked SVD.  The blocks are grouped by c
-    (``scalar_groups``); a pair in different groups counts n_V n_W.  Each
-    block of a group takes the roots s and t of the group's first member,
-    carried to its own scale, so that the labels of the projectors agree.
-    The system of a pair is a set of entries of kron(G_W, H_V),
-    G = (L_e U_i) and H = ((Vh_i R_f)^T), with each projector's basis
-    zero-padded to the widest of its size, which keeps the rank: one
-    gather builds the systems of all pairs of one group and of sizes
-    (n_W, n_V), and one ``_ranks`` call ranks all systems of one shape,
-    each against its own threshold.  The projectors come from A and B
-    themselves, which need not be normal.
+    once, in one stack per size of all owners: its scalar check and its
+    eigenprojector bases, from one stacked SVD.  Each owner's blocks are
+    grouped by c (``scalar_groups``), and a block takes the roots s and t
+    of its group's first member, carried to its own scale, so that the
+    labels of the projectors agree.  The system of a pair is a set of
+    entries of kron(G_W, H_V), G = (L_e U_i) and H = ((Vh_i R_f)^T), each
+    projector's basis zero-padded to the widest of its size, which keeps
+    the rank: one gather per group and sizes (n_W, n_V), and one
+    ``_ranks`` call per shape of all owners, each system against its own
+    threshold.  The projectors come from A and B themselves, which need
+    not be normal.
 
     A block on which A^2 or B^3 is not c I (``_row_defect`` above
     ``DEFAULT_TOL``, as in ``scalar_groups``: ``tol`` sets rank thresholds
-    only), c the scalar of A^2, is paired with every block on the full
-    system (``cocycle_dims_numeric``).
-
-    Raises ToleranceAmbiguity when a singular value of any system falls
-    within a factor 10 of that system's rank threshold, or two scalars
-    within a factor 10 of ``scalar_groups``'s.
+    only), c the scalar of A^2, is paired with every block of its owner
+    on the full system (``cocycle_dims_numeric``).
     """
     k = len(blocks)
-    # int32 holds every dimension, at most 2 n_V n_W, in half the bytes
-    sizes = np.array([b.n for b in blocks], dtype=np.int32)
-    dims = sizes[:, None] * sizes
+    owners = np.asarray(owners)
+    reasons = [""] * int(np.max(owners, initial=-1) + 1)
     by_size: dict[int, list[int]] = {}
-    for i, d in enumerate(sizes.tolist()):
-        by_size.setdefault(d, []).append(i)
+    for i, block in enumerate(blocks):
+        by_size.setdefault(block.n, []).append(i)
     c, t, scale = np.empty(k, complex), np.empty(k, complex), np.empty(k)
     scalar = np.empty(k, dtype=bool)
     scaled = {}
@@ -395,52 +408,68 @@ def block_cocycle_dims(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
                             <= DEFAULT_TOL.rel_tol).all(-1) & (np.abs(ca) > ABS_FLOOR))
         c[members], t[members], scale[members], scaled[d] = ca, cb ** (1 / 3), tau.ravel(), V
     # the roots s of c and t of each group's first member, carried to the
-    # scale of each member: one labelling of the eigenvalues for the group
+    # scale of each member: one labelling of the eigenvalues for the group;
+    # the blocks of an owner whose scalars are ambiguous get no group
     found = np.flatnonzero(scalar)
-    group, first = np.full(k, -1), np.arange(k)
-    for g, members in enumerate(scalar_groups(c[found], scale[found])):
-        group[found[members]], first[found[members]] = g, found[members[0]]
+    by_owner = np.split(found, np.searchsorted(owners[found], np.arange(1, len(reasons))))
+    group, first, labels = np.full(k, -1), np.arange(k), itertools.count()
+    for o, own in enumerate(by_owner):
+        try:
+            for members in scalar_groups(c[own], scale[own]):
+                group[own[members]], first[own[members]] = next(labels), own[members[0]]
+        except ToleranceAmbiguity as exc:
+            group[own], reasons[o] = -1, str(exc)
     rel = scale[first] / scale
     s, t = np.sqrt(c[first]) * rel ** 3, t[first] * rel ** 2
-    # per size: the factors of every block with scalar A^2 = B^3
+    # per size: the factors of every block with a group
     sides = {}
     for d, members in by_size.items():
-        inside = scalar[members]
+        inside = group[members] >= 0
         members = np.array(members)[inside]
         if len(members):
             sides[d] = (members, *_kron_factors(scaled[d].A[inside] / s[members, None, None],
                                                 scaled[d].B[inside] / t[members, None, None]))
+    # (i, j, dim Z, ambiguous) of each stack of pairs
+    computed = [(np.zeros(0, int),) * 3 + (np.zeros(0, bool),)]
     # the systems of every pair of one group and of sizes (n_W, n_V), in one gather
     by_shape: dict[tuple[int, int], list] = {}
     for n_v, (v_members, _, H, f, i_v, ranks_v) in sides.items():
         for n_w, (w_members, G, _, e, i_w, ranks_w) in sides.items():
-            pv, pw = np.nonzero(group[v_members][:, None] == group[w_members][None, :])
+            pv, pw = _equal_pairs(group[v_members], group[w_members])
             if not len(pv):
                 continue
             gv, gw = v_members[pv], w_members[pw]
             # K free entries of D_X and the n_V n_W of D_Y, less the rank of C
             free = ranks_w[pw, 0] * ranks_v[pv, 1] + ranks_w[pw, 1] * ranks_v[pv, 0] + n_v * n_w
-            # rows (a, b) of kron(G_W, H_V) with e_a != f_b, columns with i_a = i_b
+            # rows (a, b) of kron(G_W, H_V) with e_a != f_b, columns with
+            # i_a = i_b; a system without either has rank 0
             row_w, row_v = np.nonzero(e[:, None] != f[None, :])
             col_w, col_v = np.nonzero(i_w[:, None] == i_v[None, :])
-            if not (len(row_w) and len(col_w)):
-                dims[gv, gw] = free
-                continue
             system = (G[pw[:, None, None], row_w[:, None], col_w]
                       * H[pv[:, None, None], row_v[:, None], col_v])
             by_shape.setdefault(system.shape[1:], []).append((gv, gw, free, system))
     for members in by_shape.values():
         gv, gw, free, systems = (np.concatenate(part) if len(part) > 1 else part[0]
                                  for part in zip(*members))
-        dims[gv, gw] = free - _checked(*_ranks(systems, tol))
+        ranks, ambiguous = _ranks(systems, tol)
+        computed.append((gv, gw, free - ranks, ambiguous))
     # blocks without scalar A^2 = B^3: the full system against every block
-    by_sizes: dict[tuple[int, int], list] = {}
-    for i, j in zip(*np.nonzero(~scalar[:, None] | ~scalar)):
-        by_sizes.setdefault((sizes[i], sizes[j]), []).append((i, j))
-    for pairs in by_sizes.values():
-        dims[tuple(zip(*pairs))] = cocycle_dims_numeric(
-            [(blocks[i], blocks[j]) for i, j in pairs], B3, tol)
-    return dims
+    # of their owner, one stack per owner and pair of sizes
+    # (np.unique would import numpy.ma, 20 ms on a cold start)
+    for o in dict.fromkeys(owners[~scalar].tolist()):
+        part, by_sizes = np.flatnonzero(owners == o), {}
+        for i, j in part[np.argwhere(~scalar[part, None] | ~scalar[part])].tolist():
+            by_sizes.setdefault((blocks[i].n, blocks[j].n), []).append((i, j))
+        try:
+            for pairs in by_sizes.values():
+                got = cocycle_dims_numeric([(blocks[i], blocks[j]) for i, j in pairs], B3, tol)
+                computed.append((*np.array(pairs).T, got, np.zeros(len(got), bool)))
+        except ToleranceAmbiguity as exc:
+            reasons[o] = reasons[o] or str(exc)
+    i, j, z, ambiguous = (np.concatenate(part) for part in zip(*computed))
+    for o in set(owners[i[ambiguous]].tolist()):
+        reasons[o] = reasons[o] or _RANK_AMBIGUITY
+    return i, j, z, reasons
 
 
 def _coboundary_defects(pairs, group_kind: str,

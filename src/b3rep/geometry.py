@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import B3RepError, IsomorphicDistinctEntries, WitnessUnavailable
+from .errors import B3RepError, IsomorphicDistinctEntries, ToleranceAmbiguity, WitnessUnavailable
 from .extoracle import DEFAULT_TOL, ToleranceConfig, block_cocycle_dims
 from .factory import RepPair, SemisimpleSpec, SpecEntry, entries_isomorphic
 from .constants import B3
@@ -184,30 +184,39 @@ def tangent_dim_numeric(V: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> int:
 
         (dA, dB) -> dA A + A dA - (dB B^2 + B dB B + B^2 dB),
 
-    which is the cocycle space Z^1(V, V) of the braid relation.
+    which is the cocycle space Z^1(V, V) of the braid relation: the stack
+    of one of ``tangent_dims_numeric``.
 
     When A and B share a block-diagonal zero pattern, the linearized
     relation is block diagonal up to a permutation of rows and columns,
     and its block (i, j) is the cocycle system from the j-th diagonal
-    block of V to the i-th, so dim Z is the sum of the blocks' cocycle
-    dimensions.  Byte-equal diagonal blocks (repeated summands) form
-    one class, counted by multiplicity: dim Z = e^T Z e, with e the class
-    counts and Z the matrix of ``block_cocycle_dims`` over the classes.
-    There a pair of classes at distinct lambda^6 counts n_V n_W with no
-    system to rank, and a pair at equal lambda^6 ranks a K x N system,
-    split by the eigenspaces of A and of B, with K <= n_V n_W and N about
-    n_V n_W / 3.  Dense input, such as a unitary conjugate of an
-    assembled pair, is one block; when its summands have different
-    lambda^6, A^2 is not scalar on it and its rank comes from one SVD of
-    the full n^2 x 2n^2 system.
-
-    Raises ToleranceAmbiguity when a rank threshold is not clean.
+    block of V to the i-th.  Byte-equal diagonal blocks (repeated
+    summands) form one class, so dim Z = e^T Z e, e the class counts and
+    Z the cocycle dimensions of the pairs of classes (``block_cocycle_dims``).
+    Dense input, such as a unitary conjugate of an assembled pair, is one
+    block.  Raises ToleranceAmbiguity when a decision is not clean.
     """
-    classes = _block_classes(V)
-    # int32 like the matrix, so the product casts no k x k copy; no partial
-    # sum exceeds 2 n^2, which int32 holds for n < 32768
-    counts = np.array([count for _, count in classes], dtype=np.int32)
-    return int(counts @ block_cocycle_dims([rep for rep, _ in classes], tol) @ counts)
+    (value,), (reason,) = tangent_dims_numeric([V], tol)
+    if reason:
+        raise ToleranceAmbiguity(reason)
+    return value
+
+
+def tangent_dims_numeric(reps, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[list[int], list[str]]:
+    """``tangent_dim_numeric`` of each of a list of pairs, and why each
+    value is unclear ('' if it is clean), instead of raising: the block
+    classes of all pairs in one ``block_cocycle_dims``, each pair the
+    owner of its classes."""
+    classes = [_block_classes(V) for V in reps]
+    owners = np.repeat(np.arange(len(reps)), [len(point) for point in classes])
+    i, j, z, reasons = block_cocycle_dims(
+        [rep for point in classes for rep, _ in point], owners, tol)
+    counts, sizes = np.array([(count, rep.n) for point in classes
+                              for rep, count in point], dtype=np.int64).reshape(-1, 2).T
+    # e^T Z e, with Z = n_V n_W off the computed pairs: n^2 plus their excess
+    values = np.array([V.n for V in reps], dtype=np.int64) ** 2
+    np.add.at(values, owners[i], counts[i] * counts[j] * (z - sizes[i] * sizes[j]))
+    return values.tolist(), reasons
 
 
 def _diagonal_blocks(V: RepPair) -> list[slice]:

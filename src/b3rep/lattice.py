@@ -34,6 +34,7 @@ of an orbit as its canonical label.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -208,9 +209,10 @@ def orbit_gamma(alpha: GammaDimVector) -> tuple[GammaDimVector, ...]:
     return tuple(twist_gamma(alpha, k) for k in range(6))
 
 
+@functools.lru_cache(maxsize=4096)
 def orbit_class(alpha: GammaDimVector) -> GammaDimVector:
     """Canonical representative: lexicographic minimum over the twist
-    orbit.  Idempotent and constant on orbits."""
+    orbit.  Idempotent and constant on orbits.  Cached."""
     return min(orbit_gamma(alpha))
 
 
@@ -300,18 +302,17 @@ def ext_gamma_pair(alpha: GammaDimVector, beta: GammaDimVector) -> int:
 
 def enumerate_simple_gamma(n: int) -> list[GammaDimVector]:
     """All simple dimension vectors with a + b = n, lexicographically
-    sorted."""
+    sorted: a new list of the cached ``_simple_gamma``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    found = []
-    for a in range(n + 1):
-        b = n - a
-        for x in range(n + 1):
-            for y in range(n + 1 - x):
-                v = GammaDimVector(a, b, x, y, n - x - y)
-                if is_simple_gamma(v):
-                    found.append(v)
-    return sorted(found)
+    return list(_simple_gamma(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _simple_gamma(n: int) -> tuple[GammaDimVector, ...]:
+    return tuple(sorted(
+        v for a in range(n + 1) for x in range(n + 1) for y in range(n + 1 - x)
+        if is_simple_gamma(v := GammaDimVector(a, n - a, x, y, n - x - y))))
 
 
 def simple_orbit_classes(n: int) -> list[GammaDimVector]:

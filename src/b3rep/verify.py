@@ -27,9 +27,9 @@ from .extoracle import (
 from .factory import (
     SemisimpleSpec,
     SpecEntry,
+    _assemble,
     _draw_simples,
     _unitaries,
-    assemble,
     derived_seed,
     entries_isomorphic,
     scale_rep,
@@ -41,7 +41,7 @@ from .geometry import (
     _gln_retract,
     analyze,
     ext_b3_spec,
-    tangent_dim_numeric,
+    tangent_dims_numeric,
 )
 from .lattice import (
     EULER_MATRIX_HEX,
@@ -105,6 +105,8 @@ class SuiteResult:
 #: 16 (2 n_V n_W)^2 bytes of a quotient cocycle system, the largest one it
 #: builds.  Every group of the default and CI sizes fits in one call; at
 #: ``verify ext --n 10`` the (10, 10) group alone holds 3.3 GB of them.
+#: ``_assemble_and_measure`` counts a point as the 32 n^4 bytes of its
+#: full n^2 x 2n^2 tangent system.
 _MEASURE_CHUNK_BYTES = 2 ** 26
 
 
@@ -214,22 +216,38 @@ def _run_draws(result: SuiteResult, plan, seed: int, tol: ToleranceConfig) -> No
 
 
 def assemble_and_measure(spec: SemisimpleSpec, seed_of, tol: ToleranceConfig = DEFAULT_TOL):
-    """Assemble the spec and measure its tangent dimension
-    (``tangent_dim_numeric``), re-assembling on ToleranceAmbiguity:
-    attempt k uses the seed ``seed_of(k)``, for k below
-    ``REMEASURE_ATTEMPTS``.  Returns (seed, ``validate_rep(rep, B3)``,
-    measured value) of the first clean attempt, and re-raises the last
-    ambiguity when no attempt was clean."""
-    for attempt in range(REMEASURE_ATTEMPTS):
-        seed = seed_of(attempt)
-        rep = assemble(spec, seed=seed)
-        try:
-            measured = tangent_dim_numeric(rep, tol)
-        except ToleranceAmbiguity as exc:
-            last = exc
-        else:
-            return seed, validate_rep(rep, B3), measured
-    raise last
+    """(seed, ``validate_rep(rep, B3)``, measured value) of the first clean
+    assembly of the spec at ``seed_of(k)``, k the attempt: the stack of one
+    of ``_assemble_and_measure``.  Raises ToleranceAmbiguity with the
+    reason of the last attempt when no attempt was clean."""
+    (seed, valid, measured, reason), = _assemble_and_measure(
+        [spec], lambda _, attempt: seed_of(attempt), tol)
+    if reason:
+        raise ToleranceAmbiguity(reason)
+    return seed, valid, measured
+
+
+def _assemble_and_measure(specs, seed_of, tol: ToleranceConfig) -> list[tuple]:
+    """(seed, validation, measured value, reason) of each spec, assembled
+    at ``seed_of(i, k)`` on attempt k, for ``REMEASURE_ATTEMPTS`` attempts
+    while its value is ambiguous (reason not ''); a clean pair is
+    validated.  Each attempt assembles and measures a chunk of specs in
+    one call each; a chunk holds at most ``_MEASURE_CHUNK_BYTES`` of full
+    n^2 x 2n^2 systems (32 n^4 bytes) at the largest n."""
+    step = max(1, _MEASURE_CHUNK_BYTES // max([32 * spec.n ** 4 for spec in specs], default=1))
+    out = [None] * len(specs)
+    for start in range(0, len(specs), step):
+        todo = range(start, min(start + step, len(specs)))
+        for attempt in range(REMEASURE_ATTEMPTS):
+            seeds = [seed_of(i, attempt) for i in todo]
+            reps = _assemble([specs[i] for i in todo], seeds)
+            for i, seed, rep, value, reason in zip(todo, seeds, reps,
+                                                   *tangent_dims_numeric(reps, tol)):
+                out[i] = (seed, None if reason else validate_rep(rep, B3), value, reason)
+            todo = [i for i in todo if out[i][3]]
+            if not todo:
+                break
+    return out
 
 
 def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
@@ -462,28 +480,32 @@ def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
                    tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
     """Tangent dimensions on random specs: the measured value always
     equals the formula, the assembled pair is relation-valid, and the
-    smooth verdict coincides with tangent = component dimension.  A trial
-    whose assemblies all stay ambiguous fails its three measured checks,
-    as in ``_run_draws``; its formula-only defect check still counts."""
+    smooth verdict coincides with tangent = component dimension.  All
+    trials are measured in one ``_assemble_and_measure``.  A trial whose
+    assemblies all stay ambiguous fails its three measured checks, as in
+    ``_run_draws``; its formula-only defect check still counts."""
     result = SuiteResult("tangent")
+    specs = []
     for trial in range(trials):
         rng = np.random.default_rng(derived_seed("tangent-size", seed, trial))
         n = int(rng.integers(1, max_n + 1))
-        spec = random_spec(n, derived_seed("tangent", seed, trial))
-        report = analyze(spec)
+        specs.append(random_spec(n, derived_seed("tangent", seed, trial)))
+    reports = [analyze(spec) for spec in specs]
+    measured = _assemble_and_measure(
+        specs, lambda trial, bump: derived_seed("tangent-rep", seed, trial, bump), tol)
+    for spec, report, (_, valid, value, reason) in zip(specs, reports, measured):
         formula, comp, verdict = report.tangent_dim, report.component_dim, report.smooth
-        try:
-            _, valid, measured = assemble_and_measure(
-                spec, lambda bump: derived_seed("tangent-rep", seed, trial, bump), tol)
+        text = spec.to_json()
+        if reason:
+            checks = [(False, 0, f"persistent tolerance ambiguity for {text}")] * 3
+        else:
             checks = [(bool(valid), valid.residuals.get("relation_A2_B3", 0.0),
-                       f"assembled pair invalid for {spec.to_json()}"),
-                      (measured == formula, measured - formula,
-                       f"tangent mismatch {measured} != {formula} for {spec.to_json()}"),
-                      (verdict == (measured == comp), 0,
-                       f"smooth verdict {verdict} but tangent {measured}, "
-                       f"component {comp} for {spec.to_json()}")]
-        except ToleranceAmbiguity:
-            checks = [(False, 0, f"persistent tolerance ambiguity for {spec.to_json()}")] * 3
+                       f"assembled pair invalid for {text}"),
+                      (value == formula, value - formula,
+                       f"tangent mismatch {value} != {formula} for {text}"),
+                      (verdict == (value == comp), 0,
+                       f"smooth verdict {verdict} but tangent {value}, "
+                       f"component {comp} for {text}")]
         for check in checks:
             result.record(*check)
         slack = formula - comp

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from b3rep.cli import _verify_bytes, main
-from b3rep.errors import ToleranceAmbiguity
 from b3rep.factory import SemisimpleSpec
 
 SINGULAR_SPEC = {
@@ -194,15 +193,15 @@ def test_analyze_verify_redraws_after_an_ambiguous_measurement(tmp_path, capsys,
                                                                 monkeypatch):
     import b3rep.verify as verify_mod
     measured = []
-    real = verify_mod.tangent_dim_numeric
+    real = verify_mod.tangent_dims_numeric
 
-    def ambiguous_once(rep, tol):
-        measured.append(rep)
+    def ambiguous_once(reps, tol):
+        measured.extend(reps)
         if len(measured) == 1:
-            raise ToleranceAmbiguity("forced")
-        return real(rep, tol)
+            return [0] * len(reps), ["forced"] * len(reps)
+        return real(reps, tol)
 
-    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", ambiguous_once)
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric", ambiguous_once)
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, _ = run(capsys, "analyze", "--spec", str(path), "--verify", "--seed", "5")
@@ -219,11 +218,11 @@ def test_analyze_verify_gives_up_after_three_ambiguous_assemblies(tmp_path, caps
     import b3rep.verify as verify_mod
     measured = []
 
-    def always_ambiguous(rep, tol):
-        measured.append(rep)
-        raise ToleranceAmbiguity("forced")
+    def always_ambiguous(reps, tol):
+        measured.extend(reps)
+        return [0] * len(reps), ["forced"] * len(reps)
 
-    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", always_ambiguous)
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric", always_ambiguous)
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
@@ -268,7 +267,8 @@ def test_analyze_verify_at_a_coarse_tolerance_keeps_close_scalars_apart(
 def test_analyze_exit_three_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     # force a disagreement to check the dedicated exit code
     import b3rep.verify as verify_mod
-    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", lambda rep, tol: 999)
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric",
+                        lambda reps, tol: ([999] * len(reps), [""] * len(reps)))
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, _, err = run(capsys, "analyze", "--spec", str(path), "--verify")
@@ -281,8 +281,8 @@ def test_analyze_verify_rejects_an_invalid_assembled_pair(tmp_path, capsys, monk
     import b3rep.verify as verify_mod
     from b3rep.constants import B3
     from b3rep.factory import RepPair
-    monkeypatch.setattr(verify_mod, "assemble", lambda spec, seed=0:
-                        RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3))
+    monkeypatch.setattr(verify_mod, "_assemble", lambda specs, seeds:
+                        [RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3)] * len(specs))
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
@@ -304,7 +304,7 @@ def refuse_assembly(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise Assembled
 
-    monkeypatch.setattr(verify_mod, "assemble", no_assembly)
+    monkeypatch.setattr(verify_mod, "_assemble", no_assembly)
 
 
 @pytest.mark.parametrize("alpha, force", [

@@ -103,6 +103,17 @@ def test_rank_rule_per_matrix():
     assert numeric_rank(np.diag([3.0, 1.0, 1e-13])) == 2
 
 
+@pytest.mark.parametrize("M", [np.diag([1.4127555772777218, 0.0]),
+                               1.4127555772777218 * np.eye(2)])
+def test_the_largest_singular_value_is_clean_at_the_coarsest_tol(M):
+    # at rel_tol 0.1 the upper end of the ambiguity band is sigma_max
+    # itself; computed as (0.1 sigma_max) * 10 it rounded above sigma_max
+    # for about a quarter of all values, which flagged sigma_max and every
+    # singular value tied with it
+    ranks, ambiguous = _ranks(M.astype(complex), ToleranceConfig(0.1))
+    assert (int(ranks), bool(ambiguous)) == (np.count_nonzero(np.diag(M)), False)
+
+
 def test_near_threshold_singular_value_is_ambiguous():
     # a clean system at default tolerance turns ambiguous when the
     # threshold is pushed into the spectrum
@@ -371,13 +382,26 @@ REDUCED_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar(Fraction(3, 2), Fracti
                    ExactScalar.from_rational(Fraction(1, 10 ** 30)))
 
 
+def block_dims(blocks, tol=ToleranceConfig()):
+    """The k x k matrix of dim Z(V_i -> V_j) of the blocks, all of one
+    owner, from ``block_cocycle_dims``; raises ToleranceAmbiguity with the
+    owner's reason when it is unclear."""
+    i, j, z, (reason,) = block_cocycle_dims(blocks, np.zeros(len(blocks), dtype=int), tol)
+    if reason:
+        raise ToleranceAmbiguity(reason)
+    sizes = np.array([b.n for b in blocks])
+    dims = np.multiply.outer(sizes, sizes)
+    dims[i, j] = z
+    return dims
+
+
 def self_pairs(reps):
     return [(v, v) for v in reps]
 
 
 def self_dims(reps):
     """dim Z(V, V) of each block, each analysed on its own."""
-    return [int(block_cocycle_dims([v])[0, 0]) for v in reps]
+    return [int(block_dims([v])[0, 0]) for v in reps]
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -404,7 +428,7 @@ def test_reduced_self_cocycles_of_dense_semisimple_blocks():
         rep = assemble(SemisimpleSpec(tuple(SpecEntry(*e) for e in entries)), seed=seed)
         u = random_unitary(rep.n, np.random.default_rng(seed))
         reps.append(RepPair(u @ rep.A @ u.conj().T, u @ rep.B @ u.conj().T, B3))
-    assert np.diagonal(block_cocycle_dims(reps)).tolist() == \
+    assert np.diagonal(block_dims(reps)).tolist() == \
         [cocycle_dim_numeric(v, v) for v in reps]
 
 
@@ -450,7 +474,7 @@ def test_reduced_self_cocycles_refuse_a_non_scalar_square(full_shapes):
     blocks = [inst.rep, v]
     expected = [[cocycle_dim_numeric(x, y) for y in blocks] for x in blocks]
     full_shapes.clear()
-    assert block_cocycle_dims(blocks).tolist() == expected
+    assert block_dims(blocks).tolist() == expected
     assert sorted(full_shapes) == [(2, 4), (4, 2), (4, 4)]
 
 
@@ -459,7 +483,7 @@ def test_reduced_self_cocycles_raise_on_an_ambiguous_threshold():
     assert self_dims([inst.rep]) == [cocycle_dim_numeric(inst.rep, inst.rep)]
     loose = ToleranceConfig(rel_tol=0.9)
     with pytest.raises(ToleranceAmbiguity):
-        block_cocycle_dims([inst.rep], loose)
+        block_dims([inst.rep], loose)
 
 
 CROSS_SCALARS = (ONE, ExactScalar.zeta6(1), ExactScalar.zeta6(2), ExactScalar.zeta6(3),
@@ -483,7 +507,7 @@ def test_reduced_cross_cocycles_match_the_full_system(seed):
                 for _ in range(2))
         pairs.append((v, w))
     expected = [cocycle_dim_numeric(v, w) for v, w in pairs]
-    assert [block_cocycle_dims([v, w])[0, 1] for v, w in pairs] == expected
+    assert [block_dims([v, w])[0, 1] for v, w in pairs] == expected
     equal_c = [i for i, (v, w) in enumerate(pairs)
                if np.isclose(np.trace(v.A @ v.A) / v.n, np.trace(w.A @ w.A) / w.n)]
     assert 10 < len(equal_c) < 50
@@ -504,7 +528,7 @@ def test_reduced_cross_cocycles_share_the_roots_of_their_group(seed):
                       ExactScalar(1, Fraction(1, 12) + Fraction(int(rng.integers(6)), 6)))
             for _ in range(3)]
     reps += [RepPair(v.A.conj(), v.B.conj(), B3) for v in reps]
-    assert block_cocycle_dims(reps).tolist() == \
+    assert block_dims(reps).tolist() == \
         [[cocycle_dim_numeric(v, w) for w in reps] for v in reps]
 
 
@@ -526,7 +550,7 @@ def test_reduced_cross_cocycles_at_distinct_scalars_rank_nothing(monkeypatch):
         return ranks(M, tol)
 
     monkeypatch.setattr(extoracle, "_ranks", spy)
-    dims = block_cocycle_dims([v, w, far])
+    dims = block_dims([v, w, far])
     assert [dims[0, 1], dims[1, 0], dims[0, 2], dims[2, 1]] == expected
     assert sum(ranked) == 3
 
@@ -541,7 +565,7 @@ def test_reduced_cocycles_of_dense_conjugates():
     reps = [inst.rep] + [RepPair(h @ inst.rep.A @ np.linalg.inv(h),
                                  h @ inst.rep.B @ np.linalg.inv(h), B3) for h in (u, g)]
     reps += [scale_rep(rep, ExactScalar.zeta6(1)) for rep in reps]
-    assert block_cocycle_dims(reps).tolist() == \
+    assert block_dims(reps).tolist() == \
         [[cocycle_dim_numeric(v, w) for w in reps] for v in reps]
 
 
@@ -563,7 +587,7 @@ def test_reduced_cocycles_of_non_split_extensions():
              for pair in ((e, x), (x, e))]
     expected = [cocycle_dim_numeric(blocks[v], blocks[w]) for v, w in pairs]
     assert expected[0::2] != expected[1::2]
-    dims = block_cocycle_dims(blocks)
+    dims = block_dims(blocks)
     assert [dims[v, w] for v, w in pairs] == expected
 
 
@@ -574,12 +598,31 @@ def test_reduced_cross_cocycles_raise_near_equal_scalars():
     r = 1 + Fraction(1, 2 * 10 ** 8)      # r^6 = 1 + 3e-8 to first order
     w = scale_rep(v, ExactScalar.from_rational(r))
     with pytest.raises(ToleranceAmbiguity):
-        block_cocycle_dims([v, w])
+        block_dims([v, w])
     far = scale_rep(v, ExactScalar.from_rational(1 + Fraction(1, 10 ** 7)))
     near = scale_rep(v, ExactScalar.from_rational(1 + Fraction(1, 10 ** 11)))
-    dims = block_cocycle_dims([v, far, near])
+    dims = block_dims([v, far, near])
     assert [dims[0, 1], dims[0, 2]] == [36, cocycle_dim_numeric(v, near)] \
         == [36, cocycle_dim_numeric(v, v)]
+
+
+def test_blocks_pair_only_inside_their_owner():
+    # four blocks of one lambda^6, two owners: each owner gets the values
+    # and the reason it gets alone, and no pair of two owners is computed
+    v, w = (random_simple_gamma(GammaDimVector(2, 1, 1, 1, 1), seed=s).rep for s in (1, 2))
+    r = 1 + Fraction(1, 2 * 10 ** 8)
+    blocks = [v, w, v, scale_rep(w, ExactScalar.from_rational(r))]
+    owners = np.array([0, 0, 1, 1])
+    i, j, z, reasons = block_cocycle_dims(blocks, owners)
+    assert (owners[i] == owners[j]).all()
+    first = {(a, b): x for a, b, x in zip(i.tolist(), j.tolist(), z.tolist()) if a < 2}
+    lone_i, lone_j, lone_z, _ = block_cocycle_dims(blocks[:2], [0, 0])
+    assert first == dict(zip(zip(lone_i.tolist(), lone_j.tolist()), lone_z.tolist()))
+    assert sorted(first) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert reasons == ["", block_cocycle_dims(blocks[2:], [0, 0])[3][0]]
+    assert reasons[1].startswith("two scalars within a factor 10")
+    assert block_dims(blocks[:2]).tolist() == \
+        [[cocycle_dim_numeric(x, y) for y in blocks[:2]] for x in blocks[:2]]
 
 
 def test_a_coarse_rank_tolerance_keeps_the_scalar_grouping():
@@ -588,9 +631,9 @@ def test_a_coarse_rank_tolerance_keeps_the_scalar_grouping():
     # coarse tol cannot merge their groups and count cross cocycles
     v = random_simple_gamma(GammaDimVector(2, 1, 1, 1, 1), seed=0).rep
     blocks = [v, scale_rep(v, ExactScalar.from_rational(Fraction(10001, 10000)))]
-    expected = block_cocycle_dims(blocks)
+    expected = block_dims(blocks)
     assert expected[0, 1] == expected[1, 0] == 3 * 3
-    assert block_cocycle_dims(blocks, ToleranceConfig(1e-2)).tolist() == expected.tolist()
+    assert block_dims(blocks, ToleranceConfig(1e-2)).tolist() == expected.tolist()
 
 
 def test_cocycle_space_of_braid_relation_contains_boundaries():

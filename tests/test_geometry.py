@@ -17,6 +17,7 @@ from b3rep import (
     SemisimpleSpec,
     SpecEntry,
     ToleranceAmbiguity,
+    ToleranceConfig,
     WitnessUnavailable,
     analyze,
     assemble,
@@ -34,6 +35,7 @@ from b3rep import (
     random_spec,
     tangent_dim_formula,
     tangent_dim_numeric,
+    tangent_dims_numeric,
     validate_rep,
 )
 from b3rep import extoracle, geometry
@@ -427,6 +429,33 @@ def test_tangent_numeric_at_distant_moduli(entries):
         assert tangent_dim_numeric(assemble(spec, seed=seed)) == tangent_dim_formula(spec)
 
 
+@pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(0.1)],
+                         ids=["default", "coarse"])
+def test_stacked_tangent_oracle_equals_each_point_alone(tol):
+    # random points, a dense conjugate (ranked on the full system) and a
+    # point whose two lambda^6 lie within a factor 10 of the grouping
+    # threshold: in one stack each point keeps the value and the reason it
+    # has alone.  At 0.1 some points are ambiguous and some not, so a
+    # reason that leaked to a neighbour, or a flag that moved with the zero
+    # padding of a wider neighbour (sigma_max flagged by rounding), shows
+    specs = [random_spec(n, seed) for seed in range(4) for n in range(1, 8)]
+    reps = [assemble(spec, seed=i) for i, spec in enumerate(specs)]
+    dense = spec_of(entry(DIM2, iid="p"), entry(A0, scalar(Fraction(3, 2)), iid="q"))
+    reps.append(_unitary_conjugate(assemble(dense, seed=1), 1))
+    reps.append(assemble(spec_of(
+        entry(DIM3, iid="a"), entry(DIM3, scalar(1 + Fraction(1, 2 * 10 ** 8)), iid="b"))))
+    values, reasons = tangent_dims_numeric(reps, tol)
+    alone = [tangent_dims_numeric([rep], tol) for rep in reps]
+    assert values == [value for (value,), _ in alone]
+    assert reasons == [reason for _, (reason,) in alone]
+    assert reasons[-1].startswith("two scalars within a factor 10")
+    if tol.rel_tol == 0.1:
+        assert 0 < sum(map(bool, reasons[:-1])) < len(reasons) - 1
+    else:
+        assert not any(reasons[:-1])
+        assert values[:-1] == [tangent_dim_formula(spec) for spec in (*specs, dense)]
+
+
 def test_tangent_numeric_on_a_large_point_of_small_summands():
     # n = 48 from summands of dimension 1-3, some of them repeated and some
     # linked through sixth roots of unity; far beyond the dense system's reach
@@ -486,11 +515,11 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
     spec = spec_of(entry(A0, iid="p"), entry(A1, iid="q"))
     calls = []
 
-    def measure(rep, tol):
-        calls.append(rep)
+    def measure(reps, tol):
+        calls.extend(reps)
         if len(calls) < 3:
-            raise ToleranceAmbiguity("forced")
-        return tangent_dim_numeric(rep, tol)
+            return [0] * len(reps), ["forced"] * len(reps)
+        return tangent_dims_numeric(reps, tol)
 
     real_validate = verify_mod.validate_rep
     validated = []
@@ -499,7 +528,7 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
         validated.append((rep, real_validate(rep, kind)))
         return validated[-1][1]
 
-    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", measure)
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric", measure)
     monkeypatch.setattr(verify_mod, "validate_rep", validate)
     seed, valid, measured = verify_mod.assemble_and_measure(spec, lambda k: 100 + k)
     assert (seed, measured, len(calls)) == (102, 6, 3) and valid
@@ -507,12 +536,12 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
     assert len(validated) == 1 and validated[0][0] is calls[-1] and valid is validated[0][1]
     calls.clear()
 
-    def always_ambiguous(rep, tol):
-        calls.append(rep)
-        raise ToleranceAmbiguity("forced")
+    def always_ambiguous(reps, tol):
+        calls.extend(reps)
+        return [0] * len(reps), ["forced"] * len(reps)
 
-    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", always_ambiguous)
-    with pytest.raises(ToleranceAmbiguity):
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric", always_ambiguous)
+    with pytest.raises(ToleranceAmbiguity, match="^forced$"):
         verify_mod.assemble_and_measure(spec, lambda k: k)
     assert len(calls) == 3
 

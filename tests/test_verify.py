@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import b3rep.extoracle as extoracle_mod
+import b3rep.factory as factory_mod
 import b3rep.lattice as lattice_mod
 import b3rep.verify as verify_mod
 from b3rep import (
@@ -443,16 +444,45 @@ def test_tangent_fails_the_measured_checks_of_a_trial_it_gives_up_on(monkeypatch
     # and its formula-only defect check still passes
     measured = []
 
-    def always_ambiguous(rep, tol):
-        measured.append(rep)
-        raise ToleranceAmbiguity("forced")
+    def always_ambiguous(reps, tol):
+        measured.extend(reps)
+        return [0] * len(reps), ["forced"] * len(reps)
 
-    monkeypatch.setattr(verify_mod, "tangent_dim_numeric", always_ambiguous)
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric", always_ambiguous)
     result = run_suite("tangent", n=3, trials=4, seed=1)
     assert len(measured) == 3 * 4
     assert (result.checks, result.failed) == (4 * 4, 3 * 4)
     assert all(msg.startswith("persistent tolerance ambiguity for {'entries': ")
                for msg in result.failures)
+
+
+def test_tangent_draws_each_attempt_in_one_stack(monkeypatch):
+    # all trials of verify tangent are assembled in one _draw_simples per
+    # attempt, and each instance is bit for bit the one that the lone
+    # assemble(spec, seed) of its trial draws: a draw depends on its type
+    # and seed alone
+    real = factory_mod._draw_simples
+    calls = []
+
+    def spy(types, seeds):
+        calls.append(real(types, seeds))
+        return calls[-1]
+
+    def bits(instances):
+        return [(inst.alpha, inst.seed, inst.attempts, inst.rep.A.tobytes(), inst.rep.B.tobytes())
+                for inst in instances]
+
+    monkeypatch.setattr(factory_mod, "_draw_simples", spy)
+    assert run_suite("tangent").ok
+    assert 1 <= len(calls) <= verify_mod.REMEASURE_ATTEMPTS
+    stacked = calls[0]
+    calls.clear()
+    for trial in range(50):
+        n = int(np.random.default_rng(derived_seed("tangent-size", 0, trial)).integers(1, 7))
+        factory_mod.assemble(random_spec(n, derived_seed("tangent", 0, trial)),
+                             seed=derived_seed("tangent-rep", 0, trial, 0))
+    assert len(calls) == 50 and len(stacked) > 50
+    assert bits(stacked) == bits(inst for call in calls for inst in call)
 
 
 def test_ext_records_its_checks_in_plan_order(monkeypatch):
