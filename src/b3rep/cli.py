@@ -27,7 +27,7 @@ from .extoracle import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig
 from .factory import SemisimpleSpec, derived_seed
 from .geometry import analyze, enumerate_component_signatures
 from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
-from .verify import SUITE_NAMES, assemble_and_measure, run_suite
+from .verify import _VERIFY_BUDGET, SUITE_NAMES, _check_budget, assemble_and_measure, run_suite
 
 # --tol is the rank threshold of the measurements and nothing else: scalar
 # grouping and the relation and commutation checks read the fixed
@@ -46,40 +46,6 @@ _COPIES_CAP = 10_000
 # square of their count: 1000 entries take about 1.1 s and 99 MB of RSS
 # above import, 2000 about 4.3 s and 388 MB.
 _ENTRIES_CAP = 1_000
-# Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
-# every ordered pair of summands whose scalars have equal lambda^6, 64 n^2
-# for the dense assembled pair (32 n^2) and what validate_rep holds beside
-# it, and 128 bytes per ordered pair of distinct entries (second
-# paragraph).  A pair of summands
-# at equal c is ranked on a reduced K x N system with K, N <= d_V d_W
-# (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copies
-# while it is built and ranked; a pair at distinct c builds none.  Summed
-# over a group of equal c that is (sum d^2)^2, and for one summand
-# 32 d^4 + 64 n^2.  Fresh processes, tracemalloc peak / peak RSS above
-# the 34 MB of the imported package: one balanced simple at d = 24 / 28 /
-# 32, 2.9 / 4.5 / 6.8 MB and 8 / 10 / 13 MB (about 5 MB of it a fixed cost
-# that a d = 4 run pays too) against an estimate of 10.7 / 19.7 / 33.6 MB;
-# two of d = 24 at lambda = 1 and e^(2 pi i/7), 4.8 and 10 MB against
-# 21.4 MB; at 1 and zeta6, 8.4 and 14 MB against 42.6 MB.
-#
-# The local quiver holds an arrow for every ordered pair of entries, and
-# the report and its JSON text hold them again: about 110 bytes a pair,
-# counted as 128.  assemble builds the pair once, read-only, and RepPair
-# adopts it without a copy.  validate_rep forms A^2 and B^3 a block of
-# rows at a time, so beside the pair it holds no more than the copy of A
-# or B its singular values need.  Tracemalloc peaks in-process after a
-# first run, against the estimate: 40 summands (2,1;1,1,1) at distinct
-# moduli, n = 120, 0.95 MB against 1.22 MB; 100 of them, n = 300, 4.8 MB
-# against 7.3 MB; the 40 at angles k/6 (one group of equal lambda^6),
-# 2.6 MB against 5.3 MB (in the tangent oracle); 100 and 300
-# one-dimensional summands at distinct moduli, 1.7 MB against 1.9 MB and
-# 12.9 MB against 17.3 MB (in the JSON output); 724 copies of one
-# character, 25.4 MB against 33.5 MB (in validate_rep: the 16.8 MB pair
-# and 8.5 MB beside it; assemble peaks at 16.8 MB).
-#
-# Without --force it may use what one summand of dimension 32 needs.
-_VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
-
 EXIT_OK = 0
 EXIT_SINGULAR = 1
 EXIT_INPUT = 2
@@ -155,21 +121,8 @@ def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
             "--verify takes scalar moduli whose sixth power is a normal float "
             f"only, in [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]"
         )
-    need = _verify_bytes(spec)
-    if need > _VERIFY_BUDGET and not force:
-        raise InvalidSpec(
-            f"--verify on this spec needs about {need / 1e6:.0f} MB by the memory "
-            f"estimate; above {_VERIFY_BUDGET / 1e6:.0f} MB it needs --force"
-        )
-
-
-def _verify_bytes(spec: SemisimpleSpec) -> int:
-    """The memory estimate of ``analyze --verify`` on the spec (see
-    ``_VERIFY_BUDGET``): (sum d^2)^2 cells over each of the spec's
-    ``lambda6_classes``, and 128 bytes for each ordered pair of distinct
-    entries."""
-    cells = sum(sum(spec.entries[i].dim ** 2 for i in cls) ** 2 for cls in spec.lambda6_classes)
-    return 32 * cells + 64 * spec.n ** 2 + 128 * spec.k * (spec.k - 1)
+    if not force:
+        _check_budget(spec, "--verify on this spec", "it needs --force")
 
 
 def cmd_analyze(args) -> int:

@@ -14,8 +14,9 @@ Burnside word span, the same engine started at the identity.
 Draws of one type come in stacks (``random_simples_gamma``), each seeded
 on its own, and are certified by two stacked spins, right and left, so
 a stack costs a few numpy calls per level instead of a few per draw.
-``assemble`` (over many specs at once, ``_assemble``) and the suites draw
-every instance they need in one stack per type (``_draw_simples``).
+``assemble`` and the suites draw every instance they need in one stack
+per type (``_draw_simples``); the suites build their points from such a
+stack with ``_block_pair``.
 
 A ``SemisimpleSpec`` is the symbolic side of a semisimple module: an
 ordered list of (dimension vector, exact scalar, multiplicity, instance
@@ -578,25 +579,24 @@ def assemble(spec: SemisimpleSpec, seed: int = 0) -> RepPair:
     identical copies of the rescaled simple block, in entry order.
     Equal instance ids (and types) reuse the same underlying block, drawn
     from ``derived_seed("assemble", seed, instance_id)`` and certified at
-    ``DEFAULT_TOL``.  The stack of one of ``_assemble``."""
-    return _assemble([spec], [seed])[0]
+    ``DEFAULT_TOL``: the ``_block_pair`` of its ``_instances``."""
+    keys = _instances(spec)
+    drawn = _draw_simples([alpha for alpha, _ in keys],
+                          [derived_seed("assemble", seed, instance_id) for _, instance_id in keys])
+    return _block_pair(spec, {key: inst.rep for key, inst in zip(keys, drawn)})
 
 
-def _assemble(specs, seeds) -> list[RepPair]:
-    """``assemble`` of each spec at its seed, all instances drawn in one
-    ``_draw_simples``: a draw depends on its type and seed alone, so each
-    pair is its lone assembly, bit for bit."""
-    keys = [list(dict.fromkeys((e.alpha, e.instance_id) for e in spec.entries)) for spec in specs]
-    drawn = iter(_draw_simples(
-        [alpha for point in keys for alpha, _ in point],
-        [derived_seed("assemble", seed, instance_id)
-         for point, seed in zip(keys, seeds) for _, instance_id in point]))
-    reps = []
-    for spec, point in zip(specs, keys):
-        # zip takes from drawn only while the point has keys left
-        instances = dict(zip(point, drawn))
-        scaled = [(scale_rep(instances[e.alpha, e.instance_id].rep, e.lam), e.mult)
-                  for e in spec.entries]
-        reps.append(RepPair(_block_diag([v.A for v, mult in scaled for _ in range(mult)]),
-                            _block_diag([v.B for v, mult in scaled for _ in range(mult)]), B3))
-    return reps
+def _instances(spec: SemisimpleSpec) -> list[tuple]:
+    """The distinct (type, instance id) of a spec's entries, in order of
+    first appearance: the simples that assembling it draws."""
+    return list(dict.fromkeys((e.alpha, e.instance_id) for e in spec.entries))
+
+
+def _block_pair(spec: SemisimpleSpec, instances: dict) -> RepPair:
+    """The block-diagonal pair of a spec from the pair of each of its
+    ``_instances``: ``mult`` copies of each entry's rescaled block.  A
+    draw depends on its type and seed alone, so a pair built from
+    instances drawn in any stack is the lone ``assemble``, bit for bit."""
+    scaled = [(scale_rep(instances[e.alpha, e.instance_id], e.lam), e.mult) for e in spec.entries]
+    return RepPair(_block_diag([v.A for v, mult in scaled for _ in range(mult)]),
+                   _block_diag([v.B for v, mult in scaled for _ in range(mult)]), B3)

@@ -9,6 +9,7 @@ wrong reading of the underlying identities.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import B3, GAMMA
-from .errors import ToleranceAmbiguity
+from .errors import InvalidSpec, ToleranceAmbiguity
 from .extoracle import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -27,8 +28,9 @@ from .extoracle import (
 from .factory import (
     SemisimpleSpec,
     SpecEntry,
-    _assemble,
+    _block_pair,
     _draw_simples,
+    _instances,
     _unitaries,
     derived_seed,
     entries_isomorphic,
@@ -101,49 +103,115 @@ class SuiteResult:
         }
 
 
-#: Bytes of system ``_measure`` ranks in one stacked call, counted as the
-#: 16 (2 n_V n_W)^2 bytes of a quotient cocycle system, the largest one it
-#: builds.  Every group of the default and CI sizes fits in one call; at
+#: Bytes of system ``_measure`` ranks in one call, each system counted as
+#: the 16 (2 n_V n_W)^2 bytes of a quotient cocycle system, the largest one
+#: the ext oracle builds; a full n^2 x 2n^2 tangent system takes half of
+#: that.  Every group of the default and CI sizes fits in one call; at
 #: ``verify ext --n 10`` the (10, 10) group alone holds 3.3 GB of them.
-#: ``_assemble_and_measure`` counts a point as the 32 n^4 bytes of its
-#: full n^2 x 2n^2 tangent system.
 _MEASURE_CHUNK_BYTES = 2 ** 26
 
 
-def _measure(systems, tol: ToleranceConfig) -> tuple[list[int], list[bool]]:
-    """Values of (oracle, V, W, kind) systems, in order, and whether a rank
-    decision behind each is ambiguous; the oracle is ext, coboundary or
-    hom.
-    One stacked call per oracle, kind and pair of dimensions, split into
-    calls of at most ``_MEASURE_CHUNK_BYTES``.  Each call stacks its pairs
-    once (``_ext_dims`` ranks its cocycle and commutant systems on the
-    same unit-scaled stacks) and reports every system's ambiguity flag
-    instead of raising, so the caller redraws only what is ambiguous."""
-    oracles = {"ext": _ext_dims, "coboundary": _coboundary_defects, "hom": _hom_dims}
+def _measure(systems, tol: ToleranceConfig) -> tuple[list, list]:
+    """Values of (oracle, V, W, kind) systems, in order, and why each is
+    unclear (falsy if clean): ext and coboundary on an ambiguous rank
+    decision; link, the Hom of a ``_pair``, when nonzero (near the
+    threshold a zero stands: ``_ext_dims`` flags the same commutant);
+    tangent, of V, for the reason it gives; relation never.  One call per
+    oracle, kind and pair of dimensions (tangent and relation take every
+    size in one), split into calls of at most ``_MEASURE_CHUNK_BYTES``."""
+    oracles = {"ext": _ext_dims, "coboundary": _coboundary_defects, "link": _hom_dims,
+               "tangent": lambda pairs, kind, tol: tangent_dims_numeric([v for v, _ in pairs], tol),
+               "relation": lambda pairs, kind, tol: ([validate_rep(v, kind) for v, _ in pairs],
+                                                     [False] * len(pairs))}
     groups: dict[tuple, list[int]] = {}
     for idx, (oracle, V, W, kind) in enumerate(systems):
-        groups.setdefault((oracle, kind, V.n, W.n), []).append(idx)
-    values, ambiguous = [0] * len(systems), [False] * len(systems)
-    for (oracle, kind, n_v, n_w), idxs in groups.items():
-        step = max(1, _MEASURE_CHUNK_BYTES // (16 * (2 * n_v * n_w) ** 2))
+        sizes = () if oracle in ("tangent", "relation") else (V.n, W.n)
+        groups.setdefault((oracle, kind, sizes), []).append(idx)
+    values, unclear = [0] * len(systems), [False] * len(systems)
+    for (oracle, kind, _), idxs in groups.items():
+        largest = max(systems[i][1].n * systems[i][2].n for i in idxs)
+        step = max(1, _MEASURE_CHUNK_BYTES // (16 * (2 * largest) ** 2))
         for start in range(0, len(idxs), step):
             chunk = idxs[start:start + step]
             got, flags = oracles[oracle]([systems[i][1:3] for i in chunk], kind, tol)
-            for i, value, flag in zip(chunk, got.tolist(), flags.tolist()):
-                values[i], ambiguous[i] = value, flag
-    return values, ambiguous
+            if oracle == "link":
+                flags = got != 0
+            for i, value, flag in zip(chunk, np.asarray(got).tolist(), np.asarray(flags).tolist()):
+                values[i], unclear[i] = value, flag
+    return values, unclear
 
 
-#: Attempts at a measurement before it is given up: draws of the suites,
-#: and assemblies of ``assemble_and_measure``.  A check still ambiguous,
-#: or a pair still isomorphic, after the last attempt is a failed check.
+#: Attempts at a measurement before it is given up, in ``_run_draws``.  A
+#: check still unclear after the last attempt is a failed check.
 REMEASURE_ATTEMPTS = 3
 
 
-def _pair(alpha, beta, trial) -> list:
-    """The draw of two independent instances of types alpha and beta; the
-    labels end with 0, which keeps the seeds of earlier releases."""
-    return [(alpha, ("pair-a", alpha, beta, trial, 0)), (beta, ("pair-b", alpha, beta, trial, 0))]
+def _run_draws(plan, seed_of, tol: ToleranceConfig) -> list[tuple]:
+    """(attempt, values, unclear) of the last attempt of each item of a
+    plan, in order: the ``_measure`` values and flags of its systems.
+
+    An item is (instances, systems, ...): (type, key) instances, each
+    drawn from ``seed_of(k, key, attempt)``, k the item's index, all of an
+    attempt in one ``_draw_simples``; and ``systems(*reps)`` in the form
+    ``_measure`` takes.  An item with an unclear system is drawn again, for
+    ``REMEASURE_ATTEMPTS`` attempts in all, unless its instances are all
+    one-dimensional: such a type has one pair, so a redraw would bring the
+    same ambiguity back."""
+    outcomes = [None] * len(plan)
+    todo = range(len(plan))
+    for attempt in range(REMEASURE_ATTEMPTS):
+        drawn = iter(_draw_simples(
+            [alpha for k in todo for alpha, _ in plan[k][0]],
+            [seed_of(k, key, attempt) for k in todo for _, key in plan[k][0]]))
+        ends, systems = [], []
+        for k in todo:
+            systems += plan[k][1](*[next(drawn).rep for _ in plan[k][0]])
+            ends.append(len(systems))
+        # the instances live on in the systems only
+        del drawn
+        got, flags = _measure(systems, tol)
+        for k, start, end in zip(todo, [0, *ends], ends):
+            outcomes[k] = attempt, got[start:end], flags[start:end]
+        todo = [k for k in todo
+                if any(outcomes[k][2]) and any(alpha.n > 1 for alpha, _ in plan[k][0])]
+        if not todo:
+            break
+    return outcomes
+
+
+def _record(name: str, outcomes, checks) -> SuiteResult:
+    """The suite result of the checks of each outcome of ``_run_draws``, in
+    order.  A check (slots, item, judge) records ``judge(*values of its
+    slots)``, an (ok, residual, message) triple, or, when one of its slots
+    is still unclear, the failure "persistent tolerance ambiguity for <item>"."""
+    result = SuiteResult(name)
+    for (_, got, flags), item_checks in zip(outcomes, checks):
+        for slots, item, judge in item_checks:
+            if any(map(flags.__getitem__, slots)):
+                result.record(False, 0, f"persistent tolerance ambiguity for {item}")
+            else:
+                result.record(*judge(*map(got.__getitem__, slots)))
+    return result
+
+
+def _labelled(seed: int):
+    """The ``seed_of`` of the suites' draws: a labelled instance at attempt
+    k is drawn from ``derived_seed("verify", label, seed)``, the label
+    ending with k after the first attempt."""
+    return lambda _, label, attempt: derived_seed("verify", (*label, attempt) if attempt else label, seed)
+
+
+def _pair(alpha, beta, trial, systems, checks) -> tuple:
+    """The draw of two independent instances of types alpha and beta, with
+    its systems and checks; the labels end with 0, as in earlier releases.
+    Two instances of one type of dimension >= 2 must be non-isomorphic:
+    their Hom is a last "link" system that every check reads too."""
+    instances = [(alpha, ("pair-a", alpha, beta, trial, 0)), (beta, ("pair-b", alpha, beta, trial, 0))]
+    if alpha != beta or alpha.n == 1:
+        return instances, systems, checks
+    return (instances, lambda v, w: [*systems(v, w), ("link", v, w, GAMMA)],
+            [((*slots, -1), item, lambda *got, judge=judge: judge(*got[:-1]))
+             for slots, item, judge in checks])
 
 
 def _equal(slot: int, item: str, expected: int, head: str = "", tail: str = ""):
@@ -162,92 +230,33 @@ def _braid_ext(lam, mu, both: bool = False):
     return systems
 
 
-def _run_draws(result: SuiteResult, plan, seed: int, tol: ToleranceConfig) -> None:
-    """Measure the draws of a plan and record their checks, in plan order.
+def _point(spec: SemisimpleSpec) -> tuple:
+    """The plan item of an assembled point: the spec's ``_instances``, and
+    as systems the tangent and the relation check of their
+    ``_block_pair``; unlike a ``_pair``, it links no two instances."""
+    keys = _instances(spec)
+    # a partial holds two objects that the garbage collector tracks, a
+    # closure four: a plan of many points stays cheaper to collect
+    return keys, functools.partial(_point_systems, spec, keys)
 
-    A draw is (instances, systems, checks): (type, label) instances, each
-    drawn from ``derived_seed("verify", label, seed)``, all of an attempt
-    in one ``_draw_simples``; ``systems(*reps)``, its systems in the form
-    ``_measure`` takes; and checks (slots, item, judge), each recording
-    ``judge(*values of its slots)``, an (ok, residual, message) triple.
-    Two instances of one type of dimension >= 2 must be non-isomorphic:
-    their Hom is one more system, and a nonzero Hom leaves every system of
-    the draw unclear, as an ambiguous rank decision leaves its own.  (A
-    zero Hom near the threshold stands: on a quotient pair ``_ext_dims``
-    flags the same commutant.)  A draw with an unclear system is drawn
-    again, under labels that end with the attempt, for
-    ``REMEASURE_ATTEMPTS`` attempts in all, unless its instances are all
-    one-dimensional: such a type has one pair, so a redraw would bring the
-    ambiguity back.  A check with a slot still unclear fails with
-    "persistent tolerance ambiguity for <item>"."""
-    linked = {k for k, (((alpha, _), *rest), _, _) in enumerate(plan)
-              if rest and rest[0][0] == alpha and alpha.n > 1}
-    values, unclear = [None] * len(plan), [None] * len(plan)
-    todo = range(len(plan))
-    for attempt in range(REMEASURE_ATTEMPTS):
-        requests = [(alpha, (*label, attempt) if attempt else label)
-                    for k in todo for alpha, label in plan[k][0]]
-        drawn = iter(_draw_simples([alpha for alpha, _ in requests],
-                                   [derived_seed("verify", label, seed) for _, label in requests]))
-        owned, systems = [], []
-        for k in todo:
-            reps = [next(drawn).rep for _ in plan[k][0]]
-            listed = plan[k][1](*reps)
-            owned.append((k, len(systems), len(systems) + len(listed)))
-            systems += listed
-            if k in linked:
-                systems.append(("hom", reps[0], reps[1], GAMMA))
-        got, flags = _measure(systems, tol)
-        for k, start, end in owned:
-            values[k], unclear[k] = got[start:end], flags[start:end]
-            # a linked draw's Hom follows its systems
-            if k in linked and got[end] != 0:
-                unclear[k] = [True] * (end - start)
-        todo = [k for k in todo
-                if any(unclear[k]) and any(alpha.n > 1 for alpha, _ in plan[k][0])]
-        if not todo:
-            break
-    for (_, _, checks), got, flags in zip(plan, values, unclear):
-        for slots, item, judge in checks:
-            if any(map(flags.__getitem__, slots)):
-                result.record(False, 0, f"persistent tolerance ambiguity for {item}")
-            else:
-                result.record(*judge(*map(got.__getitem__, slots)))
+
+def _point_systems(spec, keys, *reps) -> list:
+    """The systems of a ``_point`` from the pairs of its instances, in order."""
+    rep = _block_pair(spec, dict(zip(keys, reps)))
+    return [("tangent", rep, rep, B3), ("relation", rep, rep, B3)]
 
 
 def assemble_and_measure(spec: SemisimpleSpec, seed_of, tol: ToleranceConfig = DEFAULT_TOL):
     """(seed, ``validate_rep(rep, B3)``, measured value) of the first clean
-    assembly of the spec at ``seed_of(k)``, k the attempt: the stack of one
-    of ``_assemble_and_measure``.  Raises ToleranceAmbiguity with the
-    reason of the last attempt when no attempt was clean."""
-    (seed, valid, measured, reason), = _assemble_and_measure(
-        [spec], lambda _, attempt: seed_of(attempt), tol)
+    assembly of the spec at ``seed_of(k)``, k the attempt: a plan of one
+    ``_point``.  Raises ToleranceAmbiguity with the reason of the last
+    attempt when no attempt was clean."""
+    (attempt, (measured, valid), (reason, _)), = _run_draws(
+        [_point(spec)],
+        lambda _, instance_id, attempt: derived_seed("assemble", seed_of(attempt), instance_id), tol)
     if reason:
         raise ToleranceAmbiguity(reason)
-    return seed, valid, measured
-
-
-def _assemble_and_measure(specs, seed_of, tol: ToleranceConfig) -> list[tuple]:
-    """(seed, validation, measured value, reason) of each spec, assembled
-    at ``seed_of(i, k)`` on attempt k, for ``REMEASURE_ATTEMPTS`` attempts
-    while its value is ambiguous (reason not ''); a clean pair is
-    validated.  Each attempt assembles and measures a chunk of specs in
-    one call each; a chunk holds at most ``_MEASURE_CHUNK_BYTES`` of full
-    n^2 x 2n^2 systems (32 n^4 bytes) at the largest n."""
-    step = max(1, _MEASURE_CHUNK_BYTES // max([32 * spec.n ** 4 for spec in specs], default=1))
-    out = [None] * len(specs)
-    for start in range(0, len(specs), step):
-        todo = range(start, min(start + step, len(specs)))
-        for attempt in range(REMEASURE_ATTEMPTS):
-            seeds = [seed_of(i, attempt) for i in todo]
-            reps = _assemble([specs[i] for i in todo], seeds)
-            for i, seed, rep, value, reason in zip(todo, seeds, reps,
-                                                   *tangent_dims_numeric(reps, tol)):
-                out[i] = (seed, None if reason else validate_rep(rep, B3), value, reason)
-            todo = [i for i in todo if out[i][3]]
-            if not todo:
-                break
-    return out
+    return seed_of(attempt), valid, measured
 
 
 def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
@@ -266,14 +275,11 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
     (``coboundary_defects_numeric`` is 0), the premise of
     dim Ext = dim Z - dim B.
 
-    The suite is a plan of draws, each with its systems and checks, in
-    recording order: self instances, quotient pairs (an ext and a
-    coboundary check each), braid pairs, braid self instances.
-    ``_run_draws`` draws and measures them in stacks and redraws what is
-    unclear.  Formulas and failure texts are made once per type, pair of
-    types or spec entry, not per check.
+    The suite is a plan of draws for ``_run_draws``, in recording order:
+    self instances, quotient pairs (an ext and a coboundary check each),
+    braid pairs, braid self instances.  Formulas and failure texts are
+    made once per type, pair of types or spec entry, not per check.
     """
-    result = SuiteResult("ext")
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
     pair_trials = max(1, trials // 4)
     b3_types = [v for n in range(1, min(max_dim, 2) + 1)
@@ -297,7 +303,7 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
             expected = 0 if alpha == beta and alpha.n == 1 else ext_gamma_pair(alpha, beta)
             checks = [_equal(0, f"pair {alpha},{beta}", expected, "oracle "),
                       _equal(1, f"coboundaries {alpha},{beta}", 0, "cocycle defect rank ")]
-            plan += [(_pair(alpha, beta, trial), pair_systems, checks)
+            plan += [_pair(alpha, beta, trial, pair_systems, checks)
                      for trial in range(pair_trials)]
     # one spec entry per type and scalar on each side of the braid checks
     left, right = ({(alpha, lam): SpecEntry(alpha, lam, 1, side)
@@ -311,14 +317,13 @@ def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
                 expected = (self_ext[alpha] + 1 if entries_isomorphic(e1, e2)
                             else ext_b3_spec(e1, e2))
                 item = f"braid {scaled[alpha, lam]} vs {scaled[beta, mu]}"
-                plan.append((_pair(alpha, beta, 1000 + li), _braid_ext(lam, mu),
-                             [_equal(0, item, expected)]))
+                plan.append(_pair(alpha, beta, 1000 + li, _braid_ext(lam, mu),
+                                  [_equal(0, item, expected)]))
     for alpha in b3_types:
         for lam in LAMBDA_POOL:
             plan.append(([(alpha, ("b3self", alpha, str(lam)))], _braid_ext(lam, lam),
                          [_equal(0, f"braid self {scaled[alpha, lam]}", self_ext[alpha] + 1)]))
-    _run_draws(result, plan, seed, tol)
-    return result
+    return _record("ext", _run_draws(plan, _labelled(seed), tol), [checks for *_, checks in plan])
 
 
 def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
@@ -326,10 +331,8 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
     """Measured braid-case extension dimensions are symmetric:
     ext(V, W) = ext(W, V) on sampled pairs of rescaled simples.
 
-    The suite is a plan of one draw per trial: a pair, both directions as
-    its systems, and one check on the two, run by ``_run_draws`` as the
-    draws of ``verify_ext`` are."""
-    result = SuiteResult("symmetry")
+    The suite is a plan of one draw per trial for ``_run_draws``: a pair,
+    both directions as its systems, and one check on the two."""
     simples = [v for n in range(1, max_dim + 1) for v in enumerate_simple_gamma(n)]
 
     def draw(trial):
@@ -337,13 +340,14 @@ def verify_symmetry(max_dim: int = 3, trials: int = 6, seed: int = 0,
         alpha, beta = (simples[rng.integers(len(simples))] for _ in range(2))
         lam, mu = (LAMBDA_POOL[rng.integers(len(LAMBDA_POOL))] for _ in range(2))
         name = f"ext({alpha}*{lam},{beta}*{mu})"
-        return (_pair(alpha, beta, trial), _braid_ext(lam, mu, both=True),
-                [((0, 1), name, lambda forward, backward: (
-                    forward == backward, forward - backward,
-                    f"{name} = {forward} but reverse = {backward}"))])
+        return _pair(alpha, beta, trial, _braid_ext(lam, mu, both=True),
+                     [((0, 1), name, lambda forward, backward: (
+                         forward == backward, forward - backward,
+                         f"{name} = {forward} but reverse = {backward}"))])
 
-    _run_draws(result, [draw(trial) for trial in range(trials)], seed, tol)
-    return result
+    plan = [draw(trial) for trial in range(trials)]
+    return _record("symmetry", _run_draws(plan, _labelled(seed), tol),
+                   [checks for *_, checks in plan])
 
 
 def verify_lemma(max_total: int = 8) -> SuiteResult:
@@ -476,42 +480,96 @@ def random_spec(n: int, seed: int = 0) -> SemisimpleSpec:
     return SemisimpleSpec(tuple(entries))
 
 
+# Memory of analyze --verify in bytes: 32 bytes per cell (d_V d_W)^2 of
+# every ordered pair of summands whose scalars have equal lambda^6, 64 n^2
+# for the dense assembled pair (32 n^2) and what validate_rep holds beside
+# it, and 128 bytes per ordered pair of distinct entries (second
+# paragraph).  A pair of summands
+# at equal c is ranked on a reduced K x N system with K, N <= d_V d_W
+# (about d_V^2 d_W^2 / 6 cells for balanced types), held with its copies
+# while it is built and ranked; a pair at distinct c builds none.  Summed
+# over a group of equal c that is (sum d^2)^2, and for one summand
+# 32 d^4 + 64 n^2.  Fresh processes, tracemalloc peak / peak RSS above
+# the 34 MB of the imported package: one balanced simple at d = 24 / 28 /
+# 32, 2.9 / 4.5 / 6.8 MB and 8 / 10 / 13 MB (about 5 MB of it a fixed cost
+# that a d = 4 run pays too) against an estimate of 10.7 / 19.7 / 33.6 MB;
+# two of d = 24 at lambda = 1 and e^(2 pi i/7), 4.8 and 10 MB against
+# 21.4 MB; at 1 and zeta6, 8.4 and 14 MB against 42.6 MB.
+#
+# The local quiver holds an arrow for every ordered pair of entries, and
+# the report and its JSON text hold them again: about 110 bytes a pair,
+# counted as 128.  assemble builds the pair once, read-only, and RepPair
+# adopts it without a copy.  validate_rep forms A^2 and B^3 a block of
+# rows at a time, so beside the pair it holds no more than the copy of A
+# or B its singular values need.  Tracemalloc peaks in-process after a
+# first run, against the estimate: 40 summands (2,1;1,1,1) at distinct
+# moduli, n = 120, 0.95 MB against 1.22 MB; 100 of them, n = 300, 4.8 MB
+# against 7.3 MB; the 40 at angles k/6 (one group of equal lambda^6),
+# 2.6 MB against 5.3 MB (in the tangent oracle); 100 and 300
+# one-dimensional summands at distinct moduli, 1.7 MB against 1.9 MB and
+# 12.9 MB against 17.3 MB (in the JSON output); 724 copies of one
+# character, 25.4 MB against 33.5 MB (in validate_rep: the 16.8 MB pair
+# and 8.5 MB beside it; assemble peaks at 16.8 MB).
+#
+# Without --force it may use what one summand of dimension 32 needs, and
+# so may each trial of verify tangent, which has no --force.
+_VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
+
+
+def _verify_bytes(spec: SemisimpleSpec) -> int:
+    """The memory estimate of ``analyze --verify`` on the spec (see
+    ``_VERIFY_BUDGET``): (sum d^2)^2 cells over each of its
+    ``lambda6_classes``, and 128 bytes per ordered pair of entries."""
+    squares = [e.dim ** 2 for e in spec.entries]
+    cells = sum([sum([squares[i] for i in cls]) ** 2 for cls in spec.lambda6_classes])
+    return 32 * cells + 64 * spec.n ** 2 + 128 * spec.k * (spec.k - 1)
+
+
+def _check_budget(spec: SemisimpleSpec, what: str, remedy: str) -> None:
+    """Raise InvalidSpec, "<what> needs about ...; above ... <remedy>", when
+    the spec's ``_verify_bytes`` exceed ``_VERIFY_BUDGET``."""
+    need = _verify_bytes(spec)
+    if need > _VERIFY_BUDGET:
+        raise InvalidSpec(f"{what} needs about {need / 1e6:.0f} MB by the memory "
+                          f"estimate; above {_VERIFY_BUDGET / 1e6:.0f} MB {remedy}")
+
+
 def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
                    tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
     """Tangent dimensions on random specs: the measured value always
     equals the formula, the assembled pair is relation-valid, and the
-    smooth verdict coincides with tangent = component dimension.  All
-    trials are measured in one ``_assemble_and_measure``.  A trial whose
-    assemblies all stay ambiguous fails its three measured checks, as in
-    ``_run_draws``; its formula-only defect check still counts."""
-    result = SuiteResult("tangent")
+    smooth verdict coincides with tangent = component dimension.  Trial t
+    is the ``_point`` of a plan drawn as ``assemble`` draws at
+    ``derived_seed("tangent-rep", seed, t, attempt)``; a spec above the
+    budget of ``analyze --verify`` raises InvalidSpec before any draw."""
     specs = []
     for trial in range(trials):
         rng = np.random.default_rng(derived_seed("tangent-size", seed, trial))
         n = int(rng.integers(1, max_n + 1))
         specs.append(random_spec(n, derived_seed("tangent", seed, trial)))
-    reports = [analyze(spec) for spec in specs]
-    measured = _assemble_and_measure(
-        specs, lambda trial, bump: derived_seed("tangent-rep", seed, trial, bump), tol)
-    for spec, report, (_, valid, value, reason) in zip(specs, reports, measured):
-        formula, comp, verdict = report.tangent_dim, report.component_dim, report.smooth
-        text = spec.to_json()
-        if reason:
-            checks = [(False, 0, f"persistent tolerance ambiguity for {text}")] * 3
-        else:
-            checks = [(bool(valid), valid.residuals.get("relation_A2_B3", 0.0),
-                       f"assembled pair invalid for {text}"),
-                      (value == formula, value - formula,
-                       f"tangent mismatch {value} != {formula} for {text}"),
-                      (verdict == (value == comp), 0,
-                       f"smooth verdict {verdict} but tangent {value}, "
-                       f"component {comp} for {text}")]
-        for check in checks:
-            result.record(*check)
-        slack = formula - comp
-        result.record(slack >= 0 and (slack == 0) == verdict, 0,
-                      f"tangent defect {slack} inconsistent with verdict")
-    return result
+        _check_budget(specs[-1], f"tangent trial {trial} (n = {n})", "the suite refuses it")
+    outcomes = _run_draws(
+        [_point(spec) for spec in specs],
+        lambda trial, instance_id, attempt: derived_seed(
+            "assemble", derived_seed("tangent-rep", seed, trial, attempt), instance_id), tol)
+    return _record("tangent", outcomes, map(_tangent_checks, specs))
+
+
+def _tangent_checks(spec: SemisimpleSpec) -> list:
+    """The checks of a trial of ``verify_tangent`` on its point's tangent
+    and relation systems; the last, formula-only, counts on a give-up too."""
+    report, text = analyze(spec), str(spec.to_json())
+    formula, comp, verdict = report.tangent_dim, report.component_dim, report.smooth
+    return [((0, 1), text, lambda value, valid: (
+                bool(valid), valid.residuals.get("relation_A2_B3", 0.0),
+                f"assembled pair invalid for {text}")),
+            ((0,), text, lambda value: (value == formula, value - formula,
+                                        f"tangent mismatch {value} != {formula} for {text}")),
+            ((0,), text, lambda value: (verdict == (value == comp), 0,
+                                        f"smooth verdict {verdict} but tangent {value}, "
+                                        f"component {comp} for {text}")),
+            ((), text, lambda: (formula >= comp and (formula == comp) == verdict, 0,
+                                f"tangent defect {formula - comp} inconsistent with verdict"))]
 
 
 #: Suite name -> (function, name of its size parameter, smallest size that

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from b3rep.cli import _verify_bytes, main
+from b3rep.cli import main
 from b3rep.factory import SemisimpleSpec
+from b3rep.verify import _verify_bytes
 
 SINGULAR_SPEC = {
     "entries": [
@@ -30,6 +31,12 @@ SMOOTH_SPEC = {
          "mult": 1, "instance": "s2"},
     ]
 }
+
+# one simple of dimension 2, a smooth point with tangent dimension 5: an
+# ambiguous measurement of it is redrawn, where a point whose instances are
+# all one-dimensional, such as SMOOTH_SPEC, would draw the same pair again
+SIMPLE_SPEC = {"entries": [{"alpha": [1, 1, 1, 1, 0], "lambda": {"r": "1", "q": "0"},
+                            "mult": 1, "instance": "s1"}]}
 
 
 def run(capsys, *argv):
@@ -202,12 +209,12 @@ def test_analyze_verify_redraws_after_an_ambiguous_measurement(tmp_path, capsys,
         return real(reps, tol)
 
     monkeypatch.setattr(verify_mod, "tangent_dims_numeric", ambiguous_once)
-    path = tmp_path / "smooth.json"
-    path.write_text(json.dumps(SMOOTH_SPEC))
+    path = tmp_path / "simple.json"
+    path.write_text(json.dumps(SIMPLE_SPEC))
     code, out, _ = run(capsys, "analyze", "--spec", str(path), "--verify", "--seed", "5")
     assert code == 0 and len(measured) == 2
     verification = json.loads(out)["verification"]
-    assert verification["tangent_dim_numeric"] == 4
+    assert verification["tangent_dim_numeric"] == 5
     assert verification["matches_formula"] and verification["seed"] != 5
 
 
@@ -223,12 +230,36 @@ def test_analyze_verify_gives_up_after_three_ambiguous_assemblies(tmp_path, caps
         return [0] * len(reps), ["forced"] * len(reps)
 
     monkeypatch.setattr(verify_mod, "tangent_dims_numeric", always_ambiguous)
-    path = tmp_path / "smooth.json"
-    path.write_text(json.dumps(SMOOTH_SPEC))
+    path = tmp_path / "simple.json"
+    path.write_text(json.dumps(SIMPLE_SPEC))
     code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
     assert code == 3 and out == ""
     assert err == "error: numeric verification inconclusive: forced\n"
     assert len(measured) == 3
+
+
+def test_analyze_verify_measures_a_one_dimensional_point_once(tmp_path, capsys, monkeypatch):
+    # the lambda^6 of 1 and 1000000001/1000000000 differ by about 6e-9,
+    # inside the ambiguity band of the scalar grouping whatever the draw;
+    # both instances are one-dimensional, so every assembly draws the same
+    # pair: the point is drawn once and the verification is inconclusive
+    import b3rep.factory as factory_mod
+    import b3rep.verify as verify_mod
+    draws = []
+    for module in (factory_mod, verify_mod):
+        def spy(types, seeds, real=module._draw_simples):
+            draws.append(list(types))
+            return real(types, seeds)
+        monkeypatch.setattr(module, "_draw_simples", spy)
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [1, 0, 1, 0, 0], "lambda": {"r": "1", "q": "0"}},
+        {"alpha": [0, 1, 1, 0, 0], "lambda": {"r": "1000000001/1000000000", "q": "0"}}]}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
+    assert (code, out) == (3, "")
+    assert err == ("error: numeric verification inconclusive: two scalars within a factor "
+                   "10 of the equality threshold; re-randomize the instances\n")
+    assert len(draws) == 1
 
 
 def test_analyze_verify_at_a_coarse_tolerance_exits_three(tmp_path, capsys):
@@ -281,8 +312,8 @@ def test_analyze_verify_rejects_an_invalid_assembled_pair(tmp_path, capsys, monk
     import b3rep.verify as verify_mod
     from b3rep.constants import B3
     from b3rep.factory import RepPair
-    monkeypatch.setattr(verify_mod, "_assemble", lambda specs, seeds:
-                        [RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3)] * len(specs))
+    monkeypatch.setattr(verify_mod, "_block_pair", lambda spec, instances:
+                        RepPair(np.diag([1.0, -1.0]), 2 * np.eye(2), B3))
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps(SMOOTH_SPEC))
     code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify")
@@ -304,7 +335,7 @@ def refuse_assembly(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise Assembled
 
-    monkeypatch.setattr(verify_mod, "_assemble", no_assembly)
+    monkeypatch.setattr(verify_mod, "_block_pair", no_assembly)
 
 
 @pytest.mark.parametrize("alpha, force", [

@@ -511,8 +511,11 @@ def test_tangent_numeric_on_many_summands_at_distinct_moduli():
 
 
 def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
+    # a point with an instance of dimension >= 2: an ambiguous attempt is
+    # assembled again (one whose instances are all one-dimensional would
+    # draw the same pair, and is measured once)
     import b3rep.verify as verify_mod
-    spec = spec_of(entry(A0, iid="p"), entry(A1, iid="q"))
+    spec = spec_of(entry(A0, iid="p"), entry(DIM2, iid="q"))
     calls = []
 
     def measure(reps, tol):
@@ -531,9 +534,10 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
     monkeypatch.setattr(verify_mod, "tangent_dims_numeric", measure)
     monkeypatch.setattr(verify_mod, "validate_rep", validate)
     seed, valid, measured = verify_mod.assemble_and_measure(spec, lambda k: 100 + k)
-    assert (seed, measured, len(calls)) == (102, 6, 3) and valid
-    # only the pair of the clean attempt, the last one measured, is validated
-    assert len(validated) == 1 and validated[0][0] is calls[-1] and valid is validated[0][1]
+    assert (seed, measured, len(calls)) == (102, 10, 3) and valid
+    # the relation check is a measured system: every attempt's pair is
+    # validated, and the verdict is that of the clean attempt, the last one
+    assert [rep for rep, _ in validated] == calls and valid is validated[-1][1]
     calls.clear()
 
     def always_ambiguous(reps, tol):

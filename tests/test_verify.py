@@ -288,16 +288,18 @@ def test_a_pair_whose_hom_reads_nonzero_is_redrawn(monkeypatch):
     monkeypatch.setattr(verify_mod, "_hom_dims", linked_first)
     calls = spy_draws(monkeypatch)
     a1, a2 = GammaDimVector(1, 0, 1, 0, 0), GammaDimVector(1, 1, 1, 1, 0)
-    draws = [verify_mod._pair(a2, a2, 0), verify_mod._pair(a2, a1, 0),
-             verify_mod._pair(a1, a1, 0), [(a1, ("self", a1, 0))]]
     measured = []
 
     def systems(*reps):
         return [("ext", reps[0], reps[-1], GAMMA)]
 
     check = ((0,), "ext", lambda got: measured.append(got) or (True, 0, ""))
-    result = SuiteResult("runner")
-    verify_mod._run_draws(result, [(draw, systems, [check]) for draw in draws], 3, DEFAULT_TOL)
+    plan = [verify_mod._pair(a2, a2, 0, systems, [check]),
+            verify_mod._pair(a2, a1, 0, systems, [check]),
+            verify_mod._pair(a1, a1, 0, systems, [check]), ([(a1, ("self", a1, 0))], systems, [check])]
+    draws = [instances for instances, _, _ in plan]
+    outcomes = verify_mod._run_draws(plan, verify_mod._labelled(3), DEFAULT_TOL)
+    result = verify_mod._record("runner", outcomes, [checks for _, _, checks in plan])
     assert homs == [1, 1]
     assert measured == [ext_gamma_pair(a2, a2), ext_gamma_pair(a2, a1), 0, 0]
     # no check was left unclear
@@ -372,9 +374,9 @@ def test_persistent_ambiguity_fails_each_ambiguous_check(monkeypatch, suite, kwa
         values, flags = real_ext(pairs, kind, tol)
         return values, np.ones_like(flags)
 
-    def spy(result, plan, seed, tol):
+    def spy(plan, seed_of, tol):
         planned.extend(instances for instances, _, _ in plan)
-        return real_run(result, plan, seed, tol)
+        return real_run(plan, seed_of, tol)
 
     monkeypatch.setattr(verify_mod, "_ext_dims", ambiguous)
     monkeypatch.setattr(verify_mod, "_run_draws", spy)
@@ -449,7 +451,9 @@ def test_tangent_fails_the_measured_checks_of_a_trial_it_gives_up_on(monkeypatch
         return [0] * len(reps), ["forced"] * len(reps)
 
     monkeypatch.setattr(verify_mod, "tangent_dims_numeric", always_ambiguous)
-    result = run_suite("tangent", n=3, trials=4, seed=1)
+    # at seed 4 every trial has an instance of dimension >= 2; a point whose
+    # instances are all one-dimensional would be measured once
+    result = run_suite("tangent", n=3, trials=4, seed=4)
     assert len(measured) == 3 * 4
     assert (result.checks, result.failed) == (4 * 4, 3 * 4)
     assert all(msg.startswith("persistent tolerance ambiguity for {'entries': ")
@@ -472,7 +476,9 @@ def test_tangent_draws_each_attempt_in_one_stack(monkeypatch):
         return [(inst.alpha, inst.seed, inst.attempts, inst.rep.A.tobytes(), inst.rep.B.tobytes())
                 for inst in instances]
 
-    monkeypatch.setattr(factory_mod, "_draw_simples", spy)
+    # the suite draws through verify's _draw_simples, assemble through factory's
+    for module in (verify_mod, factory_mod):
+        monkeypatch.setattr(module, "_draw_simples", spy)
     assert run_suite("tangent").ok
     assert 1 <= len(calls) <= verify_mod.REMEASURE_ATTEMPTS
     stacked = calls[0]
@@ -483,6 +489,89 @@ def test_tangent_draws_each_attempt_in_one_stack(monkeypatch):
                              seed=derived_seed("tangent-rep", 0, trial, 0))
     assert len(calls) == 50 and len(stacked) > 50
     assert bits(stacked) == bits(inst for call in calls for inst in call)
+
+
+def spy_every_draw(monkeypatch):
+    """The (types, seeds) of every ``_draw_simples`` call, through verify's
+    name or factory's."""
+    calls = []
+    for module in (verify_mod, factory_mod):
+        def spy(types, seeds, real=module._draw_simples):
+            calls.append((list(types), list(seeds)))
+            return real(types, seeds)
+        monkeypatch.setattr(module, "_draw_simples", spy)
+    return calls
+
+
+def tangent_specs(seed, trials=50, max_n=6):
+    """The specs of the trials of ``verify tangent``."""
+    return [random_spec(int(np.random.default_rng(derived_seed("tangent-size", seed, trial))
+                            .integers(1, max_n + 1)), derived_seed("tangent", seed, trial))
+            for trial in range(trials)]
+
+
+def test_tangent_redraws_a_flagged_trial_at_its_next_point_seed(monkeypatch):
+    # the first measurement flags trial 5 (an instance of dimension 2):
+    # that trial alone is drawn again, from the seeds that assemble(spec,
+    # derived_seed("tangent-rep", 0, 5, 1)) draws from, and the suite's
+    # result stays
+    baseline = run_suite("tangent").to_json()
+    victim, spec = 5, tangent_specs(0)[5]
+    assert any(e.dim > 1 for e in spec.entries)
+    real = verify_mod.tangent_dims_numeric
+    measured = []
+
+    def flag_once(reps, tol):
+        values, reasons = real(reps, tol)
+        measured.append(len(reps))
+        if len(measured) == 1:
+            reasons = [*reasons[:victim], "forced", *reasons[victim + 1:]]
+        return values, reasons
+
+    monkeypatch.setattr(verify_mod, "tangent_dims_numeric", flag_once)
+    calls = spy_every_draw(monkeypatch)
+    assert run_suite("tangent").to_json() == baseline
+    assert measured == [50, 1]
+    keys = list(dict.fromkeys((e.alpha, e.instance_id) for e in spec.entries))
+    point_seed = derived_seed("tangent-rep", 0, victim, 1)
+    assert len(calls) == 2 and calls[1] == (
+        [alpha for alpha, _ in keys],
+        [derived_seed("assemble", point_seed, instance_id) for _, instance_id in keys])
+
+
+def test_a_point_measures_no_hom_between_its_instances(monkeypatch, tmp_path, capsys):
+    # two distinct instances of one type of dimension >= 2 in a point are
+    # not a _pair, whose Hom must vanish: neither analyze --verify nor
+    # verify tangent (trials 7, 44 and 45 of seed 2 hold such instances)
+    # measures a Hom
+    from b3rep.cli import main
+    homs = []
+    monkeypatch.setattr(verify_mod, "_hom_dims", lambda *args: homs.append(args))
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"entries": [
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": "1", "q": "0"}, "instance": "a"},
+        {"alpha": [2, 1, 1, 1, 1], "lambda": {"r": "3/2", "q": "0"}, "instance": "b"}]}))
+    assert main(["analyze", "--spec", str(path), "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["matches_formula"]
+    types = [[alpha for alpha, _ in dict.fromkeys((e.alpha, e.instance_id) for e in spec.entries)]
+             for spec in tangent_specs(2)]
+    assert [trial for trial, point in enumerate(types)
+            if any(alpha.n > 1 and point.count(alpha) > 1 for alpha in point)] == [7, 44, 45]
+    assert run_suite("tangent", seed=2).ok
+    assert homs == []
+
+
+def test_tangent_refuses_a_trial_above_the_memory_budget(monkeypatch, capsys):
+    # at --n 400 trial 1 draws a spec of dimension 226 whose self pair
+    # alone would take about 12 GB: the suite refuses it before anything is
+    # drawn, as analyze --verify refuses such a spec without --force
+    from b3rep.cli import main
+    calls = spy_every_draw(monkeypatch)
+    assert main(["verify", "tangent", "--n", "400", "--trials", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    assert err.startswith("error: tangent trial 1 ") and err.count("\n") == 1
+    assert tangent_specs(0, trials=2, max_n=400)[1].n == 226
 
 
 def test_ext_records_its_checks_in_plan_order(monkeypatch):
