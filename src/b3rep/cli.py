@@ -22,12 +22,12 @@ import json
 import os
 import sys
 
-from .errors import B3RepError, InvalidSpec, ToleranceAmbiguity
+from .errors import B3RepError, InvalidSpec
 from .extoracle import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig
 from .factory import SemisimpleSpec, derived_seed
 from .geometry import analyze, enumerate_component_signatures
 from .lattice import enumerate_simple_gamma, ext_gamma_self, orbit_class, simple_orbit_classes
-from .verify import _VERIFY_BUDGET, SUITE_NAMES, _check_budget, assemble_and_measure, run_suite
+from .verify import _VERIFY_BUDGET, SUITE_NAMES, _check_point, _measure_points, run_suite
 
 # --tol is the rank threshold of the measurements and nothing else: scalar
 # grouping and the relation and commutation checks read the fixed
@@ -111,20 +111,6 @@ def cmd_components(args) -> int:
     return EXIT_OK
 
 
-def _check_verifiable(spec: SemisimpleSpec, force: bool) -> None:
-    """Raise InvalidSpec when ``analyze --verify`` should not assemble the
-    spec: a scalar whose |lambda|^6, the scale of A^2 = B^3, is not a
-    normal float, or, without --force, a memory estimate above the budget."""
-    if not all(sys.float_info.min <= e.lam.r ** 6 <= sys.float_info.max
-               for e in spec.entries):
-        raise InvalidSpec(
-            "--verify takes scalar moduli whose sixth power is a normal float "
-            f"only, in [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]"
-        )
-    if not force:
-        _check_budget(spec, "--verify on this spec", "it needs --force")
-
-
 def cmd_analyze(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
@@ -143,7 +129,7 @@ def cmd_analyze(args) -> int:
             raise InvalidSpec(f"spec has {spec.k} distinct entries; above "
                               f"{_ENTRIES_CAP} it needs --force")
         if args.verify:
-            _check_verifiable(spec, args.force)
+            _check_point(spec, "--verify on this spec", "it needs --force", args.force)
         report = analyze(spec)
     except (B3RepError, ValueError) as exc:
         return _fail(str(exc))
@@ -151,14 +137,15 @@ def cmd_analyze(args) -> int:
     payload = report.to_json()
     verification = None
     if args.verify:
-        try:
-            # the first assembly uses --seed itself, retries derived seeds
-            seed, valid, measured = assemble_and_measure(
-                spec,
-                lambda k: derived_seed("analyze-rep", args.seed, k) if k else args.seed, args.tol)
-        except ToleranceAmbiguity as exc:
+        # the first assembly uses --seed itself, retries derived seeds
+        def point_seed(_, attempt):
+            return derived_seed("analyze-rep", args.seed, attempt) if attempt else args.seed
+
+        (attempt, (measured, valid), (reason, _)), = _measure_points([spec], point_seed, args.tol)
+        if reason:
             # the spec and --tol are valid: a failed check, as in the suites
-            return _fail(f"numeric verification inconclusive: {exc}", EXIT_MISMATCH)
+            return _fail(f"numeric verification inconclusive: {reason}", EXIT_MISMATCH)
+        seed = point_seed(0, attempt)
         if not valid:
             return _fail(f"assembled pair (seed {seed}) is singular or fails "
                          f"A^2 = B^3: {valid.residuals}", EXIT_MISMATCH)

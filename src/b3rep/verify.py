@@ -9,8 +9,10 @@ wrong reading of the underlying identities.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from .extoracle import (
     _coboundary_defects,
     _ext_dims,
     _hom_dims,
+    scalar_groups,
 )
 from .factory import (
     SemisimpleSpec,
@@ -231,9 +234,10 @@ def _braid_ext(lam, mu, both: bool = False):
 
 
 def _point(spec: SemisimpleSpec) -> tuple:
-    """The plan item of an assembled point: the spec's ``_instances``, and
-    as systems the tangent and the relation check of their
-    ``_block_pair``; unlike a ``_pair``, it links no two instances."""
+    """The plan item of an assembled point, which reaches ``_run_draws``
+    through ``_measure_points`` only: the spec's ``_instances``, and as
+    systems the tangent and the relation check of their ``_block_pair``;
+    unlike a ``_pair``, it links no two instances."""
     keys = _instances(spec)
     # a partial holds two objects that the garbage collector tracks, a
     # closure four: a plan of many points stays cheaper to collect
@@ -246,17 +250,13 @@ def _point_systems(spec, keys, *reps) -> list:
     return [("tangent", rep, rep, B3), ("relation", rep, rep, B3)]
 
 
-def assemble_and_measure(spec: SemisimpleSpec, seed_of, tol: ToleranceConfig = DEFAULT_TOL):
-    """(seed, ``validate_rep(rep, B3)``, measured value) of the first clean
-    assembly of the spec at ``seed_of(k)``, k the attempt: a plan of one
-    ``_point``.  Raises ToleranceAmbiguity with the reason of the last
-    attempt when no attempt was clean."""
-    (attempt, (measured, valid), (reason, _)), = _run_draws(
-        [_point(spec)],
-        lambda _, instance_id, attempt: derived_seed("assemble", seed_of(attempt), instance_id), tol)
-    if reason:
-        raise ToleranceAmbiguity(reason)
-    return seed_of(attempt), valid, measured
+def _measure_points(specs, point_seed, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple]:
+    """The ``_run_draws`` outcomes (attempt, (tangent, ``validate_rep``),
+    (reason, _)) of one ``_point`` per spec, each passed by ``_check_point``:
+    instance id i of spec k at attempt a is drawn as ``assemble(spec,
+    point_seed(k, a))`` draws it, from ``derived_seed("assemble", point_seed(k, a), i)``."""
+    return _run_draws([_point(spec) for spec in specs], lambda k, instance_id, attempt:
+                      derived_seed("assemble", point_seed(k, attempt), instance_id), tol)
 
 
 def verify_ext(max_dim: int = 3, trials: int = 20, seed: int = 0,
@@ -511,8 +511,9 @@ def random_spec(n: int, seed: int = 0) -> SemisimpleSpec:
 # character, 25.4 MB against 33.5 MB (in validate_rep: the 16.8 MB pair
 # and 8.5 MB beside it; assemble peaks at 16.8 MB).
 #
-# Without --force it may use what one summand of dimension 32 needs, and
-# so may each trial of verify tangent, which has no --force.
+# _check_point holds every point to it before any draw: without --force a
+# spec may use what one summand of dimension 32 needs, and so may each
+# trial of verify tangent, which has no --force.
 _VERIFY_BUDGET = 32 * 32 ** 4 + 64 * 32 ** 2
 
 
@@ -525,33 +526,55 @@ def _verify_bytes(spec: SemisimpleSpec) -> int:
     return 32 * cells + 64 * spec.n ** 2 + 128 * spec.k * (spec.k - 1)
 
 
-def _check_budget(spec: SemisimpleSpec, what: str, remedy: str) -> None:
-    """Raise InvalidSpec, "<what> needs about ...; above ... <remedy>", when
-    the spec's ``_verify_bytes`` exceed ``_VERIFY_BUDGET``."""
+#: The normal floats, exact: |lambda|^6 of every point measured lies in them.
+_NORMAL = (Fraction(sys.float_info.min), Fraction(sys.float_info.max))
+
+
+def _check_point(spec: SemisimpleSpec, what: str, remedy: str, force: bool = False) -> None:
+    """Raise InvalidSpec when the point of a spec should not be assembled
+    and measured: a scalar whose |lambda|^6, the scale of A^2 = B^3, is not
+    a normal float; unless forced, a memory estimate (``_verify_bytes``) above
+    ``_VERIFY_BUDGET``, "<what> needs about ...; above ... <remedy>"; or two
+    distinct lambda^6 that ``scalar_groups`` merges, as the oracle would.
+    The ``LAMBDA_POOL`` scalars of ``verify tangent`` meet neither first nor last."""
+    lams = [spec.entries[cls[0]].lam for cls in spec.lambda6_classes]
+    if not all(_NORMAL[0] <= lam.r ** 6 <= _NORMAL[1] for lam in lams):
+        raise InvalidSpec(
+            "--verify takes scalar moduli whose sixth power is a normal float "
+            f"only, in [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]")
     need = _verify_bytes(spec)
-    if need > _VERIFY_BUDGET:
+    if need > _VERIFY_BUDGET and not force:
         raise InvalidSpec(f"{what} needs about {need / 1e6:.0f} MB by the memory "
                           f"estimate; above {_VERIFY_BUDGET / 1e6:.0f} MB {remedy}")
+    if len(lams) == 1:
+        return
+    # lambda^6 as the oracle compares it, c = e^(2 pi i 6q) and t = r; an
+    # ambiguous grouping is left to the draws, which report it
+    c = np.exp(12j * np.pi * np.array([lam.q for lam in lams], float))
+    with contextlib.suppress(ToleranceAmbiguity):
+        for i, j, *_ in (g for g in scalar_groups(c, [float(lam.r) for lam in lams]) if len(g) > 1):
+            raise InvalidSpec(
+                f"--verify cannot tell the lambda^6 of entries {spec.lambda6_classes[i][0] + 1} "
+                f"and {spec.lambda6_classes[j][0] + 1} apart: they differ by at most "
+                f"{DEFAULT_TOL.rel_tol / 10:g} of their modulus, which the oracle reads as equal")
 
 
 def verify_tangent(max_n: int = 6, trials: int = 50, seed: int = 0,
                    tol: ToleranceConfig = DEFAULT_TOL) -> SuiteResult:
     """Tangent dimensions on random specs: the measured value always
     equals the formula, the assembled pair is relation-valid, and the
-    smooth verdict coincides with tangent = component dimension.  Trial t
-    is the ``_point`` of a plan drawn as ``assemble`` draws at
-    ``derived_seed("tangent-rep", seed, t, attempt)``; a spec above the
-    budget of ``analyze --verify`` raises InvalidSpec before any draw."""
+    smooth verdict coincides with tangent = component dimension.  Every
+    trial's spec passes ``_check_point`` before any draw, or the suite
+    raises InvalidSpec; then trial t is the point of ``_measure_points``
+    at point seed ``derived_seed("tangent-rep", seed, t, attempt)``."""
     specs = []
     for trial in range(trials):
         rng = np.random.default_rng(derived_seed("tangent-size", seed, trial))
         n = int(rng.integers(1, max_n + 1))
         specs.append(random_spec(n, derived_seed("tangent", seed, trial)))
-        _check_budget(specs[-1], f"tangent trial {trial} (n = {n})", "the suite refuses it")
-    outcomes = _run_draws(
-        [_point(spec) for spec in specs],
-        lambda trial, instance_id, attempt: derived_seed(
-            "assemble", derived_seed("tangent-rep", seed, trial, attempt), instance_id), tol)
+        _check_point(specs[-1], f"tangent trial {trial} (n = {n})", "the suite refuses it")
+    outcomes = _measure_points(
+        specs, lambda trial, attempt: derived_seed("tangent-rep", seed, trial, attempt), tol)
     return _record("tangent", outcomes, map(_tangent_checks, specs))
 
 

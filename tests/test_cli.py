@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,78 @@ def test_analyze_verify_measures_a_one_dimensional_point_once(tmp_path, capsys, 
     assert err == ("error: numeric verification inconclusive: two scalars within a factor "
                    "10 of the equality threshold; re-randomize the instances\n")
     assert len(draws) == 1
+
+
+def entry(alpha, r, q="0", instance=None, mult=None):
+    """A spec entry; the fields left out take the parser's defaults."""
+    fields = {"alpha": alpha, "lambda": {"r": r, "q": q}, "instance": instance, "mult": mult}
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+# Two summands whose lambda^6 differ by at most 10^-9 of their modulus:
+# scalar_groups merges them without a flag, so the oracle would measure
+# them as one scalar, 42 (or 6) against the formula's 40 (or 4)
+MERGED_SPECS = {
+    "modulus": [entry([2, 1, 1, 1, 1], "1", instance="a"),
+                entry([2, 1, 1, 1, 1], "1000000000001/1000000000000", instance="b")],
+    "angle": [entry([2, 1, 1, 1, 1], "1", instance="a"),
+              entry([2, 1, 1, 1, 1], "1", "1/1000000000000000", instance="b")],
+    "characters": [entry([1, 0, 1, 0, 0], "1"),
+                   entry([0, 1, 0, 1, 0], "1000000000001/1000000000000")],
+}
+MERGED_ERR = ("error: --verify cannot tell the lambda^6 of entries 1 and 2 apart: they "
+              "differ by at most 1e-09 of their modulus, which the oracle reads as equal\n")
+
+
+@pytest.mark.parametrize("case, tangent", [("modulus", 40), ("angle", 40), ("characters", 4)])
+def test_analyze_verify_refuses_lambda6_that_the_oracle_merges(tmp_path, capsys, case, tangent):
+    # the point is smooth by the formulas; --verify refuses it before
+    # assembling anything instead of reporting a formula/oracle mismatch
+    path = tmp_path / "merged.json"
+    path.write_text(json.dumps({"entries": MERGED_SPECS[case]}))
+    code, out, _ = run(capsys, "analyze", "--spec", str(path))
+    assert code == 0 and json.loads(out)["tangent_dim"] == tangent
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify", "--force")
+    assert (code, out) == (2, "")
+    assert err == MERGED_ERR
+
+
+def test_check_point_names_the_first_two_entries_it_cannot_tell_apart():
+    from b3rep.errors import InvalidSpec
+    from b3rep.verify import _check_point
+    spec = SemisimpleSpec.from_json({"entries": [
+        entry([2, 1, 1, 1, 1], "3/2", instance="a"),
+        entry([1, 1, 1, 1, 0], "1", "1/6", instance="b"),
+        entry([2, 1, 1, 1, 1], "3/2", "1/7", instance="c"),
+        entry([2, 1, 1, 1, 1], "1000000000001/1000000000000", instance="d")]})
+    with pytest.raises(InvalidSpec, match="^--verify cannot tell the lambda.6 of entries 2 and 4 "):
+        _check_point(spec, "", "")
+
+
+@pytest.mark.parametrize("entries, flags, message", [
+    ([entry([1, 1, 1, 1, 0], "1"), entry([2, 1, 1, 1, 1], "1e52")], ("--force",),
+     "error: --verify takes scalar moduli "),
+    # moduli that Fraction takes but float() does not
+    ([entry([1, 1, 1, 1, 0], "1"), entry([2, 1, 1, 1, 1], "1e400")], (),
+     "error: --verify takes scalar moduli "),
+    ([entry([1, 1, 1, 1, 0], "1"), entry([2, 1, 1, 1, 1], "1e-400")], (),
+     "error: --verify takes scalar moduli "),
+    ([entry([17, 16, 11, 11, 11], "1")], (), "error: --verify on this spec needs about "),
+    (MERGED_SPECS["modulus"], ("--force",), "error: --verify cannot tell "),
+], ids=["modulus", "modulus-above-float", "modulus-below-float", "budget", "merged"])
+def test_analyze_verify_refuses_before_any_draw(tmp_path, capsys, monkeypatch, entries, flags,
+                                                message):
+    # every refusal of _check_point comes before the first draw
+    import b3rep.factory as factory_mod
+    import b3rep.verify as verify_mod
+    draws = []
+    for module in (factory_mod, verify_mod):
+        monkeypatch.setattr(module, "_draw_simples", lambda *args: draws.append(args))
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--verify", *flags)
+    assert (code, out, draws) == (2, "", [])
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_analyze_verify_at_a_coarse_tolerance_exits_three(tmp_path, capsys):
@@ -731,3 +804,119 @@ def test_tol_outside_its_range_is_an_input_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[arg.format(spec=path) for arg in argv])
     assert code == 2 and out == ""
     assert err == "error: --tol must be in (1e-12, 0.1]\n"
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+# The specs of the analyze ops below: those of the CI smoke steps, and
+# MERGED_SPECS
+PINNED_SPECS = {
+    "d19": [entry([10, 9, 7, 6, 6], "3/2", "1/7", "s", 1)],
+    "d32": [entry([16, 16, 11, 11, 10], "1", "0", "s", 1)],
+    "d24-apart": [entry([12, 12, 8, 8, 8], "1", instance="p"),
+                  entry([12, 12, 8, 8, 8], "1", "1/7", instance="q")],
+    "d24-zeta6": [entry([12, 12, 8, 8, 8], "1", instance="p"),
+                  entry([12, 12, 8, 8, 8], "1", "1/6", instance="q")],
+    "small": [entry([1, 0, 1, 0, 0], "1", instance="a"),
+              entry([1, 0, 1, 0, 0], "3/2", "1/7", instance="b"),
+              entry([1, 1, 1, 1, 0], "2", instance="c"),
+              entry([1, 1, 1, 1, 0], "5/2", "2/7", instance="d"),
+              entry([2, 1, 1, 1, 1], "3", instance="e"),
+              entry([2, 1, 1, 1, 1], "7/2", "3/7", instance="f"),
+              entry([2, 2, 2, 1, 1], "1/2", instance="g")],
+    "close": [entry([2, 1, 1, 1, 1], "1", instance="a"),
+              entry([2, 1, 1, 1, 1], "10001/10000", instance="b")],
+    "angles": [entry([2, 1, 1, 1, 1], "1", f"{i % 6}/6", f"s{i}") for i in range(40)],
+    "many": [entry([2, 1, 1, 1, 1], f"{64 + i}/64", instance=f"s{i}") for i in range(239)],
+    "give-up": [entry([1, 0, 1, 0, 0], "1", instance="a"),
+                entry([2, 1, 1, 1, 1], "1", "1/6", "b", 2),
+                entry([1, 1, 1, 1, 0], "3/2", instance="c")],
+    "one-dim": [entry([1, 0, 1, 0, 0], "1"),
+                entry([0, 1, 1, 0, 0], "1000000001/1000000000")],
+    **{f"merged-{case}": entries for case, entries in MERGED_SPECS.items()},
+}
+
+# (op, exit code, stderr, sha256 of stdout) at the default --tol and
+# --format json; the verify tangent and gln JSON is hashed without its
+# worst_residual, a float that depends on the BLAS.  The analyze ops run
+# with --verify on PINNED_SPECS[spec].  --verify refuses the specs of
+# MERGED_SPECS, whose lambda^6 the oracle would merge.
+PINNED = [
+    ("verify ext", 0, "",
+     "f37ec37dd91d3b19efdb987472398e05228b36e31a7c9e837c64b69891c3c68a"),
+    ("verify ext --seed 7", 0, "",
+     "f37ec37dd91d3b19efdb987472398e05228b36e31a7c9e837c64b69891c3c68a"),
+    ("verify tangent", 0, "",
+     "557df9eebfd7e7d251856456a15e3ada740c5768b7d797141ac4052fc28a7894"),
+    ("verify lemma", 0, "",
+     "f4e555be865d6e989709b2323891b13fac767f8256c5a554592dd5d2daea9a55"),
+    ("verify gln", 0, "",
+     "4d0e697673cd06b9401fba6e68bd5f49ec5cda62e258de1ae381c00ba75fafa3"),
+    ("verify symmetry", 0, "",
+     "8d00a12e9e4da6febdb4b7447a9636f03ba0391cba3066c08ec07f13270921bd"),
+    ("verify gln --n 6 --trials 20", 0, "",
+     "4a9336035d5ef44001e90fb5cc7ae0bd68a11e38954b9287b4e16f21aaa97f9f"),
+    ("verify symmetry --trials 30", 0, "",
+     "6320452ef6fdcf093ef1f3dda37ed7a2942319efaf05e8f0a1d417384b7b6ca4"),
+    ("verify lemma --n 12", 0, "",
+     "b0cec2f0303a6999d29a3a5d4db7a611fe5f72facea3bbe73cac89a01ea617ea"),
+    ("verify tangent --n 8 --trials 30 --seed 3", 0, "",
+     "377234f760ffdd5a709e893cc4d73e015356da3aaac4a07353135087327b7a3d"),
+    ("analyze d19", 0, "",
+     "e26903d7312ef01c8558903dab0ef9d8853b0e7f52dd510fb23337ac09284219"),
+    ("analyze d32", 0, "",
+     "caa07a9a7fae62b8690d81f16e0d7a06433c3aee2c7cce209d4ba93e1c9b089a"),
+    ("analyze d24-apart", 0, "",
+     "7b26aa41b7013020e629456f83a567e0c18eacf15aebe0af79002df2db0afa4e"),
+    ("analyze d24-zeta6 --force", 1, "",
+     "e598505d06c63df24a96603a186fcb7e38a816e0f7d52c08e6b512971ec9a072"),
+    ("analyze small", 0, "",
+     "b7c48815f0d790b37ecf76ba7926846757911823aa2b057dfd3f34f53cb427a1"),
+    ("analyze close --tol 1e-2", 0, "",
+     "544f099dbdf6033ba51728889c47a832276c336e49f6467a41b5b212f2d8c66d"),
+    ("analyze angles", 1, "",
+     "d09124ab6dac9e0c1f15d41002667eda53a199d44f7995fef3a5a8b928ba642d"),
+    ("analyze many", 2,
+     ("error: --verify on this spec needs about 41 MB by the "
+      "memory estimate; above 34 MB it needs --force\n"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("analyze give-up --tol 0.1", 3,
+     ("error: numeric verification inconclusive: singular value "
+      "within a factor 10 of the rank threshold; re-randomize the instances\n"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("analyze give-up --tol 1e-2", 1, "",
+     "797bb9c1d13e074d788deca5778332c3b6874cbb3f35fe29d092d7b0a2a48037"),
+    ("analyze one-dim", 3,
+     ("error: numeric verification inconclusive: two scalars "
+      "within a factor 10 of the equality threshold; re-randomize the instances\n"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("analyze merged-modulus", 2, MERGED_ERR,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("analyze merged-angle", 2, MERGED_ERR,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("analyze merged-characters", 2, MERGED_ERR,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def pinned_output(capsys, tmp_path, op):
+    """(exit code, stderr, sha256 of stdout) of one op of PINNED."""
+    argv = op.split()
+    if argv[0] == "analyze":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"entries": PINNED_SPECS[argv[1]]}))
+        argv = ["analyze", "--spec", str(path), "--verify", *argv[2:]]
+    code, out, err = run(capsys, *argv)
+    if argv[:2] in (["verify", "tangent"], ["verify", "gln"]):
+        result = json.loads(out)
+        del result["worst_residual"]
+        out = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    return code, err, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("op, code, err, digest", PINNED, ids=[row[0] for row in PINNED])
+def test_output_matches_its_pinned_digest(tmp_path, capsys, op, code, err, digest):
+    got = pinned_output(capsys, tmp_path, op)
+    assert got == (code, err, digest), f"new output of {op!r}: {got}"

@@ -16,7 +16,6 @@ from b3rep import (
     RepPair,
     SemisimpleSpec,
     SpecEntry,
-    ToleranceAmbiguity,
     ToleranceConfig,
     WitnessUnavailable,
     analyze,
@@ -510,7 +509,7 @@ def test_tangent_numeric_on_many_summands_at_distinct_moduli():
     assert peak <= 10 ** 6
 
 
-def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
+def test_measure_points_redraws_on_ambiguity(monkeypatch):
     # a point with an instance of dimension >= 2: an ambiguous attempt is
     # assembled again (one whose instances are all one-dimensional would
     # draw the same pair, and is measured once)
@@ -533,8 +532,9 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "tangent_dims_numeric", measure)
     monkeypatch.setattr(verify_mod, "validate_rep", validate)
-    seed, valid, measured = verify_mod.assemble_and_measure(spec, lambda k: 100 + k)
-    assert (seed, measured, len(calls)) == (102, 10, 3) and valid
+    (attempt, (measured, valid), (reason, _)), = verify_mod._measure_points(
+        [spec], lambda k, attempt: 100 + attempt)
+    assert (100 + attempt, measured, len(calls)) == (102, 10, 3) and valid and not reason
     # the relation check is a measured system: every attempt's pair is
     # validated, and the verdict is that of the clean attempt, the last one
     assert [rep for rep, _ in validated] == calls and valid is validated[-1][1]
@@ -545,8 +545,8 @@ def test_assemble_and_measure_redraws_on_ambiguity(monkeypatch):
         return [0] * len(reps), ["forced"] * len(reps)
 
     monkeypatch.setattr(verify_mod, "tangent_dims_numeric", always_ambiguous)
-    with pytest.raises(ToleranceAmbiguity, match="^forced$"):
-        verify_mod.assemble_and_measure(spec, lambda k: k)
+    (_, _, (reason, _)), = verify_mod._measure_points([spec], lambda k, attempt: attempt)
+    assert reason == "forced"
     assert len(calls) == 3
 
 

@@ -574,6 +574,29 @@ def test_tangent_refuses_a_trial_above_the_memory_budget(monkeypatch, capsys):
     assert tangent_specs(0, trials=2, max_n=400)[1].n == 226
 
 
+def test_tangent_checks_every_trial_before_the_first_draw(monkeypatch):
+    # one _check_point call per trial, each on that trial's spec, and all
+    # of them before anything is drawn
+    events = []
+    real_check, real_draw = verify_mod._check_point, factory_mod._draw_simples
+
+    def check(spec, *args):
+        events.append(("check", spec))
+        return real_check(spec, *args)
+
+    def draw(types, seeds):
+        events.append(("draw", None))
+        return real_draw(types, seeds)
+
+    monkeypatch.setattr(verify_mod, "_check_point", check)
+    for module in (verify_mod, factory_mod):
+        monkeypatch.setattr(module, "_draw_simples", draw)
+    assert run_suite("tangent", n=5, trials=20, seed=3).ok
+    first_draw = events.index(("draw", None))
+    assert events[:first_draw] == [("check", spec) for spec in tangent_specs(3, 20, 5)]
+    assert all(kind == "draw" for kind, _ in events[first_draw:])
+
+
 def test_ext_records_its_checks_in_plan_order(monkeypatch):
     # n = 2, trials = 4: 9 types, so 9 * 4 self checks, then an ext and a
     # coboundary check for each of the 81 quotient pairs (one trial each),
